@@ -21,6 +21,7 @@ from typing import Union
 from .model import StarPattern
 
 EXACT = "EXACT"
+UPPER_BOUND = "UPPER_BOUND"
 ASYMPTOTIC = "ASYMPTOTIC"
 UNCONSTRAINED = "UNCONSTRAINED"
 
@@ -142,12 +143,6 @@ def compare_surds(s1: SurdValue, s2: SurdValue) -> int:
     if lhs < rhs:
         return -1
     return 0
-
-
-def compare_fraction_or_inf_surd(x: Union[Fraction, _InfiniteThreshold], surd: SurdValue) -> int:
-    if isinstance(x, _InfiniteThreshold):
-        return 1
-    return compare_fraction_surd(x, surd)
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,8 @@ def coefficient_min(p: int, q: int, c: int) -> Fraction:
 class BoundResult:
     """Outcome of a bound query.
 
-    kind EXACT carries an integer value; ASYMPTOTIC carries the rational
+    kind EXACT carries an integer value; UPPER_BOUND carries an integer the
+    optimum never exceeds but may fall below; ASYMPTOTIC carries the rational
     coefficient of n^2; UNCONSTRAINED means no rainbow star of the pattern
     fits at all (too few colors or vertices), so the complete collection is
     free and gives the value.  `normalized` records that (p, q) was swapped
@@ -309,6 +305,9 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
 
     Exact values exist for p = 0 (all n, c splits below) and for
     (p, q) = (1, 1); other patterns fall back to the asymptotic coefficient.
+    The one p = 0 exception is the minimum for n > c when q-1 does not
+    divide r = n(q-1) mod c: there the floor formula is an UPPER_BOUND (the
+    optimum can fall below it; oracle.cover_oracle_s0q computes it).
     Raises ValueError for (1, 1) with objective "min" at n = 3, where the
     closed form fails and callers should use the exact oracle.
     """
@@ -343,9 +342,17 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
                     "valid for n > c >= q >= 1",
                 )
             quotient, remainder = divmod(n * (q - 1), c)
+            value = quotient * (n - 1) + remainder
+            if q == 1 or remainder % (q - 1) == 0:
+                return result(
+                    EXACT, value, "out-star/extremal-min",
+                    "valid for n > c >= q >= 1 when (q-1) divides r = n(q-1) mod c",
+                )
             return result(
-                EXACT, quotient * (n - 1) + remainder, "out-star/extremal-min",
-                "valid for n > c >= q >= 1",
+                UPPER_BOUND, value, "out-star/extremal-min",
+                f"r = {remainder} is not a multiple of q-1 = {q - 1}, so the floor "
+                f"formula only bounds the optimum from above and can exceed it; "
+                f"'rainbow-stars oracle --cover' computes the exact value",
             )
         # q <= n <= c: fixed-target construction (q-1 common targets per
         # vertex, every color) is optimal in this range

@@ -8,7 +8,8 @@ there is exactly one graph syntax across files and reports.
 
 Exit codes: 0 on success and for verification runs with no fail entries,
 1 for domain errors (reported as structured JSON on stdout), 2 for usage
-errors (argparse text on stderr).
+errors (argparse text on stderr), 3 for any other exception raised by a
+subcommand (reported as the same structured JSON as a domain error).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -286,9 +288,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except Exception as exc:
         _dump({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1
+        if isinstance(exc, ValueError):
+            return 1
+        # anything else (say a RecursionError on a deep input) is internal:
+        # the same JSON on stdout, and the traceback on stderr
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -369,11 +369,6 @@ def _check_edge(n: int, c: int, i: int, u: int, v: int) -> None:
         raise ValueError(f"loop at vertex {u} in color {i}")
 
 
-def new_collection(n: int, c: int, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> DigraphCollection:
-    """Empty collection of c digraphs on {1..n}."""
-    return DigraphCollection.empty(n, c, dense_threshold)
-
-
 def add_edge(collection: DigraphCollection, color: int, u: int, v: int) -> DigraphCollection:
     """Collection with one more edge; rejects loops and duplicates."""
     _check_edge(collection.n, collection.c, color, u, v)

@@ -8,11 +8,17 @@ rainbow (0, q) stars exactly when each vertex's (target, color) incidence
 graph has a vertex cover of size at most q-1, and maximal realizations of
 covers dominate everything else, so the search space collapses to per-vertex
 cover shapes.
+
+For the min objective the cover oracle walks the vertex-type multiplicities
+depth first, cutting subtrees by an averaging bound that is linear in them,
+and decides each multiplicity left ("can every color reach load t?", first
+at the smallest t that beats the incumbent) instead of optimising it.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +35,10 @@ _BUDGET_CHECK_MASK = 0xFFF  # test the clock every 4096 nodes
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """nodes_explored is an engine-specific work count: search nodes for
+    max_exact; for cover_oracle_s0q (min), walk visits plus feasibility
+    nodes (see there)."""
+
     optimum: int
     witness: DigraphCollection
     objective: str
@@ -275,11 +285,28 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
     the bound evaluators).  Every free collection is dominated by the
     maximal realization of a cover structure, and for those the objectives
     depend only on each vertex's split a_v + b_v <= q-1.  The sum objective
-    separates per vertex.  The min objective is solved exactly: enumerate
-    type multiplicities, and for each distribute color-cover tokens over
-    colors to maximize the smallest per-color count (depth-first over colors
-    with memoization, pigeonhole upper bounds for pruning, and two seed
-    layouts for the incumbent).
+    separates per vertex.
+
+    The min objective is solved exactly in two layers.  Outer: a depth-first
+    walk over type multiplicities in lexicographic order, after two seed
+    shapes set the incumbent.  c times the averaging bound
+    b_total + token_weight // c grows by a fixed coef[a] per type-a vertex,
+    so a prefix whose remaining vertices all take the largest coefficient
+    left bounds its whole subtree, and the subtree is cut when that bound
+    does not beat the incumbent.  Inner: for each multiplicity reached, the
+    color-cover tokens are dealt to colors as per-color allocation vectors
+    (built once, ascending by load).  Whether every color can reach load t
+    is a decision search over colors, memoised per t on (colors left,
+    tokens left) and cut when the tokens left cannot average t; only
+    minimal vectors (no token removable while still reaching t) are tried.
+    It is asked first at the smallest t that beats the incumbent, so a
+    losing multiplicity costs one infeasibility proof; otherwise the exact
+    value is found by bisection up to the averaging bound.  The layout commits, color by color, the first vector in
+    ascending order whose rest stays feasible.
+
+    nodes_explored counts walk visits plus feasibility nodes (memo misses
+    whose vectors were enumerated); it is 1 for q = 1 and q for the sum.
+    The witness is re-certified by the detector before it is returned.
     """
     _validate_objective(objective)
     if not (n > c >= q >= 1):
@@ -354,71 +381,103 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
     # and b = q-1-a targets (contributing b to every other color), so with
     # b_total fixed a token of type a is worth w_a = (n-1) - b = n-q+a.
     weights = [n - q + a for a in range(q)]
+    # c times the averaging bound b_total + token_weight // c is linear in the
+    # multiplicities: one type-a vertex adds coef[a]
+    coef = [c * (q - 1 - a) + a * weights[a] for a in range(q)]
+    tail_max = [max(coef[j:]) for j in range(q)]
     nodes = 0
     best_value = -1
     best_plan: Optional[tuple[tuple[int, ...], list[list[int]]]] = None
 
-    def inner_maxmin(mult: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-        """Exact max-min per-color count for fixed type multiplicities.
+    def inner_maxmin(mult: tuple[int, ...]) -> Optional[tuple[int, list[list[int]]]]:
+        """Exact max-min per-color count for fixed type multiplicities, or
+        None when it cannot beat the incumbent.
 
         Token layout: type a supplies a*mult[a] tokens of weight w_a, at
         most mult[a] per color (one per vertex).  Any per-color count matrix
         within those caps is realizable by dealing, so the search is over
-        count matrices only.
+        count matrices only, one decision per target load t.
         """
-        nonlocal nodes
         b_total = sum(m * (q - 1 - a) for a, m in enumerate(mult))
         type_as = [a for a in range(1, q) if mult[a]]
         if not type_as:
+            if b_total <= best_value:
+                return None
             return b_total, [[0] * c for _ in range(q)]
         caps = [mult[a] for a in type_as]
         ws = [weights[a] for a in type_as]
         supply = tuple(a * mult[a] for a in type_as)
         t_count = len(type_as)
 
-        memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
         def usable(k: int, rem: tuple[int, ...]) -> int:
             return sum(ws[t] * min(rem[t], k * caps[t]) for t in range(t_count))
 
-        def allocations(rem: tuple[int, ...], ascending: bool):
-            """All per-color token vectors within caps and remaining supply."""
-            opts: list[tuple[int, tuple[int, ...]]] = []
+        lo = max(best_value - b_total + 1, 0)
+        hi = usable(c, supply) // c
+        if lo > hi:
+            return None
 
-            def gen(t: int, load: int, alloc: tuple[int, ...]) -> None:
-                if t == t_count:
-                    opts.append((load, alloc))
-                    return
-                for x in range(0, min(caps[t], rem[t]) + 1):
-                    gen(t + 1, load + ws[t] * x, alloc + (x,))
+        # every per-color token vector within the caps, ascending by
+        # (load, alloc); `drop` is the load left after removing one token of
+        # the lightest type present, so a vector is minimal for target t
+        # (no token can go and still reach t) exactly when drop < t
+        options: list[tuple[int, tuple[int, ...], int]] = []
 
-            gen(0, 0, ())
-            opts.sort(key=(lambda o: (o[0], o[1])) if ascending else (lambda o: (-o[0], o[1])))
-            return opts
+        def gen(t: int, load: int, alloc: tuple[int, ...], lightest: int) -> None:
+            if t == t_count:
+                options.append((load, alloc, load - lightest if lightest else -1))
+                return
+            for x in range(caps[t] + 1):
+                gen(t + 1, load + ws[t] * x, alloc + (x,), lightest or (ws[t] if x else 0))
 
-        def solve(k: int, rem: tuple[int, ...]) -> int:
+        gen(0, 0, (), 0)
+        options.sort()
+        memos: dict[int, dict[tuple[int, tuple[int, ...]], bool]] = {}
+        minimal: dict[int, list[tuple[int, ...]]] = {}
+
+        def candidates(target: int, rem: tuple[int, ...]):
+            """Minimal vectors reaching `target` within rem, ascending, with
+            the supply they leave.  The first one whose rest stays feasible
+            is the lexicographically least feasible choice: any vector that
+            is not minimal has a feasible minimal part ahead of it."""
+            vectors = minimal.get(target)
+            if vectors is None:
+                vectors = minimal[target] = [
+                    alloc for load, alloc, drop in options[bisect_left(options, (target,)):]
+                    if drop < target
+                ]
+            for alloc in vectors:
+                rest = tuple(rem[t] - alloc[t] for t in range(t_count))
+                if min(rest) >= 0:
+                    yield alloc, rest
+
+        def feasible(target: int, k: int, rem: tuple[int, ...]) -> bool:
+            """Can each of k colors reach load >= target from supply rem?"""
             nonlocal nodes
+            if usable(k, rem) < k * target:
+                return False
             if k == 1:
-                return sum(ws[t] * min(rem[t], caps[t]) for t in range(t_count))
+                return True
+            memo = memos.setdefault(target, {})
             key = (k, rem)
             cached = memo.get(key)
             if cached is not None:
                 return cached
             nodes += 1
-            best = -1
-            for load, alloc in allocations(rem, ascending=False):
-                if load <= best:
-                    break
-                rest = tuple(rem[t] - alloc[t] for t in range(t_count))
-                if min(load, usable(k - 1, rest) // (k - 1)) <= best:
-                    continue
-                candidate = min(load, solve(k - 1, rest))
-                if candidate > best:
-                    best = candidate
-            memo[key] = best
-            return best
+            found = any(feasible(target, k - 1, rest) for _, rest in candidates(target, rem))
+            memo[key] = found
+            return found
 
-        value = solve(c, supply)
+        if not feasible(lo, c, supply):
+            return None
+        # largest feasible target, by bisection up to the averaging bound
+        value, bad = lo, hi + 1
+        while bad - value > 1:
+            mid = (value + bad) // 2
+            if feasible(mid, c, supply):
+                value = mid
+            else:
+                bad = mid
 
         # walk colors again, committing the lexicographically least
         # allocation that still attains the value
@@ -426,11 +485,8 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
         rem = supply
         for color in range(c):
             k = c - color
-            for load, alloc in allocations(rem, ascending=True):
-                if load < value:
-                    continue
-                rest = tuple(rem[t] - alloc[t] for t in range(t_count))
-                if k == 1 or solve(k - 1, rest) >= value:
+            for alloc, rest in candidates(value, rem):
+                if k == 1 or feasible(value, k - 1, rest):
                     for t in range(t_count):
                         layout[type_as[t]][color] = alloc[t]
                     rem = rest
@@ -439,17 +495,11 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
                 raise RuntimeError("internal error: layout reconstruction failed")
         return b_total + value, layout
 
-    def upper(mult: tuple[int, ...]) -> int:
-        b_total = sum(m * (q - 1 - a) for a, m in enumerate(mult))
-        token_weight = sum(weights[a] * a * m for a, m in enumerate(mult))
-        return b_total + token_weight // c
-
     def consider(mult: tuple[int, ...]) -> None:
-        nonlocal best_value, best_plan, nodes
-        nodes += 1
-        value, layout = inner_maxmin(mult)
-        if value > best_value:
-            best_value = value
+        nonlocal best_value, best_plan
+        found = inner_maxmin(mult)
+        if found is not None:
+            best_value, layout = found
             best_plan = (mult, layout)
 
     # incumbent seeds: everything on the largest type, then the mixed shape
@@ -463,10 +513,27 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
         ))
     for seed in seeds:
         consider(seed)
-    for mult in _compositions(n, q):
-        if upper(mult) <= best_value:
-            continue
-        consider(mult)
+
+    # depth-first over multiplicities in lexicographic order; a prefix whose
+    # remaining vertices all take the best coefficient left bounds its whole
+    # subtree, so subtrees that cannot beat the incumbent are cut unvisited
+    prefix = [0] * q
+
+    def walk(j: int, left: int, acc: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if j == q - 1:
+            prefix[j] = left
+            if (acc + left * coef[j]) // c > best_value:
+                consider(tuple(prefix))
+            return
+        for head in range(left + 1):
+            rest = left - head
+            if (acc + head * coef[j] + rest * tail_max[j + 1]) // c > best_value:
+                prefix[j] = head
+                walk(j + 1, rest, acc + head * coef[j])
+
+    walk(0, n, 0)
 
     assert best_plan is not None
     mult, layout = best_plan
@@ -515,16 +582,6 @@ def _assign_tokens(counts_by_color: list[int], capacities: list[int]) -> list[se
             remaining[j] -= 1
             sets[j].add(i)
     return sets
-
-
-def _compositions(n: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, parts - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)

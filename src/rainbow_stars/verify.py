@@ -20,11 +20,9 @@ from typing import Callable, Optional
 from . import __version__
 from . import bounds
 from .constructions import (
-    ApplicabilityError,
     ConstructionFamily,
     applicability_error,
     build,
-    predicted_value,
 )
 from .detector import (
     find_rainbow_star,

@@ -10,6 +10,7 @@ from rainbow_stars.bounds import (
     CHAIN_FIRST,
     CHAIN_SECOND,
     INFINITY,
+    UPPER_BOUND,
     SurdValue,
     coefficient_min,
     coefficient_sum,
@@ -165,6 +166,22 @@ def test_exact_bound_out_star_splits():
     # fewer colors than star edges
     res = exact_bound(StarPattern(0, 3), 9, 2, "min")
     assert res.kind == "UNCONSTRAINED" and res.value == 9 * 8
+
+
+def test_out_star_min_is_exact_only_when_q_minus_1_divides_r():
+    # r = 16 mod 5 = 1 is not a multiple of q-1 = 2: the floor formula gives
+    # 22 but the optimum is 21, so the formula is only an upper bound
+    res = exact_bound(StarPattern(0, 3), 8, 5, "min")
+    assert (res.kind, res.value) == (UPPER_BOUND, 22)
+    assert "oracle --cover" in res.domain_note
+    # r = 18 mod 5 = 3, not even: the sum stays exact
+    assert exact_bound(StarPattern(0, 3), 9, 5, "sum").kind == "EXACT"
+    assert exact_bound(StarPattern(0, 3), 9, 5, "min").kind == UPPER_BOUND
+    # r = 20 mod 6 = 2 and r = 0 are multiples of 2; q = 2 divides everything
+    assert exact_bound(StarPattern(0, 3), 10, 6, "min").kind == "EXACT"
+    assert exact_bound(StarPattern(0, 3), 10, 5, "min").kind == "EXACT"
+    assert exact_bound(StarPattern(0, 2), 7, 3, "min").kind == "EXACT"
+    assert exact_bound(StarPattern(3, 0), 8, 5, "min").kind == UPPER_BOUND
 
 
 def test_exact_bound_two_path():

@@ -21,6 +21,18 @@ def test_bound_exact_golden(capsys):
     assert payload["value"] == 6
 
 
+def test_bound_out_star_min_upper_bound_against_oracle(capsys):
+    code, payload = run(capsys, "bound", "--p", "0", "--q", "3",
+                        "--n", "8", "--c", "5", "--objective", "min")
+    assert code == 0
+    assert (payload["kind"], payload["value"]) == ("UPPER_BOUND", 22)
+    assert "oracle --cover" in payload["domain_note"]
+    code, payload = run(capsys, "oracle", "--n", "8", "--c", "5", "--p", "0",
+                        "--q", "3", "--objective", "min", "--cover")
+    assert code == 0
+    assert payload["optimum"] == 21 and payload["proved_optimal"] is True
+
+
 def test_bound_asymptotic_includes_thresholds(capsys):
     code, payload = run(capsys, "bound", "--p", "1", "--q", "2",
                         "--c", "8", "--objective", "sum")
@@ -115,6 +127,23 @@ def test_check_parse_error(tmp_path, capsys):
     code, payload = run(capsys, "check", "--in", str(bad), "--p", "0", "--q", "1")
     assert code == 1
     assert payload["error"]["type"] == "ParseError"
+
+
+def test_check_internal_error_is_structured(tmp_path, capsys):
+    # one center with a 1500-long augmenting chain: leaf j+1 in colors j and
+    # j+1, and leaf 1502 in color 1 only; the recursive augmenting search in
+    # the matching step runs out of stack
+    length = 1500
+    lines = ["rainbow-digraph v1", f"{length + 2} {length + 1}", f"1 1 {length + 2}"]
+    for j in range(1, length + 1):
+        lines += [f"{j} 1 {j + 1}", f"{j + 1} 1 {j + 1}"]
+    source = tmp_path / "chain.txt"
+    source.write_text("\n".join(lines) + "\n")
+    code = main(["check", "--in", str(source), "--p", "0", "--q", str(length + 1)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"]["type"] == "RecursionError"
+    assert "Traceback" in captured.err
 
 
 def test_oracle_branch_bound(capsys):

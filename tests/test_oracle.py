@@ -1,6 +1,7 @@
 """Exact search: branch-and-bound, the cover-structure oracle, and their
 independent cross-checks."""
 
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import pytest
 
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import find_rainbow_star
-from rainbow_stars.model import DigraphCollection, StarPattern, edge_counts
+from rainbow_stars.model import DigraphCollection, StarPattern, edge_counts, serialize_edge_list
 from rainbow_stars.oracle import (
     COVER_GUARDS,
     FIRM_SLOT_GUARD,
@@ -176,6 +177,41 @@ def test_min_oracle_strict_exactly_when_remainder_indivisible():
             assert got == target, n
         else:
             assert got == target - 1, n
+
+
+# sha256 over "n c q optimum" lines, each followed by the serialized witness,
+# for every cover-min point with n > c >= q >= 1, c <= 6, n <= 30 (539
+# points, c then q then n ascending); fixed before the pruned walk and the
+# decision search replaced the exhaustive composition loop
+COVER_MIN_GRID_DIGEST = "d5c06b694bc8f9e57043f600d7e96acb83a5e43fc252fa04abea442a29f516f5"
+
+
+def test_cover_min_grid_optima_and_witnesses_pinned():
+    digest = hashlib.sha256()
+    points = 0
+    for c in range(1, 7):
+        for q in range(1, c + 1):
+            for n in range(c + 1, 31):
+                outcome = cover_oracle_s0q(n, c, q, "min")
+                assert outcome.proved_optimal
+                digest.update(f"{n} {c} {q} {outcome.optimum}\n".encode())
+                digest.update(serialize_edge_list(outcome.witness).encode())
+                points += 1
+    assert points == 539
+    assert digest.hexdigest() == COVER_MIN_GRID_DIGEST
+
+
+def test_cover_min_at_the_guard_corner():
+    # (64, 8, 6): r = 320 mod 8 = 0, so the floor formula is attained
+    outcome = cover_oracle_s0q(64, 8, 6, "min")
+    assert outcome.proved_optimal
+    assert outcome.optimum == formula_min(64, 8, 6)
+    # (64, 6, 6): r = 320 mod 6 = 2 is not a multiple of 5, so the optimum
+    # lies between the CYCLIC_REMAINDER construction and the formula
+    outcome = cover_oracle_s0q(64, 6, 6, "min")
+    assert outcome.proved_optimal
+    low = build(ConstructionFamily.CYCLIC_REMAINDER, 64, 6, 0, 6).predicted_counts.minimum
+    assert low <= outcome.optimum <= formula_min(64, 6, 6)
 
 
 @pytest.mark.parametrize(
