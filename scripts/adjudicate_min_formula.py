@@ -9,13 +9,9 @@ The frozen regression constant for (8,5,3) came from this table.
 
 import argparse
 
+from rainbow_stars.bounds import out_star_min_formula
 from rainbow_stars.constructions import ConstructionFamily, applicability_error, build
 from rainbow_stars.oracle import cover_oracle_s0q
-
-
-def formula(n: int, c: int, q: int) -> int:
-    quotient, remainder = divmod(n * (q - 1), c)
-    return quotient * (n - 1) + remainder
 
 
 def main() -> None:
@@ -34,7 +30,7 @@ def main() -> None:
             for n in range(c + 1, args.max_n + 1):
                 total += 1
                 got = cover_oracle_s0q(n, c, q, "min").optimum
-                target = formula(n, c, q)
+                target = out_star_min_formula(n, c, q)
                 r = (n * (q - 1)) % c
                 divisible = r % (q - 1) == 0
                 if divisible:

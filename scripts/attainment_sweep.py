@@ -10,8 +10,8 @@ import argparse
 from fractions import Fraction
 
 from rainbow_stars.bounds import coefficient_min, coefficient_sum
-from rainbow_stars.verify import _part_count, attainment_instances
-from rainbow_stars.constructions import build
+from rainbow_stars.verify import attainment_instances
+from rainbow_stars.constructions import build, part_count
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
           f"{'coefficient':>12} {'deviation':>10} {'tolerance':>10}")
     worst = Fraction(0)
     for (family, objective, n, c, p, q) in attainment_instances():
-        parts = _part_count(family, c, p, q)
+        parts = part_count(family, c, p, q)
         n = args.scale * parts
         out = build(family, n, c, p, q)
         value = (out.predicted_counts.total if objective == "sum"

@@ -300,6 +300,16 @@ class BoundResult:
     normalized: bool
 
 
+def out_star_min_formula(n: int, c: int, q: int) -> int:
+    """The floor formula floor(n(q-1)/c)(n-1) + r, with r = n(q-1) mod c.
+
+    For n > c >= q it is the out-star minimum when (q-1) divides r, and an
+    upper bound on it otherwise.
+    """
+    quotient, remainder = divmod(n * (q - 1), c)
+    return quotient * (n - 1) + remainder
+
+
 def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult:
     """Dispatch to the applicable closed form.
 
@@ -341,8 +351,8 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
                     EXACT, (q - 1) * (n * n - n), "out-star/extremal-sum",
                     "valid for n > c >= q >= 1",
                 )
-            quotient, remainder = divmod(n * (q - 1), c)
-            value = quotient * (n - 1) + remainder
+            value = out_star_min_formula(n, c, q)
+            remainder = n * (q - 1) % c
             if q == 1 or remainder % (q - 1) == 0:
                 return result(
                     EXACT, value, "out-star/extremal-min",

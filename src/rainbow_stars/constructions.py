@@ -1,11 +1,20 @@
 """Extremal construction families: collections that avoid a rainbow star.
 
-Each family is a deterministic generator parameterized by (n, c, p, q) with an
-explicit applicability domain.  A build returns the collection, the partition
-data actually used, per-color edge counts derived from the partition
-arithmetic (asserted against the materialized collection), and the rational
-n^2 coefficients the family is designed to attain.  Every build is certified
-rainbow-star-free by the detector before it is returned.
+Each family is a deterministic generator parameterized by (n, c, p, q).  All
+that is known about a family is one row of the spec table `_SPECS`: its
+domain check, its builder, its predicted sum and minimum, its part count and
+the two catalog strings.  `build`, `applicability_error`, `predicted_value`,
+`part_count` and `catalog` only read that table.
+
+A domain is checked in three steps, and the first failure is reported as a
+message prefixed with the family name: n, c >= 1 and p, q >= 0 with p+q >= 1;
+then the family's own conditions; then at least as many vertices as parts.
+
+A build returns the collection, the partition data actually used, per-color
+edge counts derived from the partition arithmetic (asserted against the
+materialized collection), and the rational n^2 coefficients the family is
+designed to attain.  Every build is certified rainbow-star-free by the
+detector before it is returned.
 
 Conventions shared by the partitioned families: parts are sized with the
 largest-remainder method over exact rational targets (ties broken by lower
@@ -19,11 +28,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import bounds as _bounds
 from .detector import find_rainbow_star
-from .model import DigraphCollection, EdgeCountSummary, StarPattern, edge_counts
+from .model import (
+    DigraphCollection,
+    EdgeCountSummary,
+    StarPattern,
+    _mask_to_vertices,
+    edge_counts,
+)
 
 
 class ConstructionFamily(Enum):
@@ -117,75 +132,91 @@ def _mask(vertices) -> int:
     return m
 
 
-def _require(condition: bool, family: ConstructionFamily, message: str) -> None:
+def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ApplicabilityError(f"{family.value}: {message}")
-
-
-def _consecutive_parts(n: int, sizes: list[int], start: int = 1) -> list[tuple[int, ...]]:
-    parts = []
-    at = start
-    for s in sizes:
-        parts.append(tuple(range(at, at + s)))
-        at += s
-    return parts
+        raise ApplicabilityError(message)
 
 
 def _summary(per_color: list[int]) -> EdgeCountSummary:
     return EdgeCountSummary(tuple(per_color), sum(per_color), min(per_color))
 
 
+def _subset_parts(n: int, c: int, k: int, label: str, start: int = 1):
+    """Split n vertices, numbered from `start`, into equal consecutive parts,
+    one per k-subset of colors in colex order, labelled label1, label2, ...
+
+    Returns the groups and, indexed by color 1..c, the mask and the number
+    of the vertices whose part owns that color.
+    """
+    subsets = list(colex_subsets(c, k))
+    sizes = proportional_sizes(n, [Fraction(1, len(subsets))] * len(subsets))
+    groups = []
+    masks = [0] * (c + 1)
+    owners = [0] * (c + 1)
+    at = start
+    for j, (subset, size) in enumerate(zip(subsets, sizes), start=1):
+        vertices = tuple(range(at, at + size))
+        part_mask = ((1 << size) - 1) << (at - 1)
+        at += size
+        groups.append(PartGroup(f"{label}{j}", subset, vertices))
+        for i in subset:
+            masks[i] |= part_mask
+            owners[i] += size
+    return groups, masks, owners
+
+
+def _parts_info(groups: list[PartGroup]) -> PartsInfo:
+    """Partition data of groups that fill vertices 1..n in order."""
+    return PartsInfo(tuple(groups), tuple(g.colors for g in groups for _ in g.vertices))
+
+
+def _rows_between(n: int, c: int, sources: list[int], targets: list[int]) -> list[list[int]]:
+    """Rows in which each vertex of sources[i] points to targets[i] but
+    itself, in color i (both lists indexed by color 1..c)."""
+    rows = [[0] * n for _ in range(c)]
+    for i in range(1, c + 1):
+        for u in _mask_to_vertices(sources[i]):
+            rows[i - 1][u - 1] = targets[i] & ~(1 << (u - 1))
+    return rows
+
+
 # -- family builders ---------------------------------------------------------
 # Each returns (rows, predicted per-color counts, coefficients, parts info).
 
 
-def _build_complete_prefix(n, c, p, q):
-    k = p + q - 1
+def _complete_rows(n, c, k):
+    """Rows and per-color counts of the first k colors complete, the rest empty."""
     full = (1 << n) - 1
     rows = [
         [(full & ~(1 << (u - 1))) if i < k else 0 for u in range(1, n + 1)]
         for i in range(c)
     ]
-    per_color = [n * (n - 1)] * k + [0] * (c - k)
-    coefficients = {"sum": Fraction(max(k, 0))}
-    parts = PartsInfo((), ((),) * n)
-    return rows, per_color, coefficients, parts
+    return rows, [n * (n - 1)] * k + [0] * (c - k)
 
 
-def _assigned_out_rows(n, c, q, label):
-    """Shared core of ASSIGNED_OUT and A_ONLY: parts own (q-1)-subsets and
-    their vertices send edges to everyone in exactly those colors."""
-    count = math.comb(c, q - 1)
-    subsets = list(colex_subsets(c, q - 1))
-    sizes = proportional_sizes(n, [Fraction(1, count)] * count)
-    parts = _consecutive_parts(n, sizes)
-    full = (1 << n) - 1
-    rows = [[0] * n for _ in range(c)]
-    vertex_colors = [()] * n
-    for subset, vertices in zip(subsets, parts):
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-            for i in subset:
-                rows[i - 1][u - 1] = full & ~(1 << (u - 1))
-    assigned = [0] * (c + 1)
-    for subset, vertices in zip(subsets, parts):
-        for i in subset:
-            assigned[i] += len(vertices)
-    per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
-    groups = tuple(
-        PartGroup(f"{label}{j + 1}", subsets[j], parts[j]) for j in range(count)
-    )
-    return rows, per_color, PartsInfo(groups, tuple(vertex_colors))
+def _build_complete_prefix(n, c, p, q):
+    k = p + q - 1
+    rows, per_color = _complete_rows(n, c, k)
+    return rows, per_color, {"sum": Fraction(max(k, 0))}, PartsInfo((), ((),) * n)
 
 
 def _build_assigned_out(n, c, p, q):
-    rows, per_color, parts = _assigned_out_rows(n, c, q, "A")
-    return rows, per_color, {"min": Fraction(q - 1, c)}, parts
+    """ASSIGNED_OUT, and A_ONLY for p >= 1: parts own (q-1)-subsets and
+    their vertices send edges to everyone in exactly those colors."""
+    groups, _, assigned = _subset_parts(n, c, q - 1, "A")
+    full = (1 << n) - 1
+    rows = [[0] * n for _ in range(c)]
+    for group in groups:
+        for u in group.vertices:
+            for i in group.colors:
+                rows[i - 1][u - 1] = full & ~(1 << (u - 1))
+    per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
+    return rows, per_color, {"min": Fraction(q - 1, c)}, _parts_info(groups)
 
 
-def _build_a_only(n, c, p, q):
-    rows, per_color, parts = _assigned_out_rows(n, c, q, "A")
-    return rows, per_color, {"min": Fraction(q - 1, c)}, parts
+def _assigned_out_min(n, c, p, q):
+    assigned = _subset_parts(n, c, q - 1, "A")[2]
+    return min(assigned[1:]) * (n - 1)
 
 
 def _build_cyclic_remainder(n, c, p, q):
@@ -224,6 +255,18 @@ def _build_cyclic_remainder(n, c, p, q):
     return rows, per_color, {}, parts
 
 
+def _cyclic_remainder_sum(n, c, p, q):
+    # each kept assignment contributes n-1 edges; each vertex with x
+    # removed assignments re-adds x targets in its c-(q-1)+x other colors
+    total = n * (q - 1)
+    kept = total - total % c
+    removed_by_vertex = [0] * (n + 1)
+    for pos in range(kept, total):
+        removed_by_vertex[pos // (q - 1) + 1] += 1
+    extra = sum(x * (c - (q - 1) + x) for x in removed_by_vertex[1:] if x)
+    return kept * (n - 1) + extra
+
+
 def _build_ac_split_sum(n, c, p, q):
     denominator = 2 * (c - q + 1)
     weight_a = Fraction(c - p + 1, denominator)
@@ -251,161 +294,86 @@ def _build_ac_split_sum(n, c, p, q):
         + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
         + [size_c * size_a] * (c - q + 1)
     )
-    coefficient = Fraction((c - p + 1) ** 2, 4 * (c - q + 1)) + (p - 1)
     parts = PartsInfo(
         (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices)),
         ((),) * n,
     )
-    return rows, per_color, {"sum": coefficient}, parts
+    return rows, per_color, {"sum": _ac_split_sum_coefficient(n, c, p, q)}, parts
+
+
+def _ac_split_sum_coefficient(n, c, p, q):
+    return Fraction((c - p + 1) ** 2, 4 * (c - q + 1)) + (p - 1)
 
 
 def _build_b_only(n, c, p, q):
-    count = math.comb(c, p + q - 1)
-    subsets = list(colex_subsets(c, p + q - 1))
-    sizes = proportional_sizes(n, [Fraction(1, count)] * count)
-    parts = _consecutive_parts(n, sizes)
-    union_mask = [0] * (c + 1)
-    union_size = [0] * (c + 1)
-    vertex_colors = [()] * n
-    for subset, vertices in zip(subsets, parts):
-        pmask = _mask(vertices)
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-        for i in subset:
-            union_mask[i] |= pmask
-            union_size[i] += len(vertices)
-    rows = [[0] * n for _ in range(c)]
-    for i in range(1, c + 1):
-        m = union_mask[i]
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length()
-            rows[i - 1][u - 1] = m & ~low
-    per_color = [union_size[i] * (union_size[i] - 1) for i in range(1, c + 1)]
-    coefficients = {
-        "min": Fraction((p + q - 1) ** 2, c * c),
-        "sum": Fraction((p + q - 1) ** 2, c),
-    }
-    groups = tuple(PartGroup(f"B{j + 1}", subsets[j], parts[j]) for j in range(count))
-    return rows, per_color, coefficients, PartsInfo(groups, tuple(vertex_colors))
+    k = p + q - 1
+    groups, masks, sizes = _subset_parts(n, c, k, "B")
+    rows = _rows_between(n, c, masks, masks)
+    per_color = [sizes[i] * (sizes[i] - 1) for i in range(1, c + 1)]
+    coefficients = {"min": Fraction(k * k, c * c), "sum": Fraction(k * k, c)}
+    return rows, per_color, coefficients, _parts_info(groups)
+
+
+def _b_only_claim(n, c, p, q, copies):
+    """B_ONLY's per-color claim times `copies` (1 for the min, c for the
+    sum): exact when the parts and the color unions split n evenly, else
+    the n^2 coefficient."""
+    k = p + q - 1
+    if n % math.comb(c, k) == 0 and (n * k) % c == 0:
+        size = n * k // c
+        return copies * size * (size - 1)
+    return Fraction(copies * k * k, c * c)
 
 
 def _build_ab_mix(n, c, p, q):
-    count_b = math.comb(c, p + q - 1)
-    count_a = math.comb(c, q - 1)
     denominator = 2 * p * (c - p - q + 1)
     weight_b = Fraction((q - 1) * (p + q - 1) - c * (q - p - 1), denominator)
     weight_a = Fraction((p + q - 1) * (c - 2 * p - q + 1), denominator)
     n_a, n_b = proportional_sizes(n, [weight_a, weight_b])
-    a_subsets = list(colex_subsets(c, q - 1))
-    b_subsets = list(colex_subsets(c, p + q - 1))
-    a_parts = _consecutive_parts(n_a, proportional_sizes(n_a, [Fraction(1, count_a)] * count_a))
-    b_parts = _consecutive_parts(n_b, proportional_sizes(n_b, [Fraction(1, count_b)] * count_b), start=n_a + 1)
+    a_groups, a_masks, a_sizes = _subset_parts(n_a, c, q - 1, "A")
+    b_groups, b_masks, b_sizes = _subset_parts(n_b, c, p + q - 1, "B", start=n_a + 1)
     mask_a_all = _mask(range(1, n_a + 1))
-    vertex_colors = [()] * n
-    a_mask_by_color = [0] * (c + 1)
-    b_mask_by_color = [0] * (c + 1)
-    a_size_by_color = [0] * (c + 1)
-    b_size_by_color = [0] * (c + 1)
-    for subset, vertices in zip(a_subsets, a_parts):
-        pmask = _mask(vertices)
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-        for i in subset:
-            a_mask_by_color[i] |= pmask
-            a_size_by_color[i] += len(vertices)
-    for subset, vertices in zip(b_subsets, b_parts):
-        pmask = _mask(vertices)
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-        for i in subset:
-            b_mask_by_color[i] |= pmask
-            b_size_by_color[i] += len(vertices)
-    rows = [[0] * n for _ in range(c)]
+    sources = [a | b for a, b in zip(a_masks, b_masks)]
+    targets = [mask_a_all | b for b in b_masks]
+    rows = _rows_between(n, c, sources, targets)
     per_color = []
     for i in range(1, c + 1):
-        sources = a_mask_by_color[i] | b_mask_by_color[i]
-        targets = mask_a_all | b_mask_by_color[i]
-        rest = sources
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length()
-            rows[i - 1][u - 1] = targets & ~low
-        src = a_size_by_color[i] + b_size_by_color[i]
-        per_color.append(src * (n_a + b_size_by_color[i]) - src)
-    coefficient = Fraction(
-        (c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1)
-    )
-    groups = tuple(
-        PartGroup(f"A{j + 1}", a_subsets[j], a_parts[j]) for j in range(count_a)
-    ) + tuple(PartGroup(f"B{j + 1}", b_subsets[j], b_parts[j]) for j in range(count_b))
-    return rows, per_color, {"min": coefficient}, PartsInfo(groups, tuple(vertex_colors))
+        src = a_sizes[i] + b_sizes[i]
+        per_color.append(src * (n_a + b_sizes[i]) - src)
+    coefficients = {"min": _ab_mix_coefficient(n, c, p, q)}
+    return rows, per_color, coefficients, _parts_info(a_groups + b_groups)
+
+
+def _ab_mix_coefficient(n, c, p, q):
+    return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
 
 
 def _build_ac_min(n, c, p, q):
-    count_a = math.comb(c, q - 1)
-    count_c = math.comb(c, p - 1)
     denominator = 2 * (c - p + 1) * (c - q + 1)
     weight_a = Fraction((c - p + 1) ** 2 + (p - 1) * (q - p), denominator)
     weight_c = Fraction((c - q + 1) ** 2 - (q - 1) * (q - p), denominator)
     n_a, n_c = proportional_sizes(n, [weight_a, weight_c])
-    a_subsets = list(colex_subsets(c, q - 1))
-    c_subsets = list(colex_subsets(c, p - 1))
-    a_parts = _consecutive_parts(n_a, proportional_sizes(n_a, [Fraction(1, count_a)] * count_a))
-    c_parts = _consecutive_parts(n_c, proportional_sizes(n_c, [Fraction(1, count_c)] * count_c), start=n_a + 1)
+    a_groups, a_masks, a_sizes = _subset_parts(n_a, c, q - 1, "A")
+    c_groups, c_masks, c_sizes = _subset_parts(n_c, c, p - 1, "C", start=n_a + 1)
     mask_a_all = _mask(range(1, n_a + 1))
     mask_c_all = _mask(range(n_a + 1, n + 1))
-    vertex_colors = [()] * n
-    a_mask_by_color = [0] * (c + 1)
-    c_mask_by_color = [0] * (c + 1)
-    a_size_by_color = [0] * (c + 1)
-    c_size_by_color = [0] * (c + 1)
-    for subset, vertices in zip(a_subsets, a_parts):
-        pmask = _mask(vertices)
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-        for i in subset:
-            a_mask_by_color[i] |= pmask
-            a_size_by_color[i] += len(vertices)
-    for subset, vertices in zip(c_subsets, c_parts):
-        pmask = _mask(vertices)
-        for u in vertices:
-            vertex_colors[u - 1] = subset
-        for i in subset:
-            c_mask_by_color[i] |= pmask
-            c_size_by_color[i] += len(vertices)
-    rows = [[0] * n for _ in range(c)]
+    sources = [a | mask_c_all for a in a_masks]
+    targets = [mask_a_all | m for m in c_masks]
+    rows = _rows_between(n, c, sources, targets)
     per_color = []
     for i in range(1, c + 1):
-        sources = a_mask_by_color[i] | mask_c_all
-        targets = mask_a_all | c_mask_by_color[i]
-        rest = sources
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length()
-            rows[i - 1][u - 1] = targets & ~low
-        alpha_i, gamma_i = a_size_by_color[i], c_size_by_color[i]
+        alpha_i, gamma_i = a_sizes[i], c_sizes[i]
         per_color.append((alpha_i + n_c) * (n_a + gamma_i) - alpha_i - gamma_i)
-    coefficient = Fraction(
-        (c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1)
-    )
-    groups = tuple(
-        PartGroup(f"A{j + 1}", a_subsets[j], a_parts[j]) for j in range(count_a)
-    ) + tuple(PartGroup(f"C{j + 1}", c_subsets[j], c_parts[j]) for j in range(count_c))
-    return rows, per_color, {"min": coefficient}, PartsInfo(groups, tuple(vertex_colors))
+    coefficients = {"min": _ac_min_coefficient(n, c, p, q)}
+    return rows, per_color, coefficients, _parts_info(a_groups + c_groups)
+
+
+def _ac_min_coefficient(n, c, p, q):
+    return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
 
 
 def _build_s11_complete1(n, c, p, q):
-    full = (1 << n) - 1
-    rows = [
-        [(full & ~(1 << (u - 1))) if i == 0 else 0 for u in range(1, n + 1)]
-        for i in range(c)
-    ]
-    per_color = [n * (n - 1)] + [0] * (c - 1)
+    rows, per_color = _complete_rows(n, c, 1)
     return rows, per_color, {}, PartsInfo((), ((),) * n)
 
 
@@ -438,12 +406,7 @@ def _build_remark_cn(n, c, p, q):
 
 
 def _build_remark_nq(n, c, p, q):
-    full = (1 << n) - 1
-    rows = [
-        [full & ~(1 << (u - 1)) for u in range(1, n + 1)]
-        for _ in range(c)
-    ]
-    per_color = [n * (n - 1)] * c
+    rows, per_color = _complete_rows(n, c, c)
     return rows, per_color, {}, PartsInfo((), ((),) * n)
 
 
@@ -458,21 +421,211 @@ def _build_triangle_n3(n, c, p, q):
     return rows, per_color, {}, PartsInfo((), ((), (), ()))
 
 
-_BUILDERS = {
-    ConstructionFamily.COMPLETE_PREFIX: _build_complete_prefix,
-    ConstructionFamily.ASSIGNED_OUT: _build_assigned_out,
-    ConstructionFamily.CYCLIC_REMAINDER: _build_cyclic_remainder,
-    ConstructionFamily.AC_SPLIT_SUM: _build_ac_split_sum,
-    ConstructionFamily.B_ONLY: _build_b_only,
-    ConstructionFamily.AB_MIX: _build_ab_mix,
-    ConstructionFamily.A_ONLY: _build_a_only,
-    ConstructionFamily.AC_MIN: _build_ac_min,
-    ConstructionFamily.S11_COMPLETE1: _build_s11_complete1,
-    ConstructionFamily.BIPARTITE_S11: _build_bipartite_s11,
-    ConstructionFamily.REMARK_CN: _build_remark_cn,
-    ConstructionFamily.REMARK_NQ: _build_remark_nq,
-    ConstructionFamily.TRIANGLE_N3: _build_triangle_n3,
+# -- family domains ----------------------------------------------------------
+# Each raises ApplicabilityError at the first of the family's own conditions
+# that fails; the part count is checked after them, from the spec row.
+
+
+def _domain_complete_prefix(n, c, p, q):
+    _require(c >= max(1, p + q - 1), f"requires c >= p+q-1 = {p + q - 1}, got c={c}")
+
+
+def _domain_assigned_out(n, c, p, q):
+    _require(p == 0, f"requires p = 0, got p={p}")
+    _require(1 <= q <= c, f"requires 1 <= q <= c, got q={q}, c={c}")
+
+
+def _domain_cyclic_remainder(n, c, p, q):
+    _require(p == 0, f"requires p = 0, got p={p}")
+    _require(n > c, f"requires n > c, got n={n}, c={c}")
+    _require(c >= q >= 1, f"requires c >= q >= 1, got c={c}, q={q}")
+
+
+def _domain_two_sided(n, c, p, q):
+    _require(1 <= p <= q, f"requires 1 <= p <= q, got ({p}, {q})")
+    _require(c >= p + q, f"requires c >= p+q = {p + q}, got c={c}")
+
+
+def _domain_ac_split_sum(n, c, p, q):
+    _domain_two_sided(n, c, p, q)
+    _require(c + p - 2 * q + 1 >= 0, f"requires c >= 2q-p-1 = {2 * q - p - 1}, got c={c}")
+
+
+def _domain_ab_mix(n, c, p, q):
+    _domain_two_sided(n, c, p, q)
+    ts = _bounds.thresholds(p, q)
+    _require(c >= ts.t1, f"requires c >= t1 = {ts.t1}, got c={c}")
+    _require(
+        isinstance(ts.t2, _bounds._InfiniteThreshold) or Fraction(c) <= ts.t2,
+        f"requires c <= t2 = {ts.t2}, got c={c}",
+    )
+
+
+def _domain_ac_min(n, c, p, q):
+    _domain_two_sided(n, c, p, q)
+    ts = _bounds.thresholds(p, q)
+    _require(
+        _bounds.compare_int_surd(c, ts.t4) >= 0,
+        f"requires c >= t4 = {ts.t4.descriptor()}, got c={c}",
+    )
+
+
+def _domain_s11(n, c, p, q):
+    _require(p == 1 and q == 1, f"requires (p, q) = (1, 1), got ({p}, {q})")
+
+
+def _domain_remark_cn(n, c, p, q):
+    _require(p == 0, f"requires p = 0, got p={p}")
+    _require(c >= n >= q >= 1, f"requires c >= n >= q >= 1, got c={c}, n={n}, q={q}")
+
+
+def _domain_remark_nq(n, c, p, q):
+    _require(p == 0, f"requires p = 0, got p={p}")
+    _require(n <= q, f"requires n <= q, got n={n}, q={q}")
+
+
+def _domain_triangle_n3(n, c, p, q):
+    _require(n == 3, f"requires n = 3, got n={n}")
+    _require(c == 2, f"requires c = 2, got c={c}")
+    _domain_s11(n, c, p, q)
+
+
+# -- the spec table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _FamilySpec:
+    """One family.  Every callable takes (n, c, p, q), except part_count,
+    which takes (c, p, q)."""
+
+    domain: Callable[..., None]  # raises ApplicabilityError at the first failed condition
+    build: Callable[..., tuple]
+    predict: dict[str, Callable[..., Union[int, Fraction]]]  # by objective
+    applicability: str
+    prediction: str
+    part_count: Callable[..., int] = lambda c, p, q: 1
+    part_formula: str = ""  # how a part count that is not constant is named in messages
+
+
+_SPECS: dict[ConstructionFamily, _FamilySpec] = {
+    ConstructionFamily.COMPLETE_PREFIX: _FamilySpec(
+        _domain_complete_prefix,
+        _build_complete_prefix,
+        {
+            "sum": lambda n, c, p, q: (p + q - 1) * (n * n - n),
+            "min": lambda n, c, p, q: n * n - n if c == p + q - 1 else 0,
+        },
+        "c >= p+q-1; any n",
+        "first p+q-1 colors complete: sum = (p+q-1)(n^2-n), sum coefficient p+q-1",
+    ),
+    ConstructionFamily.ASSIGNED_OUT: _FamilySpec(
+        _domain_assigned_out,
+        _build_assigned_out,
+        {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
+        "p = 0, 1 <= q <= c, n >= binom(c, q-1)",
+        "parts own (q-1)-color subsets, edges to everyone: sum = (q-1)(n^2-n)",
+        part_count=lambda c, p, q: math.comb(c, q - 1),
+        part_formula="binom(c, q-1)",
+    ),
+    ConstructionFamily.CYCLIC_REMAINDER: _FamilySpec(
+        _domain_cyclic_remainder,
+        _build_cyclic_remainder,
+        {
+            "sum": _cyclic_remainder_sum,
+            "min": lambda n, c, p, q: _bounds.out_star_min_formula(n, c, q),
+        },
+        "p = 0, n > c >= q >= 1",
+        "balanced cyclic color assignment: min = floor(n(q-1)/c)(n-1) + r when q-1 divides r",
+    ),
+    ConstructionFamily.AC_SPLIT_SUM: _FamilySpec(
+        _domain_ac_split_sum,
+        _build_ac_split_sum,
+        {"sum": _ac_split_sum_coefficient},
+        "1 <= p <= q, c >= max(p+q, 2q-p-1), n >= 2",
+        "A/C split: sum coefficient (c-p+1)^2/(4(c-q+1)) + p-1",
+        part_count=lambda c, p, q: 2,
+    ),
+    ConstructionFamily.B_ONLY: _FamilySpec(
+        _domain_two_sided,
+        _build_b_only,
+        {
+            "sum": lambda n, c, p, q: _b_only_claim(n, c, p, q, c),
+            "min": lambda n, c, p, q: _b_only_claim(n, c, p, q, 1),
+        },
+        "1 <= p <= q, c >= p+q, n >= binom(c, p+q-1)",
+        "complete digraphs on color-sharing parts: min coefficient (p+q-1)^2/c^2",
+        part_count=lambda c, p, q: math.comb(c, p + q - 1),
+        part_formula="binom(c, p+q-1)",
+    ),
+    ConstructionFamily.AB_MIX: _FamilySpec(
+        _domain_ab_mix,
+        _build_ab_mix,
+        {"min": _ab_mix_coefficient},
+        "1 <= p <= q, t1 <= c <= t2, n >= binom(c,p+q-1) + binom(c,q-1)",
+        "A parts into all, B parts complete: min coefficient (c-q+1)^2(p+q-1)^2/(4c^2 p(c-p-q+1))",
+        part_count=lambda c, p, q: math.comb(c, p + q - 1) + math.comb(c, q - 1),
+        part_formula="binom(c,p+q-1) + binom(c,q-1)",
+    ),
+    ConstructionFamily.A_ONLY: _FamilySpec(
+        _domain_two_sided,
+        _build_assigned_out,
+        {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
+        "1 <= p <= q, c >= p+q, n >= binom(c, q-1)",
+        "out-assignment reused for p >= 1: min coefficient (q-1)/c",
+        part_count=lambda c, p, q: math.comb(c, q - 1),
+        part_formula="binom(c, q-1)",
+    ),
+    ConstructionFamily.AC_MIN: _FamilySpec(
+        _domain_ac_min,
+        _build_ac_min,
+        {"min": _ac_min_coefficient},
+        "1 <= p <= q, c >= max(p+q, t4), n >= binom(c,q-1) + binom(c,p-1)",
+        "assigned A to A plus C both ways: min coefficient (c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1))",
+        part_count=lambda c, p, q: math.comb(c, q - 1) + math.comb(c, p - 1),
+        part_formula="binom(c,q-1) + binom(c,p-1)",
+    ),
+    ConstructionFamily.S11_COMPLETE1: _FamilySpec(
+        _domain_s11,
+        _build_s11_complete1,
+        {
+            "sum": lambda n, c, p, q: n * n - n,
+            "min": lambda n, c, p, q: n * n - n if c == 1 else 0,
+        },
+        "(p, q) = (1, 1); any n, c",
+        "one complete color: sum = n^2 - n",
+    ),
+    ConstructionFamily.BIPARTITE_S11: _FamilySpec(
+        _domain_s11,
+        _build_bipartite_s11,
+        {"sum": lambda n, c, p, q: c * (n * n // 4), "min": lambda n, c, p, q: n * n // 4},
+        "(p, q) = (1, 1); any n, c",
+        "every color the same oriented bipartite graph: min = floor(n^2/4)",
+    ),
+    ConstructionFamily.REMARK_CN: _FamilySpec(
+        _domain_remark_cn,
+        _build_remark_cn,
+        {"sum": lambda n, c, p, q: (q - 1) * c * n, "min": lambda n, c, p, q: n * (q - 1)},
+        "p = 0, c >= n >= q >= 1",
+        "fixed q-1 targets per vertex in every color: sum = (q-1)cn",
+    ),
+    ConstructionFamily.REMARK_NQ: _FamilySpec(
+        _domain_remark_nq,
+        _build_remark_nq,
+        {"sum": lambda n, c, p, q: c * n * (n - 1), "min": lambda n, c, p, q: n * (n - 1)},
+        "p = 0, n <= q; any c",
+        "all colors complete: sum = c(n^2-n)",
+    ),
+    ConstructionFamily.TRIANGLE_N3: _FamilySpec(
+        _domain_triangle_n3,
+        _build_triangle_n3,
+        {"sum": lambda n, c, p, q: 6, "min": lambda n, c, p, q: 3},
+        "n = 3, c = 2, (p, q) = (1, 1)",
+        "opposite triangle orientations: min = 3",
+    ),
 }
+
+
+# -- public interface --------------------------------------------------------
 
 
 def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> ConstructionOutput:
@@ -485,7 +638,7 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
-    rows, per_color, coefficients, parts = _BUILDERS[family](n, c, p, q)
+    rows, per_color, coefficients, parts = _SPECS[family].build(n, c, p, q)
     collection = DigraphCollection.from_out_rows(n, c, rows)
     predicted = _summary(per_color)
     actual = edge_counts(collection)
@@ -511,124 +664,25 @@ def applicability_error(family: ConstructionFamily, n: int, c: int, p: int, q: i
     Checks the domain only; does not materialize edges.
     """
     try:
-        check = _DOMAIN_CHECKS[family]
+        spec = _SPECS[family]
     except KeyError:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown family {family!r}") from None
     try:
-        if n < 1 or c < 1:
-            raise ApplicabilityError(f"{family.value}: requires n >= 1 and c >= 1, got n={n}, c={c}")
-        if p < 0 or q < 0 or p + q < 1:
-            raise ApplicabilityError(f"{family.value}: requires p, q >= 0 and p+q >= 1, got ({p}, {q})")
-        check(n, c, p, q)
+        _require(n >= 1 and c >= 1, f"requires n >= 1 and c >= 1, got n={n}, c={c}")
+        _require(p >= 0 and q >= 0 and p + q >= 1, f"requires p, q >= 0 and p+q >= 1, got ({p}, {q})")
+        spec.domain(n, c, p, q)
+        count = spec.part_count(c, p, q)
+        named = f"{spec.part_formula} = {count}" if spec.part_formula else str(count)
+        _require(n >= count, f"part count {named} exceeds n = {n}")
     except ApplicabilityError as exc:
-        return str(exc)
+        return f"{family.value}: {exc}"
     return None
 
 
-def _domain_complete_prefix(n, c, p, q):
-    _require(c >= max(1, p + q - 1), ConstructionFamily.COMPLETE_PREFIX, f"requires c >= p+q-1 = {p + q - 1}, got c={c}")
-
-
-def _domain_assigned_out(n, c, p, q):
-    _require(p == 0, ConstructionFamily.ASSIGNED_OUT, f"requires p = 0, got p={p}")
-    _require(1 <= q <= c, ConstructionFamily.ASSIGNED_OUT, f"requires 1 <= q <= c, got q={q}, c={c}")
-    count = math.comb(c, q - 1)
-    _require(n >= count, ConstructionFamily.ASSIGNED_OUT, f"part count binom(c, q-1) = {count} exceeds n = {n}")
-
-
-def _domain_cyclic_remainder(n, c, p, q):
-    _require(p == 0, ConstructionFamily.CYCLIC_REMAINDER, f"requires p = 0, got p={p}")
-    _require(n > c, ConstructionFamily.CYCLIC_REMAINDER, f"requires n > c, got n={n}, c={c}")
-    _require(c >= q >= 1, ConstructionFamily.CYCLIC_REMAINDER, f"requires c >= q >= 1, got c={c}, q={q}")
-
-
-def _domain_ac_split_sum(n, c, p, q):
-    _require(1 <= p <= q, ConstructionFamily.AC_SPLIT_SUM, f"requires 1 <= p <= q, got ({p}, {q})")
-    _require(c >= p + q, ConstructionFamily.AC_SPLIT_SUM, f"requires c >= p+q = {p + q}, got c={c}")
-    _require(c + p - 2 * q + 1 >= 0, ConstructionFamily.AC_SPLIT_SUM, f"requires c >= 2q-p-1 = {2 * q - p - 1}, got c={c}")
-    _require(n >= 2, ConstructionFamily.AC_SPLIT_SUM, f"part count 2 exceeds n = {n}")
-
-
-def _domain_b_only(n, c, p, q):
-    _require(1 <= p <= q, ConstructionFamily.B_ONLY, f"requires 1 <= p <= q, got ({p}, {q})")
-    _require(c >= p + q, ConstructionFamily.B_ONLY, f"requires c >= p+q = {p + q}, got c={c}")
-    count = math.comb(c, p + q - 1)
-    _require(n >= count, ConstructionFamily.B_ONLY, f"part count binom(c, p+q-1) = {count} exceeds n = {n}")
-
-
-def _domain_ab_mix(n, c, p, q):
-    _require(1 <= p <= q, ConstructionFamily.AB_MIX, f"requires 1 <= p <= q, got ({p}, {q})")
-    _require(c >= p + q, ConstructionFamily.AB_MIX, f"requires c >= p+q = {p + q}, got c={c}")
-    ts = _bounds.thresholds(p, q)
-    _require(c >= ts.t1, ConstructionFamily.AB_MIX, f"requires c >= t1 = {ts.t1}, got c={c}")
-    _require(
-        isinstance(ts.t2, _bounds._InfiniteThreshold) or Fraction(c) <= ts.t2,
-        ConstructionFamily.AB_MIX,
-        f"requires c <= t2 = {ts.t2}, got c={c}",
-    )
-    count = math.comb(c, p + q - 1) + math.comb(c, q - 1)
-    _require(n >= count, ConstructionFamily.AB_MIX, f"part count binom(c,p+q-1) + binom(c,q-1) = {count} exceeds n = {n}")
-
-
-def _domain_a_only(n, c, p, q):
-    _require(1 <= p <= q, ConstructionFamily.A_ONLY, f"requires 1 <= p <= q, got ({p}, {q})")
-    _require(c >= p + q, ConstructionFamily.A_ONLY, f"requires c >= p+q = {p + q}, got c={c}")
-    count = math.comb(c, q - 1)
-    _require(n >= count, ConstructionFamily.A_ONLY, f"part count binom(c, q-1) = {count} exceeds n = {n}")
-
-
-def _domain_ac_min(n, c, p, q):
-    _require(1 <= p <= q, ConstructionFamily.AC_MIN, f"requires 1 <= p <= q, got ({p}, {q})")
-    _require(c >= p + q, ConstructionFamily.AC_MIN, f"requires c >= p+q = {p + q}, got c={c}")
-    ts = _bounds.thresholds(p, q)
-    _require(
-        _bounds.compare_int_surd(c, ts.t4) >= 0,
-        ConstructionFamily.AC_MIN,
-        f"requires c >= t4 = {ts.t4.descriptor()}, got c={c}",
-    )
-    count = math.comb(c, q - 1) + math.comb(c, p - 1)
-    _require(n >= count, ConstructionFamily.AC_MIN, f"part count binom(c,q-1) + binom(c,p-1) = {count} exceeds n = {n}")
-
-
-def _domain_s11_complete1(n, c, p, q):
-    _require(p == 1 and q == 1, ConstructionFamily.S11_COMPLETE1, f"requires (p, q) = (1, 1), got ({p}, {q})")
-
-
-def _domain_bipartite_s11(n, c, p, q):
-    _require(p == 1 and q == 1, ConstructionFamily.BIPARTITE_S11, f"requires (p, q) = (1, 1), got ({p}, {q})")
-
-
-def _domain_remark_cn(n, c, p, q):
-    _require(p == 0, ConstructionFamily.REMARK_CN, f"requires p = 0, got p={p}")
-    _require(c >= n >= q >= 1, ConstructionFamily.REMARK_CN, f"requires c >= n >= q >= 1, got c={c}, n={n}, q={q}")
-
-
-def _domain_remark_nq(n, c, p, q):
-    _require(p == 0, ConstructionFamily.REMARK_NQ, f"requires p = 0, got p={p}")
-    _require(n <= q, ConstructionFamily.REMARK_NQ, f"requires n <= q, got n={n}, q={q}")
-
-
-def _domain_triangle_n3(n, c, p, q):
-    _require(n == 3, ConstructionFamily.TRIANGLE_N3, f"requires n = 3, got n={n}")
-    _require(c == 2, ConstructionFamily.TRIANGLE_N3, f"requires c = 2, got c={c}")
-    _require(p == 1 and q == 1, ConstructionFamily.TRIANGLE_N3, f"requires (p, q) = (1, 1), got ({p}, {q})")
-
-
-_DOMAIN_CHECKS = {
-    ConstructionFamily.COMPLETE_PREFIX: _domain_complete_prefix,
-    ConstructionFamily.ASSIGNED_OUT: _domain_assigned_out,
-    ConstructionFamily.CYCLIC_REMAINDER: _domain_cyclic_remainder,
-    ConstructionFamily.AC_SPLIT_SUM: _domain_ac_split_sum,
-    ConstructionFamily.B_ONLY: _domain_b_only,
-    ConstructionFamily.AB_MIX: _domain_ab_mix,
-    ConstructionFamily.A_ONLY: _domain_a_only,
-    ConstructionFamily.AC_MIN: _domain_ac_min,
-    ConstructionFamily.S11_COMPLETE1: _domain_s11_complete1,
-    ConstructionFamily.BIPARTITE_S11: _domain_bipartite_s11,
-    ConstructionFamily.REMARK_CN: _domain_remark_cn,
-    ConstructionFamily.REMARK_NQ: _domain_remark_nq,
-    ConstructionFamily.TRIANGLE_N3: _domain_triangle_n3,
-}
+def part_count(family: ConstructionFamily, c: int, p: int, q: int) -> int:
+    """How many vertex parts the family splits into at (c, p, q): 1 for the
+    families without parts, and a lower bound on n for the others."""
+    return _SPECS[family].part_count(c, p, q)
 
 
 def predicted_value(
@@ -645,73 +699,10 @@ def predicted_value(
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
-    F = ConstructionFamily
-    if family == F.COMPLETE_PREFIX:
-        k = p + q - 1
-        if objective == "sum":
-            return k * (n * n - n)
-        return n * n - n if c == k else 0
-    if family in (F.ASSIGNED_OUT, F.A_ONLY):
-        if objective == "sum":
-            return (q - 1) * (n * n - n)
-        count = math.comb(c, q - 1)
-        sizes = proportional_sizes(n, [Fraction(1, count)] * count)
-        assigned = [0] * (c + 1)
-        for subset, size in zip(colex_subsets(c, q - 1), sizes):
-            for i in subset:
-                assigned[i] += size
-        return min(assigned[1:]) * (n - 1)
-    if family == F.CYCLIC_REMAINDER:
-        total = n * (q - 1)
-        r = total % c
-        if objective == "min":
-            return (total // c) * (n - 1) + r
-        # each kept assignment contributes n-1 edges; each vertex with x
-        # removed assignments re-adds x targets in its c-(q-1)+x other colors
-        kept = total - r
-        removed_by_vertex = [0] * (n + 1)
-        for pos in range(kept, total):
-            removed_by_vertex[pos // (q - 1) + 1] += 1
-        extra = sum(
-            x * (c - (q - 1) + x) for x in removed_by_vertex[1:] if x
-        )
-        return kept * (n - 1) + extra
-    if family == F.AC_SPLIT_SUM:
-        if objective == "sum":
-            return Fraction((c - p + 1) ** 2, 4 * (c - q + 1)) + (p - 1)
-        raise ValueError(f"{family.value} makes no min prediction")
-    if family == F.B_ONLY:
-        count = math.comb(c, p + q - 1)
-        if n % count == 0:
-            size = n * (p + q - 1) // c if (n * (p + q - 1)) % c == 0 else None
-            if size is not None:
-                value = size * (size - 1)
-                return c * value if objective == "sum" else value
-        if objective == "min":
-            return Fraction((p + q - 1) ** 2, c * c)
-        return Fraction((p + q - 1) ** 2, c)
-    if family == F.AB_MIX:
-        if objective == "min":
-            return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
-        raise ValueError(f"{family.value} makes no sum prediction")
-    if family == F.AC_MIN:
-        if objective == "min":
-            return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
-        raise ValueError(f"{family.value} makes no sum prediction")
-    if family == F.S11_COMPLETE1:
-        if objective == "sum":
-            return n * n - n
-        return n * n - n if c == 1 else 0
-    if family == F.BIPARTITE_S11:
-        value = n * n // 4
-        return c * value if objective == "sum" else value
-    if family == F.REMARK_CN:
-        return (q - 1) * c * n if objective == "sum" else n * (q - 1)
-    if family == F.REMARK_NQ:
-        return c * n * (n - 1) if objective == "sum" else n * (n - 1)
-    if family == F.TRIANGLE_N3:
-        return 6 if objective == "sum" else 3
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+    predict = _SPECS[family].predict.get(objective)
+    if predict is None:
+        raise ValueError(f"{family.value} makes no {objective} prediction")
+    return predict(n, c, p, q)
 
 
 @dataclass(frozen=True)
@@ -724,69 +715,6 @@ class CatalogEntry:
 def catalog() -> list[CatalogEntry]:
     """Stable-ordered descriptions of all 13 families."""
     return [
-        CatalogEntry(
-            ConstructionFamily.COMPLETE_PREFIX,
-            "c >= p+q-1; any n",
-            "first p+q-1 colors complete: sum = (p+q-1)(n^2-n), sum coefficient p+q-1",
-        ),
-        CatalogEntry(
-            ConstructionFamily.ASSIGNED_OUT,
-            "p = 0, 1 <= q <= c, n >= binom(c, q-1)",
-            "parts own (q-1)-color subsets, edges to everyone: sum = (q-1)(n^2-n)",
-        ),
-        CatalogEntry(
-            ConstructionFamily.CYCLIC_REMAINDER,
-            "p = 0, n > c >= q >= 1",
-            "balanced cyclic color assignment: min = floor(n(q-1)/c)(n-1) + r when q-1 divides r",
-        ),
-        CatalogEntry(
-            ConstructionFamily.AC_SPLIT_SUM,
-            "1 <= p <= q, c >= max(p+q, 2q-p-1), n >= 2",
-            "A/C split: sum coefficient (c-p+1)^2/(4(c-q+1)) + p-1",
-        ),
-        CatalogEntry(
-            ConstructionFamily.B_ONLY,
-            "1 <= p <= q, c >= p+q, n >= binom(c, p+q-1)",
-            "complete digraphs on color-sharing parts: min coefficient (p+q-1)^2/c^2",
-        ),
-        CatalogEntry(
-            ConstructionFamily.AB_MIX,
-            "1 <= p <= q, t1 <= c <= t2, n >= binom(c,p+q-1) + binom(c,q-1)",
-            "A parts into all, B parts complete: min coefficient (c-q+1)^2(p+q-1)^2/(4c^2 p(c-p-q+1))",
-        ),
-        CatalogEntry(
-            ConstructionFamily.A_ONLY,
-            "1 <= p <= q, c >= p+q, n >= binom(c, q-1)",
-            "out-assignment reused for p >= 1: min coefficient (q-1)/c",
-        ),
-        CatalogEntry(
-            ConstructionFamily.AC_MIN,
-            "1 <= p <= q, c >= max(p+q, t4), n >= binom(c,q-1) + binom(c,p-1)",
-            "assigned A to A plus C both ways: min coefficient (c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1))",
-        ),
-        CatalogEntry(
-            ConstructionFamily.S11_COMPLETE1,
-            "(p, q) = (1, 1); any n, c",
-            "one complete color: sum = n^2 - n",
-        ),
-        CatalogEntry(
-            ConstructionFamily.BIPARTITE_S11,
-            "(p, q) = (1, 1); any n, c",
-            "every color the same oriented bipartite graph: min = floor(n^2/4)",
-        ),
-        CatalogEntry(
-            ConstructionFamily.REMARK_CN,
-            "p = 0, c >= n >= q >= 1",
-            "fixed q-1 targets per vertex in every color: sum = (q-1)cn",
-        ),
-        CatalogEntry(
-            ConstructionFamily.REMARK_NQ,
-            "p = 0, n <= q; any c",
-            "all colors complete: sum = c(n^2-n)",
-        ),
-        CatalogEntry(
-            ConstructionFamily.TRIANGLE_N3,
-            "n = 3, c = 2, (p, q) = (1, 1)",
-            "opposite triangle orientations: min = 3",
-        ),
+        CatalogEntry(family, _SPECS[family].applicability, _SPECS[family].prediction)
+        for family in ConstructionFamily
     ]

@@ -9,7 +9,9 @@ Collections are immutable values: every operation returns a fresh object and
 equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
-n <= dense_threshold, and sorted adjacency maps above it.
+n <= dense_threshold, and sorted adjacency maps above it.  `from_edges` builds
+either layout straight from the edge triples; the sparse one never passes
+through a dense copy, so its memory stays proportional to the edge count.
 
 Text interchange format, version 1 (LF line endings, trailing newline):
 
@@ -160,7 +162,11 @@ class _DenseStore:
 
 
 class _SparseStore:
-    """Sorted adjacency maps per color, for vertex counts past the threshold."""
+    """Sorted adjacency maps per color, for vertex counts past the threshold.
+
+    Built from validated (source, target) pairs per color; a pair given
+    twice in one color is rejected as a duplicate edge.
+    """
 
     kind = "sparse"
 
@@ -175,11 +181,17 @@ class _SparseStore:
         for i in range(c):
             outs: dict[int, list[int]] = {}
             ins: dict[int, list[int]] = {}
-            for (u, v) in sorted(edges_by_color[i]):
+            previous = None
+            for pair in sorted(edges_by_color[i]):
+                if pair == previous:
+                    raise ValueError(f"duplicate edge ({i + 1}, {pair[0]}, {pair[1]})")
+                previous = pair
+                u, v = pair
                 outs.setdefault(u, []).append(v)
                 ins.setdefault(v, []).append(u)
             self.out_adj.append({u: tuple(vs) for u, vs in outs.items()})
-            self.in_adj.append({v: tuple(sorted(us)) for v, us in ins.items()})
+            # pairs arrive sorted by source, so each in-list is ascending
+            self.in_adj.append({v: tuple(us) for v, us in ins.items()})
             counts.append(len(edges_by_color[i]))
         self._counts = tuple(counts)
 
@@ -242,8 +254,16 @@ class DigraphCollection:
         """Build from (color, source, target) triples; rejects bad triples.
 
         Raises ValueError on out-of-range indices, loops, and duplicates.
+        Dense bit rows for n <= dense_threshold, else the sparse layout,
+        built from the triples grouped by color.
         """
         _check_dims(n, c)
+        if n > dense_threshold:
+            by_color: list[list[tuple[int, int]]] = [[] for _ in range(c)]
+            for (i, u, v) in edges:
+                _check_edge(n, c, i, u, v)
+                by_color[i - 1].append((u, v))
+            return DigraphCollection(_SparseStore(n, c, by_color))
         rows = [[0] * (n + 1) for _ in range(c)]
         for (i, u, v) in edges:
             _check_edge(n, c, i, u, v)
@@ -251,13 +271,7 @@ class DigraphCollection:
             if rows[i - 1][u] & bit:
                 raise ValueError(f"duplicate edge ({i}, {u}, {v})")
             rows[i - 1][u] |= bit
-        if n <= dense_threshold:
-            return DigraphCollection(_DenseStore(n, c, rows))
-        by_color = [
-            [(u, v) for u in range(1, n + 1) for v in _mask_to_vertices(rows[i][u])]
-            for i in range(c)
-        ]
-        return DigraphCollection(_SparseStore(n, c, by_color))
+        return DigraphCollection(_DenseStore(n, c, rows))
 
     @staticmethod
     def from_out_rows(n: int, c: int, rows: Sequence[Sequence[int]]) -> "DigraphCollection":
@@ -265,7 +279,9 @@ class DigraphCollection:
 
         rows[i][u-1] is the target mask of vertex u in color i+1 (bit v-1 set
         iff u -> v).  Loop bits are rejected.  Intended for bulk builders that
-        assemble whole rows at once; always yields the dense layout.
+        assemble whole rows at once; always yields the dense layout, whatever
+        n is.  Large sparse inputs go through `from_edges`, which builds the
+        sparse layout from the edges with no dense copy.
         """
         _check_dims(n, c)
         if len(rows) != c:

@@ -23,6 +23,7 @@ from .constructions import (
     ConstructionFamily,
     applicability_error,
     build,
+    part_count,
 )
 from .detector import (
     find_rainbow_star,
@@ -229,21 +230,6 @@ _GRID_FAMILIES = (
 )
 
 
-def _part_count(family: ConstructionFamily, c: int, p: int, q: int) -> int:
-    F = ConstructionFamily
-    if family == F.B_ONLY:
-        return math.comb(c, p + q - 1)
-    if family == F.AB_MIX:
-        return math.comb(c, p + q - 1) + math.comb(c, q - 1)
-    if family in (F.A_ONLY, F.ASSIGNED_OUT):
-        return math.comb(c, q - 1)
-    if family == F.AC_MIN:
-        return math.comb(c, q - 1) + math.comb(c, p - 1)
-    if family == F.AC_SPLIT_SUM:
-        return 2
-    return 1
-
-
 def _freeness_case(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> VerificationCase:
     params = {"family": family.value, "n": n, "c": c, "p": p, "q": q}
     try:
@@ -273,7 +259,7 @@ def _grid_builds() -> list[tuple[ConstructionFamily, int, int, int, int]]:
             for c in range(p + q, 13):
                 for family in _GRID_FAMILIES:
                     for target in (30, 60, 120):
-                        n = max(target, _part_count(family, c, p, q))
+                        n = max(target, part_count(family, c, p, q))
                         key = (family, n, c, p, q)
                         if key in seen:
                             continue
@@ -285,7 +271,7 @@ def _grid_builds() -> list[tuple[ConstructionFamily, int, int, int, int]]:
         for c in range(q, 13):
             for target in (30, 60, 120):
                 for family in (ConstructionFamily.ASSIGNED_OUT, ConstructionFamily.CYCLIC_REMAINDER):
-                    n = max(target, _part_count(family, c, 0, q))
+                    n = max(target, part_count(family, c, 0, q))
                     key = (family, n, c, 0, q)
                     if key not in seen and applicability_error(family, n, c, 0, q) is None:
                         seen.add(key)
@@ -347,7 +333,7 @@ def attainment_instances() -> list[tuple[ConstructionFamily, str, int, int, int,
         for regime, cs in _regime_cs(p, q).items():
             family, objective = _REGIME_FAMILY[regime]
             for c in cs:
-                parts = _part_count(family, c, p, q)
+                parts = part_count(family, c, p, q)
                 n = 100 * parts
                 if applicability_error(family, n, c, p, q) is None:
                     out.append((family, objective, n, c, p, q))
@@ -360,7 +346,7 @@ def _attainment_case(family, objective, n, c, p, q) -> VerificationCase:
         if objective == "sum"
         else bounds.coefficient_min(p, q, c)
     )
-    parts = _part_count(family, c, p, q)
+    parts = part_count(family, c, p, q)
     tolerance = Fraction(5 * parts, n)
     params = {"family": family.value, "objective": objective,
               "n": n, "c": c, "p": p, "q": q}
@@ -538,11 +524,6 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 
 # -- cover-adjudication --------------------------------------------------
 
-def _formula_min(n: int, c: int, q: int) -> int:
-    k, r = divmod(n * (q - 1), c)
-    return k * (n - 1) + r
-
-
 def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     """Out-star exact formulas: construction sums, the per-color minimum of
     the balanced assignment, the cover oracle grids, and the frozen (8,5,3)
@@ -572,7 +553,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
             for c in range(q, n):
                 if applicability_error(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q) is not None:
                     continue
-                target = _formula_min(n, c, q)
+                target = bounds.out_star_min_formula(n, c, q)
                 got = build(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q).predicted_counts.minimum
                 r = (n * (q - 1)) % c
                 divisible = q == 1 or r % (q - 1) == 0
@@ -612,7 +593,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
     for c in range(1, 7):
         for q in range(1, c + 1):
             for n in range(c + 1, 31):
-                target = _formula_min(n, c, q)
+                target = bounds.out_star_min_formula(n, c, q)
                 got = cover_oracle_s0q(n, c, q, "min").optimum
                 r = (n * (q - 1)) % c
                 divisible = q == 1 or r % (q - 1) == 0
@@ -645,11 +626,12 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
         note="regression constant for the adjudication instance",
     ))
     constructed = build(ConstructionFamily.CYCLIC_REMAINDER, 8, 5, 0, 3).predicted_counts.minimum
-    sandwich_ok = constructed <= oracle_value <= _formula_min(8, 5, 3)
-    strict = oracle_value < _formula_min(8, 5, 3)
+    target = bounds.out_star_min_formula(8, 5, 3)
+    sandwich_ok = constructed <= oracle_value <= target
+    strict = oracle_value < target
     cases.append(VerificationCase(
         params={"check": "adjudication-853", "n": 8, "c": 5, "q": 3},
-        expected=f"construction {constructed} <= oracle <= {_formula_min(8, 5, 3)}",
+        expected=f"construction {constructed} <= oracle <= {target}",
         expected_kind="oracle",
         actual=f"oracle {oracle_value}",
         status=("discrepancy" if strict else "pass") if sandwich_ok else "fail",

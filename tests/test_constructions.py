@@ -1,5 +1,6 @@
 """Extremal families: builds are free, counts match, errors are informative."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from rainbow_stars.constructions import (
     proportional_sizes,
 )
 from rainbow_stars.detector import find_rainbow_star
-from rainbow_stars.model import StarPattern, edge_counts
+from rainbow_stars.model import StarPattern, edge_counts, serialize_edge_list
 
 F = ConstructionFamily
 
@@ -195,3 +196,53 @@ def test_random_domain_points_build_or_refuse(c, p, q, n):
         else:
             with pytest.raises(ApplicabilityError):
                 build(family, n, c, p, q)
+
+
+def _claim(family, n, c, p, q, objective):
+    try:
+        return repr(predicted_value(family, n, c, p, q, objective))
+    except ValueError:  # the family makes no claim for this objective
+        return "-"
+
+
+def test_small_builds_pinned():
+    # one sha256 over every applicable build with n <= 16, c <= 7,
+    # 0 <= p <= q <= 4: edges, predicted counts and coefficients, parts and
+    # both predictions; the digest was computed before the families were
+    # folded into one spec table
+    digest = hashlib.sha256()
+    builds = 0
+    for family in F:
+        for n in range(1, 17):
+            for c in range(1, 8):
+                for q in range(0, 5):
+                    for p in range(0, q + 1):
+                        if applicability_error(family, n, c, p, q) is not None:
+                            continue
+                        out = build(family, n, c, p, q)
+                        builds += 1
+                        digest.update(repr((family.value, n, c, p, q)).encode())
+                        digest.update(serialize_edge_list(out.collection).encode())
+                        digest.update(repr((out.predicted_counts, out.predicted_coefficients,
+                                            out.parts)).encode())
+                        digest.update(_claim(family, n, c, p, q, "sum").encode())
+                        digest.update(_claim(family, n, c, p, q, "min").encode())
+    assert builds == 3072
+    assert digest.hexdigest() == (
+        "9b9d56d3a3808c627b8c0e4dbcac80ad97adf1a089e5547f8cc9eac5ed1349fc"
+    )
+
+
+def test_applicability_messages_pinned():
+    # one sha256 over every domain verdict (None or the full message) for
+    # n 0..16, c 0..10 and p, q 0..6, pinned like the builds above
+    digest = hashlib.sha256()
+    for family in F:
+        for n in range(0, 17):
+            for c in range(0, 11):
+                for p in range(0, 7):
+                    for q in range(0, 7):
+                        digest.update(repr(applicability_error(family, n, c, p, q)).encode())
+    assert digest.hexdigest() == (
+        "f431bf0cf877a84554d91effe1f52a3b3521b801b1c7d763a25e991015cd5123"
+    )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbow_stars.model import (
+    DEFAULT_DENSE_THRESHOLD,
     DigraphCollection,
     ParseError,
     StarEmbedding,
@@ -49,17 +50,20 @@ def test_star_pattern_validation():
     assert StarPattern(1, 3).normalized() == (StarPattern(1, 3), False)
 
 
-def test_constructor_rejects_bad_edges():
+@pytest.mark.parametrize("threshold", [DEFAULT_DENSE_THRESHOLD, 0], ids=["dense", "sparse"])
+def test_constructor_rejects_bad_edges(threshold):
     with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(1, 1, 1)])  # loop
+        DigraphCollection.from_edges(3, 2, [(1, 1, 1)], threshold)  # loop
     with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(3, 1, 2)])  # color out of range
+        DigraphCollection.from_edges(3, 2, [(3, 1, 2)], threshold)  # color out of range
     with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(1, 0, 2)])  # vertex out of range
+        DigraphCollection.from_edges(3, 2, [(1, 0, 2)], threshold)  # vertex out of range
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 1, 2\)"):
+        DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 1, 2)], threshold)
     with pytest.raises(ValueError):
-        DigraphCollection.from_edges(0, 2, [])
+        DigraphCollection.from_edges(0, 2, [], threshold)
     with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 0, [])
+        DigraphCollection.from_edges(3, 0, [], threshold)
 
 
 def test_add_edge_rejects_duplicates():
