@@ -2,12 +2,17 @@
 
 Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
-guarded).  cover_oracle_s0q handles out-star patterns at moderate n by
-searching cover structures instead of edge sets: a collection is free of
-rainbow (0, q) stars exactly when each vertex's (target, color) incidence
-graph has a vertex cover of size at most q-1, and maximal realizations of
-covers dominate everything else, so the search space collapses to per-vertex
-cover shapes.
+guarded).  Its per-node work is incremental: the star check of a new edge
+looks only for stars through that edge, forward checking revisits only the
+slots that share an endpoint with it, and the bound reads per-color counts
+of the alive slots left.
+
+cover_oracle_s0q handles out-star patterns at moderate n by searching cover
+structures instead of edge sets: a collection is free of rainbow (0, q)
+stars exactly when each vertex's (target, color) incidence graph has a
+vertex cover of size at most q-1, and maximal realizations of covers
+dominate everything else, so the search space collapses to per-vertex cover
+shapes.
 
 For the min objective the cover oracle walks the vertex-type multiplicities
 depth first, cutting subtrees by an averaging bound that is linear in them,
@@ -108,9 +113,19 @@ def max_exact(
     """Exact optimum over all rainbow-free collections at toy size.
 
     Branch-and-bound over edge slots in lexicographic (color, source, target)
-    order with include/exclude branching.  Pruning: an incremental rainbow
-    check at the two endpoints of each added edge, forward-checking that
-    kills slots no longer addable, and an optimistic per-color bound.  For
+    order with include/exclude branching.  An edge is included only when it
+    completes no rainbow star, so the collection is free at every node and
+    any star a new edge (i, u, v) would complete uses that edge: as an
+    out-leaf at center u or as an in-leaf at center v.  The star check is
+    anchored there: with u, v and color i taken, it looks for p in- and q-1
+    out-leaves at u (when q >= 1) or p-1 in- and q out-leaves at v (when
+    p >= 1).  After an include, forward checking kills the later slots that
+    can no longer be added; only slots of another color with an endpoint in
+    {u, v} are checked, since a slot's check reads masks only at its own
+    endpoints and never in its own color, so no other slot's answer has
+    changed.  The optimistic bound caps each color at its count plus its
+    alive slots from the current index on, kept per color as the walk
+    passes slots and forward checking kills them, so it costs O(c).  For
     the sum objective two symmetry breaks apply: per-color counts must be
     non-increasing, and the first slot is forced into every nonempty
     candidate (sound because color and vertex relabeling preserve the sum;
@@ -151,53 +166,46 @@ def max_exact(
     counts = [0] * (c + 1)
     chosen: list[tuple[int, int, int]] = []
     alive = [True] * total_slots
+    # alive slots at or after the current index, per color
+    remaining = [0] * (c + 1)
+    for i, _, _ in slots:
+        remaining[i] += 1
+    # per slot, the later slots whose star check including it can change;
+    # built on the first include there
+    touched: list[Optional[list[int]]] = [None] * total_slots
 
     best_value = 0
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
 
-    def star_at(center: int) -> bool:
-        """Any rainbow (p, q) star centered here, by tiny backtracking."""
-        used_v = 1 << (center - 1)
-        used_c = 0
-
-        def go(need_in: int, need_out: int) -> bool:
-            nonlocal used_v, used_c
-            if need_in == 0 and need_out == 0:
-                return True
-            masks = in_masks if need_in else out_masks
-            after = (need_in - 1, need_out) if need_in else (need_in, need_out - 1)
-            for i in range(1, c + 1):
-                if used_c >> (i - 1) & 1:
-                    continue
-                cand = masks[i][center] & ~used_v
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    used_v |= low
-                    used_c |= 1 << (i - 1)
-                    if go(*after):
-                        return True
-                    used_c &= ~(1 << (i - 1))
-                    used_v &= ~low
-            return False
-
-        return go(p, q)
+    def leaves(center: int, need_in: int, need_out: int, used_v: int, used_c: int) -> bool:
+        """need_in in-leaves and need_out out-leaves at center, in distinct
+        colors outside used_c and at distinct vertices outside used_v."""
+        if need_in == 0 and need_out == 0:
+            return True
+        masks = in_masks if need_in else out_masks
+        after = (need_in - 1, need_out) if need_in else (need_in, need_out - 1)
+        for i in range(1, c + 1):
+            bit_i = 1 << (i - 1)
+            if used_c & bit_i:
+                continue
+            cand = masks[i][center] & ~used_v
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if leaves(center, *after, used_v | low, used_c | bit_i):
+                    return True
+        return False
 
     def creates_star(i: int, u: int, v: int) -> bool:
-        bit_u, bit_v = 1 << (u - 1), 1 << (v - 1)
-        out_masks[i][u] |= bit_v
-        in_masks[i][v] |= bit_u
-        found = star_at(u) or star_at(v)
-        out_masks[i][u] &= ~bit_v
-        in_masks[i][v] &= ~bit_u
-        return found
+        # the collection is free, so a new star uses the new edge: as an
+        # out-leaf at u or as an in-leaf at v
+        used_v = 1 << (u - 1) | 1 << (v - 1)
+        used_c = 1 << (i - 1)
+        return (q > 0 and leaves(u, p, q - 1, used_v, used_c)) or \
+            (p > 0 and leaves(v, p - 1, q, used_v, used_c))
 
-    def bound(idx: int) -> int:
-        remaining = [0] * (c + 1)
-        for j in range(idx, total_slots):
-            if alive[j]:
-                remaining[slots[j][0]] += 1
+    def bound() -> int:
         if objective == "min":
             return min(counts[i] + remaining[i] for i in range(1, c + 1))
         total = 0
@@ -219,10 +227,13 @@ def max_exact(
                 best_value = value
                 best_edges = list(chosen)
             return
-        if bound(idx) <= best_value:
+        if bound() <= best_value:
             return
         i, u, v = slots[idx]
-        can_include = alive[idx]
+        here = alive[idx]
+        if here:
+            remaining[i] -= 1
+        can_include = here
         if can_include and objective == "sum" and i > 1 and counts[i] + 1 > counts[i - 1]:
             can_include = False
         if can_include and not creates_star(i, u, v):
@@ -230,23 +241,32 @@ def max_exact(
             in_masks[i][v] |= 1 << (u - 1)
             counts[i] += 1
             chosen.append((i, u, v))
-            killed = []
-            for j in range(idx + 1, total_slots):
-                if alive[j] and creates_star(*slots[j]):
-                    alive[j] = False
-                    killed.append(j)
+            later = touched[idx]
+            if later is None:
+                # another color (a check never reads its own color's masks)
+                # and an endpoint in common (it reads masks only there)
+                later = touched[idx] = [
+                    j for j in range(idx + 1, total_slots)
+                    if slots[j][0] != i and {slots[j][1], slots[j][2]} & {u, v}
+                ]
+            killed = [j for j in later if alive[j] and creates_star(*slots[j])]
+            for j in killed:
+                alive[j] = False
+                remaining[slots[j][0]] -= 1
             search(idx + 1)
             for j in killed:
                 alive[j] = True
+                remaining[slots[j][0]] += 1
             chosen.pop()
             counts[i] -= 1
             out_masks[i][u] &= ~(1 << (v - 1))
             in_masks[i][v] &= ~(1 << (u - 1))
-        if idx == 0 and objective == "sum":
-            # any nonempty collection relabels so the first slot is present,
-            # and the empty one is the starting incumbent
-            return
-        search(idx + 1)
+        # for the sum, any nonempty collection relabels so the first slot is
+        # present, and the empty one is the starting incumbent
+        if idx > 0 or objective == "min":
+            search(idx + 1)
+        if here:
+            remaining[i] += 1
 
     try:
         search(0)

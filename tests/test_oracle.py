@@ -80,6 +80,63 @@ def test_budget_expiry_returns_unproved_incumbent():
     assert counts.minimum == outcome.optimum
 
 
+def max_exact_domain():
+    """(n, c, p, q, objective) with n <= 7, c*n*(n-1) <= 48 and
+    1 <= p+q <= 3, both orientations; n = 4 with c in {3, 4} and p+q = 3
+    is left out for time (seconds per solve)."""
+    for n in range(2, 8):
+        for c in range(1, 48 // (n * (n - 1)) + 1):
+            for size in range(1, 4):
+                if n == 4 and c in (3, 4) and size == 3:
+                    continue
+                for p in range(size + 1):
+                    for objective in ("sum", "min"):
+                        yield n, c, p, size - p, objective
+
+
+# sha256 over "n c p q objective optimum nodes_explored proved_optimal"
+# lines, each followed by the serialized witness, for every point of
+# max_exact_domain (704 solves); fixed before the anchored star check, the
+# incident-slot forward check and the incremental bound, which keep the
+# search tree node for node
+MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1c779"
+
+
+def test_max_exact_search_pinned():
+    digest = hashlib.sha256()
+    solves = 0
+    for n, c, p, q, objective in max_exact_domain():
+        outcome = max_exact(n, c, StarPattern(p, q), objective, allow_large=True)
+        digest.update(
+            f"{n} {c} {p} {q} {objective} {outcome.optimum} "
+            f"{outcome.nodes_explored} {outcome.proved_optimal}\n".encode())
+        digest.update(serialize_edge_list(outcome.witness).encode())
+        solves += 1
+    assert solves == 704
+    assert digest.hexdigest() == MAX_EXACT_DIGEST
+
+
+@pytest.mark.parametrize("n,c", [(3, 2), (4, 1)])
+def test_max_exact_against_brute_force(n, c):
+    # 12 slots each: every one of the 4096 collections, kept when free
+    slots = [(i, u, v) for i in range(1, c + 1)
+             for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    patterns = [StarPattern(p, size - p) for size in range(1, 4) for p in range(size + 1)]
+    best = {(pat, objective): 0 for pat in patterns for objective in ("sum", "min")}
+    for subset in range(1 << len(slots)):
+        edges = [slot for k, slot in enumerate(slots) if subset >> k & 1]
+        collection = DigraphCollection.from_edges(n, c, edges)
+        counts = edge_counts(collection)
+        for pat in patterns:
+            if find_rainbow_star(collection, pat) is None:
+                for objective, value in (("sum", counts.total), ("min", counts.minimum)):
+                    best[pat, objective] = max(best[pat, objective], value)
+    for (pat, objective), value in best.items():
+        outcome = max_exact(n, c, pat, objective)
+        assert outcome.proved_optimal
+        assert outcome.optimum == value, (pat, objective)
+
+
 def test_slot_guards():
     # 4 colors on 5 vertices is 80 slots, past the stretch guard
     with pytest.raises(ValueError):
