@@ -92,26 +92,14 @@ class SurdValue:
         return f"{self.base}+sqrt({self.radicand})"
 
 
-def compare_int_surd(c: int, surd: SurdValue) -> int:
-    """Sign of c - (base + sqrt(r)).
+def compare_int_surd(c: Union[int, Fraction], surd: SurdValue) -> int:
+    """Sign of c - (base + sqrt(r)), for an int or a Fraction c.
 
     Reduction: c >= base + sqrt(r) iff c - base >= 0 and (c - base)^2 >= r
-    (both sides of c - base >= sqrt(r) are nonnegative, so squaring is exact).
+    (both sides of c - base >= sqrt(r) are nonnegative, so squaring is exact
+    over the rationals).
     """
     d = c - surd.base
-    if d < 0:
-        return -1
-    dd = d * d
-    if dd > surd.radicand:
-        return 1
-    if dd < surd.radicand:
-        return -1
-    return 0
-
-
-def compare_fraction_surd(x: Fraction, surd: SurdValue) -> int:
-    """Sign of x - (base + sqrt(r)); same squaring reduction over rationals."""
-    d = x - surd.base
     if d < 0:
         return -1
     dd = d * d

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -190,7 +191,9 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     pat = StarPattern(args.p, args.q)
-    budget = float(args.budget_secs) if args.budget_secs is not None else DEFAULT_BUDGET_SECS
+    budget = args.budget_secs if args.budget_secs is not None else DEFAULT_BUDGET_SECS
+    if not math.isfinite(budget):
+        raise ValueError(f"--budget-secs must be a finite number of seconds, got {budget}")
     if args.cover:
         if args.p != 0:
             raise ValueError("--cover handles out-stars only; it needs p = 0")
@@ -268,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact optimum by search")
     star_args(sp, require_n=True)
     sp.add_argument("--objective", choices=OBJECTIVES, required=True)
-    sp.add_argument("--budget-secs", type=int, default=None)
+    sp.add_argument("--budget-secs", type=float, default=None)
     sp.add_argument("--cover", action="store_true",
                     help="use the cover-structure engine (out-stars, p = 0)")
     sp.add_argument("--allow-large", action="store_true",

@@ -455,10 +455,7 @@ def _domain_ab_mix(n, c, p, q):
     _domain_two_sided(n, c, p, q)
     ts = _bounds.thresholds(p, q)
     _require(c >= ts.t1, f"requires c >= t1 = {ts.t1}, got c={c}")
-    _require(
-        isinstance(ts.t2, _bounds._InfiniteThreshold) or Fraction(c) <= ts.t2,
-        f"requires c <= t2 = {ts.t2}, got c={c}",
-    )
+    _require(Fraction(c) <= ts.t2, f"requires c <= t2 = {ts.t2}, got c={c}")
 
 
 def _domain_ac_min(n, c, p, q):

@@ -22,23 +22,6 @@ NAIVE_WORK_GUARD = 400
 
 
 @dataclass(frozen=True)
-class ColorDegreeProfile:
-    """Colors in which a vertex has nonzero in- resp. out-degree."""
-
-    vertex: int
-    in_colors: frozenset[int]
-    out_colors: frozenset[int]
-
-    @staticmethod
-    def of(collection: DigraphCollection, vertex: int) -> "ColorDegreeProfile":
-        return ColorDegreeProfile(
-            vertex,
-            collection.colors_with_in_edge(vertex),
-            collection.colors_with_out_edge(vertex),
-        )
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     """Partition of the vertex set by color-degree spread.
 
@@ -80,20 +63,21 @@ def detect_homomorphic_center(collection: DigraphCollection, v: int, pat: StarPa
     """Can v center a star image when leaf vertices may coincide?
 
     True iff disjoint color sets P ⊆ in_colors(v), Q ⊆ out_colors(v) with
-    |P| = p, |Q| = q exist.  Closed form: |I| >= p, |O| >= q, |I ∪ O| >= p+q.
-    (Put min(p, |I∖O|) in-colors outside O first; the rest of P forces Q to
-    avoid only what remains, and the union bound is exactly what's needed.)
+    |P| = p, |Q| = q exist; see `_colors_suffice`.
     """
-    profile = ColorDegreeProfile.of(collection, v)
-    return _disjoint_color_sets_exist(profile.in_colors, profile.out_colors, pat.p, pat.q)
-
-
-def _disjoint_color_sets_exist(in_colors: frozenset[int], out_colors: frozenset[int], p: int, q: int) -> bool:
-    return (
-        len(in_colors) >= p
-        and len(out_colors) >= q
-        and len(in_colors | out_colors) >= p + q
+    return _colors_suffice(
+        collection.colors_with_in_edge(v), collection.colors_with_out_edge(v), pat.p, pat.q
     )
+
+
+def _colors_suffice(in_colors: frozenset[int], out_colors: frozenset[int], p: int, q: int) -> bool:
+    """Disjoint P ⊆ in_colors, Q ⊆ out_colors with |P| = p, |Q| = q exist.
+
+    Closed form: |I| >= p, |O| >= q, |I ∪ O| >= p+q.  (Put min(p, |I∖O|)
+    in-colors outside O first; the rest of P forces Q to avoid only what
+    remains, and the union bound is exactly what's needed.)
+    """
+    return len(in_colors) >= p and len(out_colors) >= q and len(in_colors | out_colors) >= p + q
 
 
 def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
@@ -103,104 +87,90 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     candidates per slot ordered by (vertex, color) ascending.  The embedding
     returned is the lexicographically first valid assignment in that order.
 
-    Centers are screened before the backtracking search: the color-set
-    profile test, then maximum matchings on the (leaf, color) incidence of
-    each side.  A matching below p or q rules the center out; for one-sided
-    patterns the out-side matching is exact, so the search only ever runs
-    where a witness exists.
+    Each center's in- and out-color sets are read once and screened by
+    `_colors_suffice`.  A center that passes has its sorted (leaf, color)
+    pairs gathered once per side, out side first; each list feeds a maximum
+    matching of leaves to colors (one below q, resp. p, rules the center
+    out, and the in side is only gathered once the out side passes) and
+    then the slot walk of `_embed_at_center`.  For one-sided patterns the
+    out-side matching is exact, so the walk only ever runs where a witness
+    exists.
     """
     p, q = pat.p, pat.q
     if collection.n - 1 < p + q:
         return None
     for v in range(1, collection.n + 1):
-        if not detect_homomorphic_center(collection, v, pat):
+        in_colors = collection.colors_with_in_edge(v)
+        out_colors = collection.colors_with_out_edge(v)
+        if not _colors_suffice(in_colors, out_colors, p, q):
             continue
-        if q and len(hopcroft_karp(_leaf_color_adjacency(collection, v, "out"))) < q:
+        out_cands = _leaf_colors(collection.out_neighbors, v, out_colors)
+        if q and len(_match_leaves(out_cands)) < q:
             continue
-        if p and len(hopcroft_karp(_leaf_color_adjacency(collection, v, "in"))) < p:
+        in_cands = _leaf_colors(collection.in_neighbors, v, in_colors)
+        if p and len(_match_leaves(in_cands)) < p:
             continue
-        emb = _embed_at_center(collection, v, p, q)
+        emb = _embed_at_center(v, p, q, in_cands, out_cands, in_colors, out_colors)
         if emb is not None:
             return emb
     return None
 
 
-def _leaf_color_adjacency(collection: DigraphCollection, v: int, side: str) -> dict:
-    """Bipartite incidence at a center: leaf vertex -> colors joining it to v."""
-    adj: dict[int, set[int]] = {}
-    if side == "out":
-        for i in collection.colors_with_out_edge(v):
-            for w in collection.out_neighbors(i, v):
-                adj.setdefault(w, set()).add(i)
-    else:
-        for i in collection.colors_with_in_edge(v):
-            for u in collection.in_neighbors(i, v):
-                adj.setdefault(u, set()).add(i)
-    return adj
+def _leaf_colors(neighbors, v: int, colors: frozenset[int]) -> list[tuple[int, int]]:
+    """Sorted (leaf, color) pairs of one side at v; `neighbors` is the
+    collection's `in_neighbors` or `out_neighbors`."""
+    return sorted((w, i) for i in colors for w in neighbors(i, v))
 
 
-def _embed_at_center(collection: DigraphCollection, v: int, p: int, q: int):
-    """Backtracking over leaf slots at a fixed center.
+def _match_leaves(cands: list[tuple[int, int]]) -> dict[int, int]:
+    """Maximum matching of leaves to colors over (leaf, color) pairs."""
+    adj: dict[int, list[int]] = {}
+    for w, i in cands:
+        adj.setdefault(w, []).append(i)
+    return hopcroft_karp(adj)
 
-    Same-role slots follow ascending candidate chains: the lexicographically
-    first embedding has sorted in-leaves and sorted out-leaves, so restricting
-    to ascending chains returns exactly that embedding.  After each choice a
-    color-availability check prunes: ignoring vertex-distinctness, the
-    remaining slots are fillable iff the unused parts of I, O, and I ∪ O are
-    large enough (the matching relaxation collapses to this closed form).
+
+def _embed_at_center(v: int, p: int, q: int, in_cands, out_cands, in_colors, out_colors):
+    """Backtracking over the p+q leaf slots at a fixed center.
+
+    Slots below p take (leaf, color) pairs from in_cands, the rest from
+    out_cands.  Same-role slots follow ascending candidate chains: the
+    lexicographically first embedding has sorted in-leaves and sorted
+    out-leaves, so restricting to ascending chains returns exactly that
+    embedding; the chain restarts at the first out slot.  After each choice
+    `_colors_suffice` on the unused colors prunes: ignoring vertex
+    distinctness, the remaining slots are fillable iff it holds for the
+    in- and out-slots still open, which a per-slot table gives.
     """
-    in_all = collection.colors_with_in_edge(v)
-    out_all = collection.colors_with_out_edge(v)
-    in_cands = sorted((u, i) for i in in_all for u in collection.in_neighbors(i, v))
-    out_cands = sorted((w, j) for j in out_all for w in collection.out_neighbors(j, v))
-
+    size = p + q
+    # per slot: its candidates, and the (in, out) slots still open after it
+    slots = [(in_cands, p - k - 1, q) for k in range(p)]
+    slots += [(out_cands, 0, q - k - 1) for k in range(q)]
     used_vertices = {v}
     used_colors: set[int] = set()
-    chosen_in: list[tuple[int, int]] = []
-    chosen_out: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []
 
-    def colors_feasible(need_in: int, need_out: int) -> bool:
-        avail_in = len(in_all - used_colors)
-        avail_out = len(out_all - used_colors)
-        avail_union = len((in_all | out_all) - used_colors)
-        return avail_in >= need_in and avail_out >= need_out and avail_union >= need_in + need_out
-
-    def fill_in(k: int, start: int) -> bool:
-        if k == p:
-            return fill_out(0, 0)
-        for idx in range(start, len(in_cands)):
-            u, i = in_cands[idx]
-            if u in used_vertices or i in used_colors:
-                continue
-            used_vertices.add(u)
-            used_colors.add(i)
-            chosen_in.append((u, i))
-            if colors_feasible(p - k - 1, q) and fill_in(k + 1, idx + 1):
-                return True
-            chosen_in.pop()
-            used_colors.remove(i)
-            used_vertices.remove(u)
-        return False
-
-    def fill_out(k: int, start: int) -> bool:
-        if k == q:
+    def fill(k: int, start: int) -> bool:
+        if k == size:
             return True
-        for idx in range(start, len(out_cands)):
-            w, j = out_cands[idx]
-            if w in used_vertices or j in used_colors:
+        cands, need_in, need_out = slots[k]
+        for idx in range(0 if k == p else start, len(cands)):
+            w, i = cands[idx]
+            if w in used_vertices or i in used_colors:
                 continue
             used_vertices.add(w)
-            used_colors.add(j)
-            chosen_out.append((w, j))
-            if colors_feasible(0, q - k - 1) and fill_out(k + 1, idx + 1):
+            used_colors.add(i)
+            chosen.append((w, i))
+            left_in, left_out = in_colors - used_colors, out_colors - used_colors
+            if _colors_suffice(left_in, left_out, need_in, need_out) and fill(k + 1, idx + 1):
                 return True
-            chosen_out.pop()
-            used_colors.remove(j)
+            chosen.pop()
+            used_colors.remove(i)
             used_vertices.remove(w)
         return False
 
-    if fill_in(0, 0):
-        return StarEmbedding(v, tuple(chosen_in), tuple(chosen_out))
+    if fill(0, 0):
+        return StarEmbedding(v, tuple(chosen[:p]), tuple(chosen[p:]))
     return None
 
 
@@ -277,7 +247,7 @@ def matching_fastpath_p0(collection: DigraphCollection, q: int):
 
 
 def _center_out_matching(collection: DigraphCollection, v: int) -> dict[int, int]:
-    return hopcroft_karp(_leaf_color_adjacency(collection, v, "out"))
+    return _match_leaves(_leaf_colors(collection.out_neighbors, v, collection.colors_with_out_edge(v)))
 
 
 def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -331,39 +301,30 @@ def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
 def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> ClassificationReport:
     """Partition vertices: B by incidence, then A, then C, rest violators."""
     p, q = pat.p, pat.q
+    vertices = range(1, collection.n + 1)
+    in_colors = {v: collection.colors_with_in_edge(v) for v in vertices}
+    out_colors = {v: collection.colors_with_out_edge(v) for v in vertices}
     a_set, b_set, c_set, bad = [], [], [], []
-    profiles = [ColorDegreeProfile.of(collection, v) for v in range(1, collection.n + 1)]
-    for prof in profiles:
-        incident = prof.in_colors | prof.out_colors
-        if len(incident) <= p + q - 1:
-            b_set.append(prof.vertex)
-        elif len(prof.out_colors) <= q - 1:
-            a_set.append(prof.vertex)
-        elif len(prof.in_colors) <= p - 1:
-            c_set.append(prof.vertex)
+    for v in vertices:
+        if len(in_colors[v] | out_colors[v]) <= p + q - 1:
+            b_set.append(v)
+        elif len(out_colors[v]) <= q - 1:
+            a_set.append(v)
+        elif len(in_colors[v]) <= p - 1:
+            c_set.append(v)
         else:
-            bad.append(prof.vertex)
+            bad.append(v)
 
-    by_vertex = {prof.vertex: prof for prof in profiles}
-    a_by_color = tuple(
-        tuple(v for v in a_set if i in by_vertex[v].out_colors)
-        for i in range(1, collection.c + 1)
-    )
-    b_by_color = tuple(
-        tuple(v for v in b_set if i in by_vertex[v].in_colors | by_vertex[v].out_colors)
-        for i in range(1, collection.c + 1)
-    )
-    c_by_color = tuple(
-        tuple(v for v in c_set if i in by_vertex[v].in_colors)
-        for i in range(1, collection.c + 1)
-    )
+    colors = range(1, collection.c + 1)
     return ClassificationReport(
         pattern=pat,
         a_vertices=tuple(a_set),
         b_vertices=tuple(b_set),
         c_vertices=tuple(c_set),
         violators=tuple(bad),
-        a_by_color=a_by_color,
-        b_by_color=b_by_color,
-        c_by_color=c_by_color,
+        a_by_color=tuple(tuple(v for v in a_set if i in out_colors[v]) for i in colors),
+        b_by_color=tuple(
+            tuple(v for v in b_set if i in in_colors[v] or i in out_colors[v]) for i in colors
+        ),
+        c_by_color=tuple(tuple(v for v in c_set if i in in_colors[v]) for i in colors),
     )

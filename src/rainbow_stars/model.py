@@ -240,11 +240,6 @@ class DigraphCollection:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def empty(n: int, c: int, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> "DigraphCollection":
-        _check_dims(n, c)
-        return DigraphCollection.from_edges(n, c, (), dense_threshold)
-
-    @staticmethod
     def from_edges(
         n: int,
         c: int,

@@ -437,7 +437,7 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 # -- thresholds ---------------------------------------------------------
 
 def _float_t2(ts: bounds.ThresholdSet) -> float:
-    return math.inf if isinstance(ts.t2, bounds._InfiniteThreshold) else float(ts.t2)
+    return math.inf if ts.t2 is bounds.INFINITY else float(ts.t2)
 
 
 def _sum_high(p: int, q: int, c: float) -> float:
@@ -472,18 +472,18 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
             if bounds.compare_int_surd(ts.t1, ts.t3) > 0:
                 problems.append("t1 > t3")
             if ts.chain == bounds.CHAIN_FIRST:
-                if isinstance(ts.t2, bounds._InfiniteThreshold):
+                if ts.t2 is bounds.INFINITY:
                     problems.append("chain FIRST with infinite t2")
                 else:
-                    if bounds.compare_fraction_surd(ts.t2, ts.t3) > 0:
+                    if bounds.compare_int_surd(ts.t2, ts.t3) > 0:
                         problems.append("FIRST but t2 > t3")
                     if bounds.compare_surds(ts.t3, ts.t4) > 0:
                         problems.append("FIRST but t3 > t4")
             else:
                 if bounds.compare_surds(ts.t4, ts.t3) > 0:
                     problems.append("SECOND but t4 > t3")
-                if not isinstance(ts.t2, bounds._InfiniteThreshold):
-                    if bounds.compare_fraction_surd(ts.t2, ts.t3) < 0:
+                if ts.t2 is not bounds.INFINITY:
+                    if bounds.compare_int_surd(ts.t2, ts.t3) < 0:
                         problems.append("SECOND but t3 > t2")
             sign = q * (q - p - 1) ** 2 - p * (p + q - 1) ** 2
             predicted_first = q >= p + 2 and sign >= 0

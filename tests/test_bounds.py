@@ -14,7 +14,6 @@ from rainbow_stars.bounds import (
     SurdValue,
     coefficient_min,
     coefficient_sum,
-    compare_fraction_surd,
     compare_int_surd,
     compare_surds,
     exact_bound,
@@ -30,8 +29,8 @@ def test_surd_comparisons_are_exact():
     assert compare_int_surd(1, root2) < 0
     assert compare_int_surd(2, root2) > 0
     assert compare_int_surd(3, SurdValue(0, 9)) == 0
-    assert compare_fraction_surd(Fraction(141421356, 10**8), root2) < 0
-    assert compare_fraction_surd(Fraction(141421357, 10**8), root2) > 0
+    assert compare_int_surd(Fraction(141421356, 10**8), root2) < 0
+    assert compare_int_surd(Fraction(141421357, 10**8), root2) > 0
     assert compare_surds(SurdValue(1, 2), SurdValue(0, 6)) < 0  # 2.414 vs 2.449
     assert compare_surds(SurdValue(2, 2), SurdValue(1, 6)) < 0  # 3.414 vs 3.449
     assert compare_surds(SurdValue(0, 8), SurdValue(0, 8)) == 0
@@ -79,12 +78,12 @@ def test_threshold_orderings(p, q):
         assert Fraction(ts.t1) <= ts.t2
     if ts.chain == CHAIN_FIRST:
         assert ts.t2 is not INFINITY
-        assert compare_fraction_surd(ts.t2, ts.t3) <= 0
+        assert compare_int_surd(ts.t2, ts.t3) <= 0
         assert compare_surds(ts.t3, ts.t4) <= 0
     else:
         assert compare_surds(ts.t4, ts.t3) <= 0
         if ts.t2 is not INFINITY:
-            assert compare_fraction_surd(ts.t2, ts.t3) >= 0
+            assert compare_int_surd(ts.t2, ts.t3) >= 0
 
 
 def test_sum_coefficient_examples():

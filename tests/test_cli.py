@@ -156,6 +156,18 @@ def test_oracle_branch_bound(capsys):
     assert payload["witness"].startswith("rainbow-digraph v1\n")
 
 
+def test_oracle_fractional_budget(capsys):
+    code, payload = run(capsys, "oracle", "--n", "3", "--c", "2", "--p", "1", "--q", "1",
+                        "--objective", "min", "--budget-secs", "0.5")
+    assert code == 0
+    assert payload["budget_secs"] == 0.5
+    assert payload["optimum"] == 3
+    code, payload = run(capsys, "oracle", "--n", "3", "--c", "2", "--p", "1", "--q", "1",
+                        "--objective", "min", "--budget-secs", "nan")
+    assert code == 1
+    assert "finite" in payload["error"]["message"]
+
+
 def test_oracle_cover_requires_out_star(capsys):
     code, payload = run(capsys, "oracle", "--n", "5", "--c", "3",
                         "--p", "1", "--q", "1", "--objective", "min", "--cover")

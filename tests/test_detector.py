@@ -1,5 +1,6 @@
 """Rainbow star detection: fast search vs independent oracles."""
 
+import hashlib
 import itertools
 import random
 
@@ -203,3 +204,74 @@ def test_classification_by_color_listings(n, c, seed):
         for v in report.b_by_color[i - 1]:
             assert v in report.b_vertices
             assert col.out_neighbors(i, v) or col.in_neighbors(i, v)
+
+
+def clique_with_isolated_vertex(k: int, c: int) -> DigraphCollection:
+    # K_k complete in every color plus vertex k+1 with no edges: a star
+    # exists iff p+q <= min(k-1, c), so p+q = k is a near miss
+    return DigraphCollection.from_edges(k + 1, c, complete_collection(k, c).all_edges())
+
+
+def ascending_chain(length: int) -> DigraphCollection:
+    # out-star at center 1: leaf j+1 in colors j and j+1 (j = 1..L), leaf
+    # L+2 in color 1 only; its single rainbow (0, L+1) star is found last
+    edges = [(1, 1, length + 2)]
+    for j in range(1, length + 1):
+        edges += [(j, 1, j + 1), (j + 1, 1, j + 1)]
+    return DigraphCollection.from_edges(length + 2, length + 1, edges)
+
+
+def detector_corpus():
+    """(collection, pattern) pairs: seeded random collections, clique near
+    misses and narrow hits, ascending chains, and the REMARK_CN instance."""
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        c = rng.randint(1, 6)
+        col = random_collection(rng, n, c, rng.uniform(0.1, 0.8))
+        size = rng.randint(1, 5)
+        p = rng.randint(0, size)
+        yield col, StarPattern(p, size - p)
+    for k in (4, 5, 6):
+        for c in (k - 1, k, k + 1):
+            col = clique_with_isolated_vertex(k, c)
+            for size in (k - 1, k):
+                for p in range(size + 1):
+                    # the two-sided near misses of K_6 spend about 4 s in
+                    # exhaustive backtracking; those of K_5 walk the same code
+                    if size == 6 and 0 < p < 6:
+                        continue
+                    yield col, StarPattern(p, size - p)
+    for length in range(4, 11):
+        col = ascending_chain(length)
+        yield col, StarPattern(0, length + 1)
+        yield reverse(col), StarPattern(length + 1, 0)
+    yield build(ConstructionFamily.REMARK_CN, 8, 8, 0, 8).collection, StarPattern(0, 8)
+
+
+# sha256 over one repr line per corpus entry: n, c, p, q, the embedding
+# find_rainbow_star returns (center, in_leaves, out_leaves) or None, the
+# classify_vertices fields, and for p = 0 the matching_fastpath_p0 result;
+# fixed before the detector's per-center search was restructured
+DETECTOR_DIGEST = "0589ba6680d9c3e621fa8b975b1aa768b0e340f096473074646fe03420735be5"
+
+
+def test_detector_answers_pinned():
+    digest = hashlib.sha256()
+    entries = 0
+    for col, pat in detector_corpus():
+        emb = find_rainbow_star(col, pat)
+        found = None if emb is None else (emb.center, emb.in_leaves, emb.out_leaves)
+        report = classify_vertices(col, pat)
+        classified = (
+            report.a_vertices, report.b_vertices, report.c_vertices, report.violators,
+            report.a_by_color, report.b_by_color, report.c_by_color,
+        )
+        record = (col.n, col.c, pat.p, pat.q, found, classified)
+        if pat.p == 0:
+            fast = matching_fastpath_p0(col, pat.q)
+            record += (None if fast is None else (fast.center, fast.in_leaves, fast.out_leaves),)
+        digest.update((repr(record) + "\n").encode())
+        entries += 1
+    assert entries == 2099
+    assert digest.hexdigest() == DETECTOR_DIGEST
