@@ -160,7 +160,9 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        text = Path(args.infile).read_text()
+        # no newline translation, so CRLF files reach the parser as they are
+        with open(args.infile, newline="") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.infile}: {exc}") from exc
     collection = parse_edge_list(text)

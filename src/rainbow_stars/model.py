@@ -12,6 +12,10 @@ interface: dense bit rows (one Python int per source vertex per color) for
 n <= dense_threshold, and sorted adjacency maps above it.  `from_edges` builds
 either layout straight from the edge triples; the sparse one never passes
 through a dense copy, so its memory stays proportional to the edge count.
+`from_edges` is also the one place where edge triples are validated; the
+text parser only splits lines into triples and hands them over.  Edges are
+read back through one walk per store, `out_rows`, which yields each source
+with its ascending targets.
 
 Text interchange format, version 1 (LF line endings, trailing newline):
 
@@ -20,8 +24,9 @@ Text interchange format, version 1 (LF line endings, trailing newline):
     i u v          <- one line per edge: color, source, target
     # comment lines and blank lines are ignored in the body
 
-Serialization is canonical: edges sorted by (color, source, target), no
-comments, so equal collections serialize to byte-identical strings.
+The parser takes edge lines in any order.  Serialization is canonical: edges
+sorted by (color, source, target), no comments, so equal collections
+serialize to byte-identical strings.
 """
 
 from __future__ import annotations
@@ -147,11 +152,11 @@ class _DenseStore:
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
 
-    def color_edges(self, i: int) -> Iterator[tuple[int, int]]:
+    def out_rows(self, i: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         row = self.rows[i - 1]
         for u in range(1, self.n + 1):
-            for v in _mask_to_vertices(row[u]):
-                yield (u, v)
+            if row[u]:
+                yield u, _mask_to_vertices(row[u])
 
     def colors_with_out(self, u: int) -> frozenset[int]:
         return frozenset(i for i in range(1, self.c + 1) if self.rows[i - 1][u])
@@ -164,36 +169,31 @@ class _DenseStore:
 class _SparseStore:
     """Sorted adjacency maps per color, for vertex counts past the threshold.
 
-    Built from validated (source, target) pairs per color; a pair given
-    twice in one color is rejected as a duplicate edge.
+    Built from one set of edge keys u * (n + 1) + v per color, already
+    validated by `from_edges`; sorting the keys sorts the pairs by (u, v).
     """
 
     kind = "sparse"
 
     __slots__ = ("n", "c", "out_adj", "in_adj", "_counts")
 
-    def __init__(self, n: int, c: int, edges_by_color: list[list[tuple[int, int]]]):
+    def __init__(self, n: int, c: int, keys_by_color: list[set[int]]):
         self.n = n
         self.c = c
         self.out_adj: list[dict[int, tuple[int, ...]]] = []
         self.in_adj: list[dict[int, tuple[int, ...]]] = []
-        counts = []
-        for i in range(c):
+        for keys in keys_by_color:
             outs: dict[int, list[int]] = {}
             ins: dict[int, list[int]] = {}
-            previous = None
-            for pair in sorted(edges_by_color[i]):
-                if pair == previous:
-                    raise ValueError(f"duplicate edge ({i + 1}, {pair[0]}, {pair[1]})")
-                previous = pair
-                u, v = pair
+            for key in sorted(keys):
+                u, v = divmod(key, n + 1)
                 outs.setdefault(u, []).append(v)
                 ins.setdefault(v, []).append(u)
+            # keys arrive sorted, so sources are inserted in ascending order
+            # and each in-list is ascending
             self.out_adj.append({u: tuple(vs) for u, vs in outs.items()})
-            # pairs arrive sorted by source, so each in-list is ascending
             self.in_adj.append({v: tuple(us) for v, us in ins.items()})
-            counts.append(len(edges_by_color[i]))
-        self._counts = tuple(counts)
+        self._counts = tuple(len(keys) for keys in keys_by_color)
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
         return v in self.out_adj[i - 1].get(u, ())
@@ -207,11 +207,8 @@ class _SparseStore:
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
 
-    def color_edges(self, i: int) -> Iterator[tuple[int, int]]:
-        adj = self.out_adj[i - 1]
-        for u in sorted(adj):
-            for v in adj[u]:
-                yield (u, v)
+    def out_rows(self, i: int) -> Iterable[tuple[int, tuple[int, ...]]]:
+        return self.out_adj[i - 1].items()  # sources in ascending order
 
     def colors_with_out(self, u: int) -> frozenset[int]:
         return frozenset(i for i in range(1, self.c + 1) if self.out_adj[i - 1].get(u))
@@ -246,26 +243,31 @@ class DigraphCollection:
         edges: Iterable[tuple[int, int, int]],
         dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
     ) -> "DigraphCollection":
-        """Build from (color, source, target) triples; rejects bad triples.
+        """Build from (color, source, target) triples; the one edge validator.
 
-        Raises ValueError on out-of-range indices, loops, and duplicates.
-        Dense bit rows for n <= dense_threshold, else the sparse layout,
-        built from the triples grouped by color.
+        Checks n and c, then each triple in input order, and raises
+        ValueError on the first bad one (out-of-range index, loop or
+        duplicate) before reading the next.  Dense bit rows for
+        n <= dense_threshold, else the sparse layout, built from a set of
+        edge keys per color.
         """
         _check_dims(n, c)
         if n > dense_threshold:
-            by_color: list[list[tuple[int, int]]] = [[] for _ in range(c)]
+            keys: list[set[int]] = [set() for _ in range(c)]
             for (i, u, v) in edges:
                 _check_edge(n, c, i, u, v)
-                by_color[i - 1].append((u, v))
-            return DigraphCollection(_SparseStore(n, c, by_color))
+                seen, key = keys[i - 1], u * (n + 1) + v
+                if key in seen:
+                    raise ValueError(f"duplicate edge ({i}, {u}, {v})")
+                seen.add(key)
+            return DigraphCollection(_SparseStore(n, c, keys))
         rows = [[0] * (n + 1) for _ in range(c)]
         for (i, u, v) in edges:
             _check_edge(n, c, i, u, v)
-            bit = 1 << (v - 1)
-            if rows[i - 1][u] & bit:
+            row, bit = rows[i - 1], 1 << (v - 1)
+            if row[u] & bit:
                 raise ValueError(f"duplicate edge ({i}, {u}, {v})")
-            rows[i - 1][u] |= bit
+            row[u] |= bit
         return DigraphCollection(_DenseStore(n, c, rows))
 
     @staticmethod
@@ -327,13 +329,14 @@ class DigraphCollection:
 
     def color_edges(self, color: int) -> tuple[tuple[int, int], ...]:
         """Edges of one color as (source, target), sorted."""
-        return tuple(self._store.color_edges(color))
+        return tuple((u, v) for u, vs in self._store.out_rows(color) for v in vs)
 
     def all_edges(self) -> Iterator[tuple[int, int, int]]:
         """All (color, source, target) triples, sorted."""
         for i in range(1, self.c + 1):
-            for (u, v) in self._store.color_edges(i):
-                yield (i, u, v)
+            for u, vs in self._store.out_rows(i):
+                for v in vs:
+                    yield (i, u, v)
 
     def colors_with_out_edge(self, u: int) -> frozenset[int]:
         """Colors in which u has at least one out-edge."""
@@ -378,17 +381,6 @@ def _check_edge(n: int, c: int, i: int, u: int, v: int) -> None:
         raise ValueError(f"vertex {v} out of range 1..{n}")
     if u == v:
         raise ValueError(f"loop at vertex {u} in color {i}")
-
-
-def add_edge(collection: DigraphCollection, color: int, u: int, v: int) -> DigraphCollection:
-    """Collection with one more edge; rejects loops and duplicates."""
-    _check_edge(collection.n, collection.c, color, u, v)
-    if collection.has_edge(color, u, v):
-        raise ValueError(f"duplicate edge ({color}, {u}, {v})")
-    threshold = collection.n if collection.storage_kind == "dense" else 0
-    edges = list(collection.all_edges())
-    edges.append((color, u, v))
-    return DigraphCollection.from_edges(collection.n, collection.c, edges, threshold)
 
 
 def edge_counts(collection: DigraphCollection) -> EdgeCountSummary:
@@ -438,7 +430,10 @@ def _check_perm(perm: Sequence[int], size: int, label: str) -> Sequence[int]:
 def serialize_edge_list(collection: DigraphCollection) -> str:
     """Canonical text form: header, dimensions, sorted edges, trailing LF."""
     lines = [_HEADER, f"{collection.n} {collection.c}"]
-    lines.extend(f"{i} {u} {v}" for (i, u, v) in collection.all_edges())
+    for i in range(1, collection.c + 1):
+        for u, vs in collection._store.out_rows(i):
+            prefix = f"{i} {u} "
+            lines.extend([prefix + v for v in map(str, vs)])
     return "\n".join(lines) + "\n"
 
 
@@ -456,37 +451,28 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
         raise ParseError(1, f"bad header {lines[0]!r}, expected {_HEADER!r}")
     if len(lines) < 2:
         raise ParseError(2, "missing dimension line 'n c'")
-    dims = lines[1].split()
-    if len(dims) != 2:
-        raise ParseError(2, f"dimension line needs two integers, got {lines[1]!r}")
     try:
-        n, c = int(dims[0]), int(dims[1])
+        n, c = map(int, lines[1].split())
     except ValueError:
         raise ParseError(2, f"dimension line needs two integers, got {lines[1]!r}") from None
-    try:
-        _check_dims(n, c)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
 
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    for lineno, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError(lineno, f"edge line needs three integers, got {raw!r}")
-        try:
-            i, u, v = (int(t) for t in tokens)
-        except ValueError:
-            raise ParseError(lineno, f"edge line needs three integers, got {raw!r}") from None
-        try:
-            _check_edge(n, c, i, u, v)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if (i, u, v) in seen:
-            raise ParseError(lineno, f"duplicate edge ({i}, {u}, {v})")
-        seen.add((i, u, v))
-        edges.append((i, u, v))
-    return DigraphCollection.from_edges(n, c, edges, dense_threshold)
+    lineno = 2  # from_edges checks n and c before it reads a triple
+
+    def triples() -> Iterator[tuple[int, int, int]]:
+        nonlocal lineno
+        for lineno, raw in enumerate(lines[2:], start=3):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            try:
+                i, u, v = map(int, tokens)
+            except ValueError:
+                raise ValueError(f"edge line needs three integers, got {raw!r}") from None
+            yield i, u, v
+
+    # from_edges raises on the triple it has just read, before it asks for
+    # the next one, so lineno is the line of the first bad edge
+    try:
+        return DigraphCollection.from_edges(n, c, triples(), dense_threshold)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None

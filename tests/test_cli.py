@@ -124,9 +124,12 @@ def test_check_reports_witness(tmp_path, capsys):
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an edge list\n")
-    code, payload = run(capsys, "check", "--in", str(bad), "--p", "0", "--q", "1")
-    assert code == 1
-    assert payload["error"]["type"] == "ParseError"
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"rainbow-digraph v1\r\n3 2\r\n1 1 2\r\n")
+    for path in (bad, crlf):
+        code, payload = run(capsys, "check", "--in", str(path), "--p", "0", "--q", "1")
+        assert code == 1
+        assert payload["error"]["type"] == "ParseError"
 
 
 def test_check_internal_error_is_structured(tmp_path, capsys):

@@ -9,7 +9,6 @@ from rainbow_stars.model import (
     ParseError,
     StarEmbedding,
     StarPattern,
-    add_edge,
     edge_counts,
     parse_edge_list,
     permute,
@@ -66,15 +65,6 @@ def test_constructor_rejects_bad_edges(threshold):
         DigraphCollection.from_edges(3, 0, [], threshold)
 
 
-def test_add_edge_rejects_duplicates():
-    col = DigraphCollection.from_edges(3, 2, [(1, 1, 2)])
-    with pytest.raises(ValueError):
-        add_edge(col, 1, 1, 2)
-    grown = add_edge(col, 2, 1, 2)
-    assert grown.has_edge(2, 1, 2)
-    assert not col.has_edge(2, 1, 2)  # original untouched
-
-
 def test_golden_serialization():
     col = DigraphCollection.from_edges(3, 2, [(2, 3, 1), (1, 1, 2), (1, 1, 3)])
     assert serialize_edge_list(col) == (
@@ -85,6 +75,21 @@ def test_golden_serialization():
 @given(collections())
 def test_serialize_parse_round_trip(col):
     assert parse_edge_list(serialize_edge_list(col)) == col
+
+
+@given(st.data(), collections())
+def test_parse_accepts_any_order_comments_and_blanks(data, col):
+    canonical = serialize_edge_list(col)
+    lines = canonical.split("\n")[:-1]
+    head, body = lines[:2], data.draw(st.permutations(lines[2:]))
+    filler = st.sampled_from(["", "   ", "# comment", "  # indented 1 2 3"])
+    for k in sorted(data.draw(st.lists(st.integers(0, len(body)), max_size=5)), reverse=True):
+        body.insert(k, data.draw(filler))
+    text = "\n".join(head + body) + "\n"
+    for threshold in (0, 512):
+        parsed = parse_edge_list(text, threshold)
+        assert parsed == col
+        assert serialize_edge_list(parsed) == canonical
 
 
 @given(collections())
@@ -177,12 +182,18 @@ def test_from_out_rows_matches_from_edges():
         ("rainbow-digraph v1\n3 2\n1 4 2\n", 3),
         ("rainbow-digraph v1\n3 2\n1 1 2\n1 1 2\n", 4),
         ("rainbow-digraph v1\n3 2\n1 1 2\nx y z\n", 4),
+        ("rainbow-digraph v1\n3 2\n1 1 2\n1 1 2\nx y z\n", 4),
+        ("rainbow-digraph v1\n3 2\n1 1 2\n1 1 2\n2 1 2\n", 4),
+        ("rainbow-digraph v1\n3 2\n# c\n\n1 1 1\n", 5),
+        ("rainbow-digraph v1\n0 2\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, bad_line):
-    with pytest.raises(ParseError) as err:
-        parse_edge_list(text)
-    assert err.value.line_number == bad_line
+    # the first bad line is reported, whichever layout the edges go into
+    for threshold in (DEFAULT_DENSE_THRESHOLD, 0):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text, threshold)
+        assert err.value.line_number == bad_line
 
 
 def test_parse_rejects_crlf_and_missing_newline():
