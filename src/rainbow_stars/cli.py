@@ -297,8 +297,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _dump({"error": {"type": type(exc).__name__, "message": str(exc)}})
         if isinstance(exc, ValueError):
             return 1
-        # anything else (say a RecursionError on a deep input) is internal:
-        # the same JSON on stdout, and the traceback on stderr
+        # anything else is internal: the same JSON on stdout, and the
+        # traceback on stderr
         traceback.print_exc()
         return 3
 

@@ -89,12 +89,14 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
 
     Each center's in- and out-color sets are read once and screened by
     `_colors_suffice`.  A center that passes has its sorted (leaf, color)
-    pairs gathered once per side, out side first; each list feeds a maximum
-    matching of leaves to colors (one below q, resp. p, rules the center
-    out, and the in side is only gathered once the out side passes) and
-    then the slot walk of `_embed_at_center`.  For one-sided patterns the
-    out-side matching is exact, so the walk only ever runs where a witness
-    exists.
+    pairs gathered once for each side the pattern uses, out side first;
+    each list feeds a maximum matching of leaves to colors, and one below
+    q, resp. p, rules the center out.  For a one-sided pattern that
+    matching is exact: the center has a star, and `_walk_one_side` reads
+    the first one off in polynomial time.  A two-sided pattern must also
+    pass a joint matching of the center's distinct neighbours to colors
+    (a star's p+q leaves form one of size p+q) before the backtracking of
+    `_embed_at_center` runs.
     """
     p, q = pat.p, pat.q
     if collection.n - 1 < p + q:
@@ -104,13 +106,22 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
         out_colors = collection.colors_with_out_edge(v)
         if not _colors_suffice(in_colors, out_colors, p, q):
             continue
-        out_cands = _leaf_colors(collection.out_neighbors, v, out_colors)
-        if q and len(_match_leaves(out_cands)) < q:
-            continue
+        if q:
+            out_cands = _leaf_colors(collection.out_neighbors, v, out_colors)
+            out_match = _match_leaves(out_cands)
+            if len(out_match) < q:
+                continue
+            if not p:
+                return StarEmbedding(v, (), _walk_one_side(out_cands, out_match, q))
         in_cands = _leaf_colors(collection.in_neighbors, v, in_colors)
-        if p and len(_match_leaves(in_cands)) < p:
+        in_match = _match_leaves(in_cands)
+        if len(in_match) < p:
             continue
-        emb = _embed_at_center(v, p, q, in_cands, out_cands, in_colors, out_colors)
+        if not q:
+            return StarEmbedding(v, _walk_one_side(in_cands, in_match, p), ())
+        if _joint_matching_short(in_cands, out_cands, out_match, p + q):
+            continue
+        emb = _embed_at_center(v, p, q, in_cands, out_cands)
         if emb is not None:
             return emb
     return None
@@ -123,55 +134,108 @@ def _leaf_colors(neighbors, v: int, colors: frozenset[int]) -> list[tuple[int, i
 
 
 def _match_leaves(cands: list[tuple[int, int]]) -> dict[int, int]:
-    """Maximum matching of leaves to colors over (leaf, color) pairs."""
+    """Maximum matching {leaf: color} over sorted (leaf, color) pairs; the
+    same matching `hopcroft_karp` returns, without re-sorting."""
+    return _augment(_adjacency(cands), {})
+
+
+def _adjacency(pairs) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {}
-    for w, i in cands:
+    for w, i in pairs:
         adj.setdefault(w, []).append(i)
-    return hopcroft_karp(adj)
+    return adj
 
 
-def _embed_at_center(v: int, p: int, q: int, in_cands, out_cands, in_colors, out_colors):
-    """Backtracking over the p+q leaf slots at a fixed center.
+def _joint_matching_short(in_cands, out_cands, out_match: dict[int, int], size: int) -> bool:
+    """True when the center's distinct neighbours, in or out, cannot be
+    matched to `size` distinct colors, so no (p, q) star with p+q = size
+    is there.  Fewer than `size` neighbours settles it without a matching;
+    otherwise the out-side matching is augmented over both sides."""
+    adj = _adjacency(in_cands)
+    for w, i in out_cands:
+        adj.setdefault(w, []).append(i)
+    return len(adj) < size or len(_augment(adj, dict(out_match))) < size
+
+
+def _walk_one_side(cands, witness: dict[int, int], size: int) -> tuple[tuple[int, int], ...]:
+    """The first ascending chain of `size` pairs of `cands` (one side's
+    sorted (leaf, color) pairs) with distinct leaves and colors.
+
+    `witness` is a matching {leaf: color} of at least `size` pairs, so the
+    chain exists.  Slots are filled in turn, and a candidate (w, i) is taken
+    iff the leaves after w still match the slots left with colors other
+    than i and those already used.  That test is exact, so the candidate
+    taken is the one a backtracking search would keep, and no choice is
+    undone.  The witness answers the test when enough of its pairs have a
+    leaf after w and a color other than i; otherwise those pairs are
+    augmented to a maximum matching of what is left, which becomes the
+    next witness if it is large enough.
+    """
+    chosen: list[tuple[int, int]] = []
+    used: set[int] = set()
+    last = start = 0
+    for k in range(size):
+        need = size - k - 1
+        for idx in range(start, len(cands)):
+            w, i = cands[idx]
+            if w == last or i in used:
+                continue
+            rest = {u: j for u, j in witness.items() if u > w and j != i}
+            if len(rest) < need:
+                taken = used | {i}
+                rest = _augment(_adjacency((u, j) for u, j in cands[idx + 1:]
+                                           if u > w and j not in taken), rest)
+                if len(rest) < need:
+                    continue
+            witness = rest
+            chosen.append((w, i))
+            used.add(i)
+            last, start = w, idx + 1
+            break
+    return tuple(chosen)
+
+
+def _embed_at_center(v: int, p: int, q: int, in_cands, out_cands):
+    """Backtracking over the p+q leaf slots at a fixed center (p, q >= 1).
 
     Slots below p take (leaf, color) pairs from in_cands, the rest from
     out_cands.  Same-role slots follow ascending candidate chains: the
     lexicographically first embedding has sorted in-leaves and sorted
     out-leaves, so restricting to ascending chains returns exactly that
-    embedding; the chain restarts at the first out slot.  After each choice
-    `_colors_suffice` on the unused colors prunes: ignoring vertex
-    distinctness, the remaining slots are fillable iff it holds for the
-    in- and out-slots still open, which a per-slot table gives.
+    embedding; the chain restarts at the first out slot.  The choices are
+    kept on lists, not on the call stack, so p+q is not bounded by the
+    recursion limit.  The search is exponential in
+    p+q at worst; `find_rainbow_star` runs it only where both side
+    matchings and the joint matching pass.
     """
     size = p + q
-    # per slot: its candidates, and the (in, out) slots still open after it
-    slots = [(in_cands, p - k - 1, q) for k in range(p)]
-    slots += [(out_cands, 0, q - k - 1) for k in range(q)]
     used_vertices = {v}
     used_colors: set[int] = set()
     chosen: list[tuple[int, int]] = []
-
-    def fill(k: int, start: int) -> bool:
-        if k == size:
-            return True
-        cands, need_in, need_out = slots[k]
-        for idx in range(0 if k == p else start, len(cands)):
+    indices: list[int] = []   # the candidate index chosen at each filled slot
+    start = 0
+    while len(chosen) < size:
+        k = len(chosen)
+        cands = in_cands if k < p else out_cands
+        idx = start
+        while idx < len(cands) and (cands[idx][0] in used_vertices
+                                    or cands[idx][1] in used_colors):
+            idx += 1
+        if idx < len(cands):
             w, i = cands[idx]
-            if w in used_vertices or i in used_colors:
-                continue
             used_vertices.add(w)
             used_colors.add(i)
             chosen.append((w, i))
-            left_in, left_out = in_colors - used_colors, out_colors - used_colors
-            if _colors_suffice(left_in, left_out, need_in, need_out) and fill(k + 1, idx + 1):
-                return True
-            chosen.pop()
-            used_colors.remove(i)
+            indices.append(idx)
+            start = 0 if k + 1 == p else idx + 1
+        elif chosen:
+            w, i = chosen.pop()
             used_vertices.remove(w)
-        return False
-
-    if fill(0, 0):
-        return StarEmbedding(v, tuple(chosen[:p]), tuple(chosen[p:]))
-    return None
+            used_colors.remove(i)
+            start = indices.pop() + 1
+        else:
+            return None
+    return StarEmbedding(v, tuple(chosen[:p]), tuple(chosen[p:]))
 
 
 def find_rainbow_star_naive(collection: DigraphCollection, pat: StarPattern, max_work: int = NAIVE_WORK_GUARD):
@@ -253,20 +317,29 @@ def _center_out_matching(collection: DigraphCollection, v: int) -> dict[int, int
 def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
     """Maximum bipartite matching as {left: right}; deterministic.
 
-    Phase structure: BFS layers from free left vertices, then layered DFS
-    augmentation.  Exhausted vertices get infinite distance so no phase
-    revisits them.
+    Lefts and each left's rights are taken in ascending order; see
+    `_augment`.
     """
-    adjacency = {u: tuple(sorted(rights)) for u, rights in adjacency.items()}
-    inf = float("inf")
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-    lefts = sorted(adjacency)
+    return _augment({u: sorted(adjacency[u]) for u in sorted(adjacency)}, {})
 
+
+def _augment(adjacency: dict[int, list[int]], match_left: dict[int, int]) -> dict[int, int]:
+    """Grow `match_left` {left: right} into a maximum matching of
+    `adjacency` (left -> rights) and return it; every left it matches must
+    be a key of `adjacency`.
+
+    Hopcroft-Karp phases: BFS layers from the free lefts, then a layered
+    depth-first augmenting search from each free left in key order, trying
+    rights in list order.  The search keeps its path on a list, not on the
+    call stack, so its depth is not bounded by the recursion limit.
+    Exhausted lefts get infinite distance so no phase revisits them.
+    """
+    inf = float("inf")
+    match_right = {r: u for u, r in match_left.items()}
     while True:
         dist: dict[int, float] = {}
         queue: deque[int] = deque()
-        for u in lefts:
+        for u in adjacency:
             if u not in match_left:
                 dist[u] = 0
                 queue.append(u)
@@ -282,20 +355,37 @@ def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
                     queue.append(w)
         if not reachable_free_right:
             return match_left
-
-        def augment(u: int) -> bool:
-            for r in adjacency[u]:
-                w = match_right.get(r)
-                if w is None or (dist.get(w, inf) == dist[u] + 1 and augment(w)):
+        for root in adjacency:
+            if root in match_left or dist[root] != 0:
+                continue
+            # path[d] is the left at depth d and pos[d] the index of the
+            # right it is trying; a dead end pops and moves its parent on
+            path, pos = [root], [0]
+            while path:
+                u, k = path[-1], pos[-1]
+                rights, step = adjacency[u], dist[u] + 1
+                while k < len(rights):
+                    w = match_right.get(rights[k])
+                    if w is None or dist.get(w, inf) == step:
+                        break
+                    k += 1
+                if k == len(rights):
+                    dist[u] = inf
+                    path.pop()
+                    pos.pop()
+                    if pos:
+                        pos[-1] += 1
+                    continue
+                pos[-1] = k
+                if w is not None:
+                    path.append(w)
+                    pos.append(0)
+                    continue
+                for u, k in zip(path, pos):
+                    r = adjacency[u][k]
                     match_left[u] = r
                     match_right[r] = u
-                    return True
-            dist[u] = inf
-            return False
-
-        for u in lefts:
-            if u not in match_left and dist.get(u) == 0:
-                augment(u)
+                break
 
 
 def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> ClassificationReport:

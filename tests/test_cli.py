@@ -132,20 +132,40 @@ def test_check_parse_error(tmp_path, capsys):
         assert payload["error"]["type"] == "ParseError"
 
 
-def test_check_internal_error_is_structured(tmp_path, capsys):
+def test_check_long_chain_reports_star(tmp_path, capsys):
     # one center with a 1500-long augmenting chain: leaf j+1 in colors j and
-    # j+1, and leaf 1502 in color 1 only; the recursive augmenting search in
-    # the matching step runs out of stack
+    # j+1, and leaf 1502 in color 1 only; its one rainbow (0, 1501) star
+    # takes leaf j+1 in color j+1 and leaf 1502 in color 1
     length = 1500
     lines = ["rainbow-digraph v1", f"{length + 2} {length + 1}", f"1 1 {length + 2}"]
     for j in range(1, length + 1):
         lines += [f"{j} 1 {j + 1}", f"{j + 1} 1 {j + 1}"]
     source = tmp_path / "chain.txt"
     source.write_text("\n".join(lines) + "\n")
-    code = main(["check", "--in", str(source), "--p", "0", "--q", str(length + 1)])
+    code, verdict = run(capsys, "check", "--in", str(source), "--p", "0",
+                        "--q", str(length + 1))
+    assert code == 0
+    assert verdict["rainbow_free"] is False
+    witness = verdict["witness"]
+    assert witness["center"] == 1 and witness["in_leaves"] == []
+    expected = [[j + 1, j + 1] for j in range(1, length + 1)] + [[length + 2, 1]]
+    assert witness["out_leaves"] == expected
+
+
+def test_check_internal_error_is_structured(tmp_path, capsys, monkeypatch):
+    # an exception other than ValueError is internal: JSON on stdout, the
+    # traceback on stderr, exit code 3
+    def broken(collection, pat):
+        raise RuntimeError("detector failed")
+
+    monkeypatch.setattr("rainbow_stars.cli.find_rainbow_star", broken)
+    source = tmp_path / "g.txt"
+    source.write_text("rainbow-digraph v1\n3 2\n1 2 1\n2 1 3\n")
+    code = main(["check", "--in", str(source), "--p", "1", "--q", "1"])
     captured = capsys.readouterr()
     assert code == 3
-    assert json.loads(captured.out)["error"]["type"] == "RecursionError"
+    error = json.loads(captured.out)["error"]
+    assert error == {"type": "RuntimeError", "message": "detector failed"}
     assert "Traceback" in captured.err
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,3 +276,122 @@ def test_detector_answers_pinned():
         entries += 1
     assert entries == 2099
     assert digest.hexdigest() == DETECTOR_DIGEST
+
+
+# the worst cases of an exhaustive slot walk, each decided well inside a
+# second of CPU time: the clique near misses fail the joint matching of
+# neighbours to colors, and the chains are one-sided, so their walk is a
+# checked greedy walk with no backtracking
+
+def timed_find(col, pat, limit=1.0):
+    start = time.process_time()
+    emb = find_rainbow_star(col, pat)
+    assert time.process_time() - start < limit, (col.n, col.c, pat)
+    return emb
+
+
+@pytest.mark.parametrize("k,p,q", [(7, 4, 3), (8, 4, 4)])
+def test_clique_probes_are_free(k, p, q):
+    assert timed_find(clique_with_isolated_vertex(k, k), StarPattern(p, q)) is None
+
+
+@pytest.mark.parametrize("c", [6, 7])
+def test_two_sided_clique_near_misses_are_free(c):
+    # the K_6 near misses detector_corpus leaves out
+    col = clique_with_isolated_vertex(6, c)
+    for p in range(1, 6):
+        assert timed_find(col, StarPattern(p, 6 - p)) is None
+
+
+@pytest.mark.parametrize("length", [18, 1500])
+def test_chain_probes_find_the_known_star(length):
+    leaves = tuple((j + 1, j + 1) for j in range(1, length + 1)) + ((length + 2, 1),)
+    col = ascending_chain(length)
+    emb = timed_find(col, StarPattern(0, length + 1))
+    assert (emb.center, emb.in_leaves, emb.out_leaves) == (1, (), leaves)
+    emb = timed_find(reverse(col), StarPattern(length + 1, 0))
+    assert (emb.center, emb.in_leaves, emb.out_leaves) == (1, leaves, ())
+    assert emb.is_valid_in(reverse(col))
+
+
+
+def test_deep_two_sided_star_is_found():
+    # center 1 has in-leaf 1+j in color j and out-leaf 601+j in color 600+j
+    # (j = 1..600): the (600, 600) star is deeper than the recursion limit
+    half = 600
+    edges = [(j, 1 + j, 1) for j in range(1, half + 1)]
+    edges += [(half + j, 1, 1 + half + j) for j in range(1, half + 1)]
+    col = DigraphCollection.from_edges(2 * half + 1, 2 * half, edges)
+    emb = timed_find(col, StarPattern(half, half))
+    assert emb.in_leaves == tuple((1 + j, j) for j in range(1, half + 1))
+    assert emb.out_leaves == tuple((1 + half + j, half + j) for j in range(1, half + 1))
+
+def one_sided_corpus():
+    """(collection, pattern) pairs with p = 0 or q = 0: the ascending chains
+    L <= 12 in both orientations, and seeded random collections (n up to 20)
+    under one-sided patterns with p+q <= 7."""
+    for length in range(1, 13):
+        col = ascending_chain(length)
+        yield col, StarPattern(0, length + 1)
+        yield reverse(col), StarPattern(length + 1, 0)
+    rng = random.Random(20261107)
+    for _ in range(2200):
+        n = rng.randint(3, 20)
+        c = rng.randint(1, 8)
+        col = random_collection(rng, n, c, rng.uniform(0.03, 0.5))
+        size = rng.randint(1, 7)
+        yield col, StarPattern(0, size) if rng.random() < 0.5 else StarPattern(size, 0)
+
+
+# sha256 over one repr line per one_sided_corpus entry: n, c, p, q and the
+# embedding find_rainbow_star returns (center, in_leaves, out_leaves) or
+# None; fixed before the one-sided slot walk became a checked greedy walk
+ONE_SIDED_DIGEST = "a19c1abdb005304dffd138c643b9fbe7bd1a28dc5cb9e7b3fa06661983ec06fd"
+
+
+def test_one_sided_embeddings_pinned():
+    digest = hashlib.sha256()
+    entries = 0
+    for col, pat in one_sided_corpus():
+        emb = find_rainbow_star(col, pat)
+        found = None if emb is None else (emb.center, emb.in_leaves, emb.out_leaves)
+        digest.update((repr((col.n, col.c, pat.p, pat.q, found)) + "\n").encode())
+        entries += 1
+    assert entries == 2224
+    assert digest.hexdigest() == ONE_SIDED_DIGEST
+
+
+def test_one_sided_verdicts_against_networkx_matching():
+    # a (0, q) star at v is a matching of q out-leaves to distinct colors,
+    # and a (p, 0) star one of p in-leaves; each pattern is set at the
+    # largest matching number over the centers (a narrow hit) or one above
+    # it (a near miss), so the scan has to tell the two apart
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261108)
+    for trial in range(150):
+        n = rng.randint(3, 24)
+        c = rng.randint(1, 9)
+        col = random_collection(rng, n, c, rng.uniform(0.03, 0.4))
+        side = rng.choice(("out", "in"))
+        neighbors = col.out_neighbors if side == "out" else col.in_neighbors
+        numbers = []
+        for v in range(1, n + 1):
+            graph = nx.Graph()
+            leaves = set()
+            for i in range(1, c + 1):
+                for w in neighbors(i, v):
+                    leaves.add(("leaf", w))
+                    graph.add_edge(("leaf", w), ("color", i))
+            matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=leaves)
+            numbers.append(len(matching) // 2)
+        size = max(numbers) + rng.randint(0, 1)
+        if size == 0:
+            continue
+        pat = StarPattern(0, size) if side == "out" else StarPattern(size, 0)
+        emb = find_rainbow_star(col, pat)
+        centers = [v for v in range(1, n + 1) if numbers[v - 1] >= size]
+        if not centers:
+            assert emb is None, (trial, pat)
+        else:
+            assert emb is not None and emb.is_valid_in(col), (trial, pat)
+            assert emb.center == centers[0], (trial, pat)
