@@ -389,32 +389,33 @@ def _augment(adjacency: dict[int, list[int]], match_left: dict[int, int]) -> dic
 
 
 def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> ClassificationReport:
-    """Partition vertices: B by incidence, then A, then C, rest violators."""
+    """Partition vertices: B by incidence, then A, then C, rest violators.
+
+    Every vertex's in- and out-colors come from one store call, as masks
+    (bit i-1 for color i), read in one pass per color."""
     p, q = pat.p, pat.q
-    vertices = range(1, collection.n + 1)
-    in_colors = {v: collection.colors_with_in_edge(v) for v in vertices}
-    out_colors = {v: collection.colors_with_out_edge(v) for v in vertices}
+    in_masks, out_masks = collection._store.color_masks()
     a_set, b_set, c_set, bad = [], [], [], []
-    for v in vertices:
-        if len(in_colors[v] | out_colors[v]) <= p + q - 1:
+    for v in range(1, collection.n + 1):
+        if (in_masks[v] | out_masks[v]).bit_count() <= p + q - 1:
             b_set.append(v)
-        elif len(out_colors[v]) <= q - 1:
+        elif out_masks[v].bit_count() <= q - 1:
             a_set.append(v)
-        elif len(in_colors[v]) <= p - 1:
+        elif in_masks[v].bit_count() <= p - 1:
             c_set.append(v)
         else:
             bad.append(v)
 
-    colors = range(1, collection.c + 1)
+    bits = [1 << i for i in range(collection.c)]
     return ClassificationReport(
         pattern=pat,
         a_vertices=tuple(a_set),
         b_vertices=tuple(b_set),
         c_vertices=tuple(c_set),
         violators=tuple(bad),
-        a_by_color=tuple(tuple(v for v in a_set if i in out_colors[v]) for i in colors),
+        a_by_color=tuple(tuple(v for v in a_set if out_masks[v] & bit) for bit in bits),
         b_by_color=tuple(
-            tuple(v for v in b_set if i in in_colors[v] or i in out_colors[v]) for i in colors
+            tuple(v for v in b_set if (in_masks[v] | out_masks[v]) & bit) for bit in bits
         ),
-        c_by_color=tuple(tuple(v for v in c_set if i in in_colors[v]) for i in colors),
+        c_by_color=tuple(tuple(v for v in c_set if in_masks[v] & bit) for bit in bits),
     )

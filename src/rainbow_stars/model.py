@@ -9,13 +9,18 @@ Collections are immutable values: every operation returns a fresh object and
 equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
-n <= dense_threshold, and sorted adjacency maps above it.  `from_edges` builds
-either layout straight from the edge triples; the sparse one never passes
-through a dense copy, so its memory stays proportional to the edge count.
-`from_edges` is also the one place where edge triples are validated; the
-text parser only splits lines into triples and hands them over.  Edges are
-read back through one walk per store, `out_rows`, which yields each source
-with its ascending targets.
+n <= dense_threshold, and compressed sparse rows (CSR) above it: one sorted
+target list, and per color a dict from each source that has edges to the
+start of its run, with the in side built on the first in-query.  Both are
+built straight from the edges; the sparse one never passes through a dense
+copy, so its memory grows with the edge count alone.  Edges are read back
+through one walk per store, `out_rows`, which yields each source with its
+ascending targets.
+
+Edges are checked in bulk, a column at a time: ranges by min and max, loops
+by one pairwise comparison, repeats by counting.  Only when a bulk check
+declines are the edges walked one by one, in input order, so that the error
+names the first bad edge (or, in the parser, its line).
 
 Text interchange format, version 1 (LF line endings, trailing newline):
 
@@ -24,19 +29,30 @@ Text interchange format, version 1 (LF line endings, trailing newline):
     i u v          <- one line per edge: color, source, target
     # comment lines and blank lines are ignored in the body
 
-The parser takes edge lines in any order.  Serialization is canonical: edges
-sorted by (color, source, target), no comments, so equal collections
-serialize to byte-identical strings.
+The parser takes edge lines in any order.  It reads a plain body (lines of
+three ASCII digit tokens with single spaces) in chunks of whole lines, each
+split and converted at once; other bodies go through the line-by-line walk,
+with the same results.  Serialization is canonical: edges sorted by (color,
+source, target), no comments, so equal collections serialize to
+byte-identical strings.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, floordiv, mod, mul, ne, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_DENSE_THRESHOLD = 512
 
 _HEADER = "rainbow-digraph v1"
+_CHUNK_CHARS = 1 << 16  # the body is read in chunks of about this many characters
+_SPELLED_MAX = 1 << 16  # values read through a table of decimal spellings
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+_Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]  # colors, sources, targets
 
 
 class ParseError(ValueError):
@@ -165,56 +181,122 @@ class _DenseStore:
         bit = 1 << (v - 1)
         return frozenset(i for i in range(1, self.c + 1) if self._in_presence[i - 1] & bit)
 
+    def color_masks(self) -> tuple[list[int], list[int]]:
+        """Per vertex (index 0 unused), the colors of its in-edges and of its
+        out-edges as masks: bit i-1 stands for color i."""
+        size = self.n + 1
+        # presence << 1 puts vertex v's bit at position v
+        in_flags = ([(presence << 1) >> v & 1 for v in range(size)]
+                    for presence in self._in_presence)
+        return _color_masks(in_flags, size), _color_masks(map(map, repeat(bool), self.rows), size)
+
 
 class _SparseStore:
-    """Sorted adjacency maps per color, for vertex counts past the threshold.
+    """Compressed sparse rows (CSR) per side, for vertex counts past the threshold.
 
-    Built from one set of edge keys u * (n + 1) + v per color, already
-    validated by `from_edges`; sorting the keys sorts the pairs by (u, v).
+    A side is one list of targets, sorted by (color, source, target); the
+    targets of the j-th source that has edges are targets[starts[j]:
+    starts[j+1]], and per color a dict maps each such source to its j.
+    Sources without edges get no entry, so memory grows with the edge
+    count alone.  The out side comes from the sorted, distinct edge keys
+    (i*m + u)*m + v, m = n + 1, that `from_edges` and the parser check in
+    bulk.  The in side, the same layout with source and target swapped, is
+    built from those keys on the first in-query, so callers that only read
+    out-edges never pay for it.
     """
 
     kind = "sparse"
 
-    __slots__ = ("n", "c", "out_adj", "in_adj", "_counts")
+    __slots__ = ("n", "c", "_out", "_in", "_keys", "_counts")
 
-    def __init__(self, n: int, c: int, keys_by_color: list[set[int]]):
+    def __init__(self, n: int, c: int, keys: list[int]):
+        mm = (n + 1) ** 2
         self.n = n
         self.c = c
-        self.out_adj: list[dict[int, tuple[int, ...]]] = []
-        self.in_adj: list[dict[int, tuple[int, ...]]] = []
-        for keys in keys_by_color:
-            outs: dict[int, list[int]] = {}
-            ins: dict[int, list[int]] = {}
-            for key in sorted(keys):
-                u, v = divmod(key, n + 1)
-                outs.setdefault(u, []).append(v)
-                ins.setdefault(v, []).append(u)
-            # keys arrive sorted, so sources are inserted in ascending order
-            # and each in-list is ascending
-            self.out_adj.append({u: tuple(vs) for u, vs in outs.items()})
-            self.in_adj.append({v: tuple(us) for v, us in ins.items()})
-        self._counts = tuple(len(keys) for keys in keys_by_color)
+        self._out = _csr_side(keys, n + 1, c)
+        self._in: _Side | None = None
+        self._keys: list[int] | None = keys  # dropped once the in side is built
+        self._counts = tuple(bisect_left(keys, (i + 1) * mm) - bisect_left(keys, i * mm)
+                             for i in range(1, c + 1))
+
+    def _in_side(self) -> _Side:
+        if self._in is None:
+            m, keys = self.n + 1, self._keys
+            targets = map(mod, keys, repeat(m))
+            sources = map(mod, map(floordiv, keys, repeat(m)), repeat(m))
+            # (i*m + u)*m + v becomes (i*m + v)*m + u: add (v - u)*(m - 1)
+            in_keys = sorted(map(add, keys, map(mul, map(sub, targets, sources), repeat(m - 1))))
+            self._in, self._keys = _csr_side(in_keys, m, self.c), None
+        return self._in
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
-        return v in self.out_adj[i - 1].get(u, ())
+        targets, starts, rows = self._out
+        j = rows[i - 1].get(u)
+        if j is None:
+            return False
+        k = bisect_left(targets, v, starts[j], starts[j + 1])
+        return k < starts[j + 1] and targets[k] == v
 
     def out_list(self, i: int, u: int) -> tuple[int, ...]:
-        return self.out_adj[i - 1].get(u, ())
+        return _row(self._out, i, u)
 
     def in_list(self, i: int, v: int) -> tuple[int, ...]:
-        return self.in_adj[i - 1].get(v, ())
+        return _row(self._in_side(), i, v)
 
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
 
-    def out_rows(self, i: int) -> Iterable[tuple[int, tuple[int, ...]]]:
-        return self.out_adj[i - 1].items()  # sources in ascending order
+    def out_rows(self, i: int) -> Iterable[tuple[int, list[int]]]:
+        targets, starts, rows = self._out
+        row = rows[i - 1]  # sources ascending, numbered j, j+1, ...
+        first = next(iter(row.values()), 0)
+        spans = map(slice, starts[first:first + len(row)], starts[first + 1:first + len(row) + 1])
+        return zip(row, map(targets.__getitem__, spans))
 
     def colors_with_out(self, u: int) -> frozenset[int]:
-        return frozenset(i for i in range(1, self.c + 1) if self.out_adj[i - 1].get(u))
+        return frozenset(i for i, row in enumerate(self._out[2], start=1) if u in row)
 
     def colors_with_in(self, v: int) -> frozenset[int]:
-        return frozenset(i for i in range(1, self.c + 1) if self.in_adj[i - 1].get(v))
+        return frozenset(i for i, row in enumerate(self._in_side()[2], start=1) if v in row)
+
+    def color_masks(self) -> tuple[list[int], list[int]]:
+        size = self.n + 1
+        return tuple(_color_masks((map(row.__contains__, range(size)) for row in side[2]), size)
+                     for side in (self._in_side(), self._out))
+
+
+_Side = tuple[list[int], list[int], list[dict[int, int]]]  # targets, starts, per color x -> j
+
+
+def _csr_side(keys: list[int], m: int, c: int) -> _Side:
+    """The side of the sorted keys (i*m + x)*m + y: the targets y, the start
+    of each nonempty row (i, x), and per color i a dict from x to its row."""
+    starts: list[int] = []
+    rows = []
+    for i in range(1, c + 1):
+        lo, hi = bisect_left(keys, i * m * m), bisect_left(keys, (i + 1) * m * m)
+        row_ids = list(map(floordiv, islice(keys, lo, hi), repeat(m)))  # i*m + x
+        # true where a row starts; row ids are positive, so the first key starts one
+        firsts = list(map(ne, row_ids, chain((0,), row_ids)))
+        xs = map(sub, compress(row_ids, firsts), repeat(i * m))
+        rows.append(dict(zip(xs, count(len(starts)))))
+        starts.extend(compress(range(lo, hi), firsts))
+    starts.append(len(keys))
+    return list(map(mod, keys, repeat(m))), starts, rows
+
+
+def _row(side: _Side, i: int, x: int) -> tuple[int, ...]:
+    targets, starts, rows = side
+    j = rows[i - 1].get(x)
+    return () if j is None else tuple(targets[starts[j]:starts[j + 1]])
+
+
+def _color_masks(flags_by_color: Iterable[Iterable[int]], size: int) -> list[int]:
+    """Per index, a mask with bit k set where the k-th flag list is true."""
+    masks = [0] * size
+    for k, flags in enumerate(flags_by_color):
+        masks = list(map(or_, masks, map(mul, flags, repeat(1 << k))))
+    return masks
 
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
@@ -245,30 +327,19 @@ class DigraphCollection:
     ) -> "DigraphCollection":
         """Build from (color, source, target) triples; the one edge validator.
 
-        Checks n and c, then each triple in input order, and raises
-        ValueError on the first bad one (out-of-range index, loop or
-        duplicate) before reading the next.  Dense bit rows for
-        n <= dense_threshold, else the sparse layout, built from a set of
-        edge keys per color.
+        Checks n and c, then the triples in bulk: each column against its
+        range with min and max, loops with one pairwise comparison of
+        sources and targets, and duplicates by counting (see
+        `_bulk_store`).  Where a bulk check declines, the triples are
+        walked in input order instead, and ValueError names the first bad
+        one (out-of-range index, loop or duplicate).  Dense bit rows for
+        n <= dense_threshold, else the sparse CSR layout, built from the
+        sorted edge keys.
         """
         _check_dims(n, c)
-        if n > dense_threshold:
-            keys: list[set[int]] = [set() for _ in range(c)]
-            for (i, u, v) in edges:
-                _check_edge(n, c, i, u, v)
-                seen, key = keys[i - 1], u * (n + 1) + v
-                if key in seen:
-                    raise ValueError(f"duplicate edge ({i}, {u}, {v})")
-                seen.add(key)
-            return DigraphCollection(_SparseStore(n, c, keys))
-        rows = [[0] * (n + 1) for _ in range(c)]
-        for (i, u, v) in edges:
-            _check_edge(n, c, i, u, v)
-            row, bit = rows[i - 1], 1 << (v - 1)
-            if row[u] & bit:
-                raise ValueError(f"duplicate edge ({i}, {u}, {v})")
-            row[u] |= bit
-        return DigraphCollection(_DenseStore(n, c, rows))
+        edges = list(edges)
+        return DigraphCollection(_build_store(
+            n, c, [_edge_columns(n, c, edges)], _walk_edges(n, c, edges), dense_threshold))
 
     @staticmethod
     def from_out_rows(n: int, c: int, rows: Sequence[Sequence[int]]) -> "DigraphCollection":
@@ -433,34 +504,46 @@ def serialize_edge_list(collection: DigraphCollection) -> str:
     for i in range(1, collection.c + 1):
         for u, vs in collection._store.out_rows(i):
             prefix = f"{i} {u} "
-            lines.extend([prefix + v for v in map(str, vs)])
+            lines.append(prefix + ("\n" + prefix).join(map(str, vs)))  # one string per source
     return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> DigraphCollection:
-    """Parse format v1; raises ParseError with a 1-based line number."""
+    """Parse format v1; raises ParseError with a 1-based line number.
+
+    The header and the dimension line are found with `find`; the body is
+    read in chunks of whole lines, each checked and converted at once (see
+    `_body_chunks`).  A body the bulk reader does not take (comments, blank
+    lines, other whitespace, spellings such as "+1"), and one where a bulk
+    check declines, is read by the line-by-line walk, which names the first
+    bad line.
+    """
     if "\r" in text:
         at = text.index("\r")
         raise ParseError(text.count("\n", 0, at) + 1, "carriage return; format v1 uses LF endings")
     if not text.endswith("\n"):
         raise ParseError(max(1, text.count("\n") + 1), "missing trailing newline")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise ParseError(1, f"missing header {_HEADER!r}")
-    if lines[0] != _HEADER:
-        raise ParseError(1, f"bad header {lines[0]!r}, expected {_HEADER!r}")
-    if len(lines) < 2:
+    head_end = text.find("\n")
+    if text[:head_end] != _HEADER:
+        raise ParseError(1, f"bad header {text[:head_end]!r}, expected {_HEADER!r}")
+    dims_end = text.find("\n", head_end + 1)
+    if dims_end < 0:
         raise ParseError(2, "missing dimension line 'n c'")
+    dims = text[head_end + 1:dims_end]
     try:
-        n, c = map(int, lines[1].split())
+        n, c = map(int, dims.split())
     except ValueError:
-        raise ParseError(2, f"dimension line needs two integers, got {lines[1]!r}") from None
+        raise ParseError(2, f"dimension line needs two integers, got {dims!r}") from None
+    try:
+        _check_dims(n, c)
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
 
-    lineno = 2  # from_edges checks n and c before it reads a triple
+    lineno = 2
 
     def triples() -> Iterator[tuple[int, int, int]]:
         nonlocal lineno
-        for lineno, raw in enumerate(lines[2:], start=3):
+        for lineno, raw in enumerate(text[dims_end + 1:].split("\n")[:-1], start=3):
             tokens = raw.split()
             if not tokens or tokens[0].startswith("#"):
                 continue
@@ -470,9 +553,126 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
                 raise ValueError(f"edge line needs three integers, got {raw!r}") from None
             yield i, u, v
 
-    # from_edges raises on the triple it has just read, before it asks for
-    # the next one, so lineno is the line of the first bad edge
+    # the walk raises on the triple it has just read, before it asks for the
+    # next one, so lineno is the line of the first bad edge
     try:
-        return DigraphCollection.from_edges(n, c, triples(), dense_threshold)
+        store = _build_store(n, c, _body_chunks(text, dims_end + 1, n, c),
+                             _walk_edges(n, c, triples()), dense_threshold)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
+    return DigraphCollection(store)
+
+
+def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | None]:
+    """Checked columns of the body from `start` on, one chunk of whole lines
+    at a time; None for a chunk the bulk reader does not take.
+
+    A chunk is taken if its lines are three ASCII digit tokens separated by
+    single spaces (one `translate` and one `split` check that), and if its
+    columns pass `_checked_columns`.  Values up to _SPELLED_MAX are read
+    through a table of their decimal spellings, which is faster than `int`
+    and has no entry for 0, leading zeros or values past max(n, c); the
+    table is built only for a body with at least as many characters as it
+    has entries.
+    """
+    top = max(n, c)
+    to_int = (dict(zip(map(str, range(1, top + 1)), range(1, top + 1))).__getitem__
+              if top <= min(_SPELLED_MAX, len(text) - start) else int)
+    while start < len(text):
+        end = text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or text.index("\n", start) + 1
+        chunk = text[start:end]
+        lines, tokens = chunk.count("\n"), chunk.split()
+        if len(tokens) != 3 * lines or chunk.translate(_DROP_DIGITS) != "  \n" * lines:
+            yield None
+            return
+        try:
+            values = list(map(to_int, tokens))
+        except KeyError:
+            yield None
+            return
+        yield _checked_columns(n, c, values[0::3], values[1::3], values[2::3])
+        start = end
+
+
+def _edge_columns(n: int, c: int, edges: list) -> _Columns | None:
+    """Checked columns of a list of triples, or None."""
+    try:
+        if set(map(len, edges)) <= {3}:
+            return _checked_columns(n, c, *(zip(*edges) if edges else ((), (), ())))
+    except TypeError:
+        pass  # an edge that is no sequence: the walk names it
+    return None
+
+
+def _checked_columns(n: int, c: int, colors, sources, targets) -> _Columns | None:
+    """The columns if every triple passes `_check_edge`, else None: ranges by
+    min and max per column, loops by one pairwise comparison."""
+    try:
+        if not targets or (
+            1 <= min(colors) and max(colors) <= c
+            and 1 <= min(sources) and max(sources) <= n
+            and 1 <= min(targets) and max(targets) <= n
+            and not any(map(eq, sources, targets))
+        ):
+            return colors, sources, targets
+    except TypeError:
+        pass  # the walk raises the error that names the triple
+    return None
+
+
+def _build_store(n: int, c: int, chunks: Iterable[_Columns | None],
+                 walk: Iterator[tuple[int, int, int]], dense_threshold: int):
+    """The store of the checked column chunks.  Where a bulk check
+    declines, `walk` reads the edges again in input order, raising
+    ValueError at the first bad one; a walk that raises nothing (a body
+    with comments, say) hands its triples to the bulk build."""
+    store = _bulk_store(n, c, chunks, dense_threshold)
+    if store is None:
+        store = _bulk_store(n, c, [_edge_columns(n, c, list(walk))], dense_threshold)
+    return store
+
+
+def _bulk_store(n: int, c: int, chunks: Iterable[_Columns | None], dense_threshold: int):
+    """Dense or sparse store of the column chunks, or None if a chunk is
+    None or an edge repeats.  Repeats are counted, not looked up: dense
+    rows OR each edge's bit in, so a repeat leaves the popcount sum short
+    of the number of triples; sparse keys are sorted, so a repeat sits
+    next to itself."""
+    m = n + 1
+    if n <= dense_threshold:
+        bits = [0] + [1 << k for k in range(n)]  # bits[v] = 1 << (v-1)
+        flat = [0] * ((c + 1) * m)  # row i*m + u; rows below m stay empty
+        total = 0
+        for columns in chunks:
+            if columns is None:
+                return None
+            colors, sources, targets = columns
+            total += len(targets)
+            for r, bit in zip(map(add, map(mul, colors, repeat(m)), sources),
+                              map(bits.__getitem__, targets)):
+                flat[r] |= bit
+        store = _DenseStore(n, c, [flat[i * m:(i + 1) * m] for i in range(1, c + 1)])
+        return store if sum(store._counts) == total else None
+    keys: list[int] = []
+    for columns in chunks:
+        if columns is None:
+            return None
+        colors, sources, targets = columns
+        keys.extend(map(add, map(mul, map(add, map(mul, colors, repeat(m)), sources), repeat(m)),
+                        targets))
+    keys.sort()
+    if any(map(eq, keys, islice(keys, 1, None))):
+        return None
+    return _SparseStore(n, c, keys)
+
+
+def _walk_edges(n: int, c: int, edges: Iterable) -> Iterator[tuple[int, int, int]]:
+    """The triples in input order, each checked before the next is read;
+    ValueError names the first bad one."""
+    seen: set[tuple[int, int, int]] = set()
+    for (i, u, v) in edges:
+        _check_edge(n, c, i, u, v)
+        if (i, u, v) in seen:
+            raise ValueError(f"duplicate edge ({i}, {u}, {v})")
+        seen.add((i, u, v))
+        yield i, u, v

@@ -195,6 +195,9 @@ def test_classification_by_color_listings(n, c, seed):
     col = random_collection(random.Random(seed), n, c, 0.5)
     pat = StarPattern(1, 1)
     report = classify_vertices(col, pat)
+    sparse = DigraphCollection.from_edges(n, c, col.all_edges(), 0)
+    for other in (pat, StarPattern(0, 2), StarPattern(2, 1)):
+        assert classify_vertices(sparse, other) == classify_vertices(col, other)
     for i in range(1, c + 1):
         for v in report.a_by_color[i - 1]:
             assert v in report.a_vertices

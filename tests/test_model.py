@@ -1,8 +1,9 @@
 """Data model: constructors, value semantics, serialization, symmetries."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rainbow_stars import model
 from rainbow_stars.model import (
     DEFAULT_DENSE_THRESHOLD,
     DigraphCollection,
@@ -60,6 +61,8 @@ def test_constructor_rejects_bad_edges(threshold):
     with pytest.raises(ValueError, match=r"duplicate edge \(1, 1, 2\)"):
         DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 1, 2)], threshold)
     with pytest.raises(ValueError):
+        DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 2, 3, 1)], threshold)  # not a triple
+    with pytest.raises(ValueError):
         DigraphCollection.from_edges(0, 2, [], threshold)
     with pytest.raises(ValueError):
         DigraphCollection.from_edges(3, 0, [], threshold)
@@ -97,14 +100,27 @@ def test_backend_equivalence(col):
     edges = list(col.all_edges())
     dense = DigraphCollection.from_edges(col.n, col.c, edges, col.n)
     sparse = DigraphCollection.from_edges(col.n, col.c, edges, 0)
+    # the sparse in side is built on the first in-query: one copy is asked
+    # for in-neighbours before any out-query, the other only after them
+    in_first = DigraphCollection.from_edges(col.n, col.c, edges, 0)
+    vertices = range(1, col.n + 1)
+    ins = {(i, v): dense.in_neighbors(i, v) for i in range(1, col.c + 1) for v in vertices}
+    assert {key: in_first.in_neighbors(*key) for key in ins} == ins
     assert dense.storage_kind == "dense" and sparse.storage_kind == "sparse"
-    assert dense == sparse
+    assert dense == sparse == in_first
+    assert serialize_edge_list(dense) == serialize_edge_list(sparse)
     for i in range(1, col.c + 1):
         assert dense.color_edges(i) == sparse.color_edges(i)
-        for v in range(1, col.n + 1):
+        assert dense.edge_count(i) == sparse.edge_count(i) == len(dense.color_edges(i))
+        for u in vertices:
+            for v in vertices:
+                if u != v:
+                    expected = (i, u, v) in edges
+                    assert dense.has_edge(i, u, v) == sparse.has_edge(i, u, v) == expected
+        for v in vertices:
             assert dense.out_neighbors(i, v) == sparse.out_neighbors(i, v)
-            assert dense.in_neighbors(i, v) == sparse.in_neighbors(i, v)
-    for v in range(1, col.n + 1):
+            assert sparse.in_neighbors(i, v) == ins[i, v]
+    for v in vertices:
         assert dense.colors_with_out_edge(v) == sparse.colors_with_out_edge(v)
         assert dense.colors_with_in_edge(v) == sparse.colors_with_in_edge(v)
 
@@ -194,6 +210,106 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
         with pytest.raises(ParseError) as err:
             parse_edge_list(text, threshold)
         assert err.value.line_number == bad_line
+
+
+def reference_parse(text):
+    """The format read line by line, as plainly as it can be written: the
+    collection's (n, c, sorted edges), or the first bad line's
+    (line_number, message)."""
+    if "\r" in text:
+        return text.count("\n", 0, text.index("\r")) + 1, "carriage return; format v1 uses LF endings"
+    if not text.endswith("\n"):
+        return max(1, text.count("\n") + 1), "missing trailing newline"
+    lines = text.split("\n")[:-1]
+    if lines[0] != "rainbow-digraph v1":
+        return 1, f"bad header {lines[0]!r}, expected 'rainbow-digraph v1'"
+    if len(lines) < 2:
+        return 2, "missing dimension line 'n c'"
+    try:
+        n, c = map(int, lines[1].split())
+    except ValueError:
+        return 2, f"dimension line needs two integers, got {lines[1]!r}"
+    if n < 1:
+        return 2, f"need at least one vertex, got n={n}"
+    if c < 1:
+        return 2, f"need at least one color, got c={c}"
+    seen = set()
+    for lineno, raw in enumerate(lines[2:], start=3):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            i, u, v = map(int, tokens)
+        except ValueError:
+            return lineno, f"edge line needs three integers, got {raw!r}"
+        if not 1 <= i <= c:
+            return lineno, f"color {i} out of range 1..{c}"
+        for w in (u, v):
+            if not 1 <= w <= n:
+                return lineno, f"vertex {w} out of range 1..{n}"
+        if u == v:
+            return lineno, f"loop at vertex {u} in color {i}"
+        if (i, u, v) in seen:
+            return lineno, f"duplicate edge ({i}, {u}, {v})"
+        seen.add((i, u, v))
+    return n, c, tuple(sorted(seen))
+
+
+# Respellings of an edge line; int() reads most of them, the bulk reader none.
+RESPELLINGS = [
+    lambda e: e.replace(" ", "\t", 1),
+    lambda e: e.replace(" ", "  ", 1),
+    lambda e: " " + e,
+    lambda e: e + " ",
+    lambda e: "+" + e,
+    lambda e: "00" + e,
+    lambda e: e.replace("1", "\u0661", 1),  # ARABIC-INDIC DIGIT ONE
+]
+# Lines the bulk reader does not take; the last one has two edges' tokens.
+IRREGULAR = ["", "   ", "# 1 2 3", "1 x 2", "1 2", "1 2 3 4", "1 2 1 2 1 2"]
+DIMENSIONS = ["0 2", "3 0", "3", "a b", "1 1 1"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """Canonical texts with a few lines edited: bad edges in plain spelling
+    (a loop, 0, or one past c or n), repeats, irregular lines and
+    respellings; now and then a bad dimension line."""
+    col = draw(collections(max_n=9))
+    lines = serialize_edge_list(col).split("\n")[:-1]
+    bad_edges = [f"1 {col.n} {col.n}", "1 0 2", f"{col.c + 1} 1 2", f"1 1 {col.n + 1}"]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        kinds = ["bad", "irregular"] + (["repeat", "repeat", "respell"] if len(lines) > 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "respell":
+            k = draw(st.integers(2, len(lines) - 1))
+            lines[k] = draw(st.sampled_from(RESPELLINGS))(lines[k])
+            continue
+        line = draw(st.sampled_from({"bad": bad_edges, "irregular": IRREGULAR, "repeat": lines[2:]}[kind]))
+        lines.insert(draw(st.integers(2, len(lines))), line)
+    if draw(st.integers(0, 9)) == 0:
+        lines[1] = draw(st.sampled_from(DIMENSIONS))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts(), st.sampled_from([1, 5, 12, 1 << 16]))
+# six tokens on two lines: the right count of tokens, but not one edge a line
+@example("rainbow-digraph v1\n3 2\n1 2 1 2 1 2\n\n", 1 << 16)
+@example("rainbow-digraph v1\n3 2\n1 2 3 1\n1 2\n", 1 << 16)
+def test_parse_matches_line_by_line_reference(text, chunk):
+    expected = reference_parse(text)
+    # chunks of a few characters put repeats and bad lines on either side
+    # of a chunk boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_CHUNK_CHARS", chunk)
+        for threshold in (0, 512):
+            try:
+                parsed = parse_edge_list(text, threshold)
+            except ParseError as err:
+                assert (err.line_number, str(err)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+            else:
+                assert (parsed.n, parsed.c, tuple(parsed.all_edges())) == expected
 
 
 def test_parse_rejects_crlf_and_missing_newline():
