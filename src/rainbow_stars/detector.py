@@ -391,10 +391,10 @@ def _augment(adjacency: dict[int, list[int]], match_left: dict[int, int]) -> dic
 def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> ClassificationReport:
     """Partition vertices: B by incidence, then A, then C, rest violators.
 
-    Every vertex's in- and out-colors come from one store call, as masks
-    (bit i-1 for color i), read in one pass per color."""
+    Every vertex's in- and out-colors come from one `color_masks` call,
+    as masks (bit i-1 for color i)."""
     p, q = pat.p, pat.q
-    in_masks, out_masks = collection._store.color_masks()
+    in_masks, out_masks = collection.color_masks()
     a_set, b_set, c_set, bad = [], [], [], []
     for v in range(1, collection.n + 1):
         if (in_masks[v] | out_masks[v]).bit_count() <= p + q - 1:

@@ -9,13 +9,12 @@ Collections are immutable values: every operation returns a fresh object and
 equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
-n <= dense_threshold, and compressed sparse rows (CSR) above it: one sorted
-target list, and per color a dict from each source that has edges to the
-start of its run, with the in side built on the first in-query.  Both are
-built straight from the edges; the sparse one never passes through a dense
-copy, so its memory grows with the edge count alone.  Edges are read back
-through one walk per store, `out_rows`, which yields each source with its
-ascending targets.
+n <= dense_threshold, and compressed sparse rows (CSR) above it: per side
+(out and in), one sorted target list, and per color a dict from each source
+that has edges to the start of its run.  Both are built straight from the
+edges; the sparse one never passes through a dense copy, so its memory
+grows with the edge count alone.  Edges are read back through one walk per
+store, `out_rows`, which yields each source with its ascending targets.
 
 Edges are checked in bulk, a column at a time: ranges by min and max, loops
 by one pairwise comparison, repeats by counting.  Only when a bulk check
@@ -29,12 +28,13 @@ Text interchange format, version 1 (LF line endings, trailing newline):
     i u v          <- one line per edge: color, source, target
     # comment lines and blank lines are ignored in the body
 
-The parser takes edge lines in any order.  It reads a plain body (lines of
-three ASCII digit tokens with single spaces) in chunks of whole lines, each
-split and converted at once; other bodies go through the line-by-line walk,
-with the same results.  Serialization is canonical: edges sorted by (color,
-source, target), no comments, so equal collections serialize to
-byte-identical strings.
+The parser takes edge lines in any order.  It reads the body in chunks of
+whole lines.  A plain chunk (lines of three ASCII digit tokens with single
+spaces) is split and converted at once; in any other chunk the comment and
+blank lines are dropped and the rest is split line by line.  Either way the
+chunk's columns get the same bulk checks.  Serialization is canonical:
+edges sorted by (color, source, target), no comments, so equal collections
+serialize to byte-identical strings.
 """
 
 from __future__ import annotations
@@ -182,8 +182,6 @@ class _DenseStore:
         return frozenset(i for i in range(1, self.c + 1) if self._in_presence[i - 1] & bit)
 
     def color_masks(self) -> tuple[list[int], list[int]]:
-        """Per vertex (index 0 unused), the colors of its in-edges and of its
-        out-edges as masks: bit i-1 stands for color i."""
         size = self.n + 1
         # presence << 1 puts vertex v's bit at position v
         in_flags = ([(presence << 1) >> v & 1 for v in range(size)]
@@ -200,34 +198,24 @@ class _SparseStore:
     Sources without edges get no entry, so memory grows with the edge
     count alone.  The out side comes from the sorted, distinct edge keys
     (i*m + u)*m + v, m = n + 1, that `from_edges` and the parser check in
-    bulk.  The in side, the same layout with source and target swapped, is
-    built from those keys on the first in-query, so callers that only read
-    out-edges never pay for it.
+    bulk; the in side is the same layout with source and target swapped.
     """
 
     kind = "sparse"
 
-    __slots__ = ("n", "c", "_out", "_in", "_keys", "_counts")
+    __slots__ = ("n", "c", "_out", "_in", "_counts")
 
     def __init__(self, n: int, c: int, keys: list[int]):
-        mm = (n + 1) ** 2
+        m = n + 1
         self.n = n
         self.c = c
-        self._out = _csr_side(keys, n + 1, c)
-        self._in: _Side | None = None
-        self._keys: list[int] | None = keys  # dropped once the in side is built
-        self._counts = tuple(bisect_left(keys, (i + 1) * mm) - bisect_left(keys, i * mm)
+        self._counts = tuple(bisect_left(keys, (i + 1) * m * m) - bisect_left(keys, i * m * m)
                              for i in range(1, c + 1))
-
-    def _in_side(self) -> _Side:
-        if self._in is None:
-            m, keys = self.n + 1, self._keys
-            targets = map(mod, keys, repeat(m))
-            sources = map(mod, map(floordiv, keys, repeat(m)), repeat(m))
-            # (i*m + u)*m + v becomes (i*m + v)*m + u: add (v - u)*(m - 1)
-            in_keys = sorted(map(add, keys, map(mul, map(sub, targets, sources), repeat(m - 1))))
-            self._in, self._keys = _csr_side(in_keys, m, self.c), None
-        return self._in
+        self._out = _csr_side(keys, m, c)
+        targets, sources = self._out[0], map(mod, map(floordiv, keys, repeat(m)), repeat(m))
+        # (i*m + u)*m + v becomes (i*m + v)*m + u: add (v - u)*(m - 1)
+        keys = sorted(map(add, keys, map(mul, map(sub, targets, sources), repeat(m - 1))))
+        self._in = _csr_side(keys, m, c)
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
         targets, starts, rows = self._out
@@ -241,7 +229,7 @@ class _SparseStore:
         return _row(self._out, i, u)
 
     def in_list(self, i: int, v: int) -> tuple[int, ...]:
-        return _row(self._in_side(), i, v)
+        return _row(self._in, i, v)
 
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
@@ -257,12 +245,12 @@ class _SparseStore:
         return frozenset(i for i, row in enumerate(self._out[2], start=1) if u in row)
 
     def colors_with_in(self, v: int) -> frozenset[int]:
-        return frozenset(i for i, row in enumerate(self._in_side()[2], start=1) if v in row)
+        return frozenset(i for i, row in enumerate(self._in[2], start=1) if v in row)
 
     def color_masks(self) -> tuple[list[int], list[int]]:
         size = self.n + 1
         return tuple(_color_masks((map(row.__contains__, range(size)) for row in side[2]), size)
-                     for side in (self._in_side(), self._out))
+                     for side in (self._in, self._out))
 
 
 _Side = tuple[list[int], list[int], list[dict[int, int]]]  # targets, starts, per color x -> j
@@ -417,6 +405,12 @@ class DigraphCollection:
         """Colors in which v has at least one in-edge."""
         return self._store.colors_with_in(v)
 
+    def color_masks(self) -> tuple[list[int], list[int]]:
+        """Per vertex v (index 0 unused), the colors of its in-edges and of
+        its out-edges as masks, bit i-1 standing for color i; one pass per
+        color."""
+        return self._store.color_masks()
+
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -512,11 +506,9 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
     """Parse format v1; raises ParseError with a 1-based line number.
 
     The header and the dimension line are found with `find`; the body is
-    read in chunks of whole lines, each checked and converted at once (see
-    `_body_chunks`).  A body the bulk reader does not take (comments, blank
-    lines, other whitespace, spellings such as "+1"), and one where a bulk
-    check declines, is read by the line-by-line walk, which names the first
-    bad line.
+    read in chunks of whole lines, each converted and checked at once (see
+    `_body_chunks`).  Only where a bulk check declines does the
+    line-by-line walk read the body again, to name the first bad line.
     """
     if "\r" in text:
         at = text.index("\r")
@@ -565,33 +557,48 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
 
 def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | None]:
     """Checked columns of the body from `start` on, one chunk of whole lines
-    at a time; None for a chunk the bulk reader does not take.
+    at a time; None for a chunk whose edge lines are not all three integers
+    or whose columns fail `_checked_columns`.
 
-    A chunk is taken if its lines are three ASCII digit tokens separated by
-    single spaces (one `translate` and one `split` check that), and if its
-    columns pass `_checked_columns`.  Values up to _SPELLED_MAX are read
-    through a table of their decimal spellings, which is faster than `int`
-    and has no entry for 0, leading zeros or values past max(n, c); the
-    table is built only for a body with at least as many characters as it
-    has entries.
+    A plain chunk, whose lines are three ASCII digit tokens separated by
+    single spaces (one `translate` and one `split` check that), is split
+    at once.  In any other chunk the comment and blank lines are dropped
+    and each other line is split on its own.  Values up to _SPELLED_MAX are
+    read through a table of their decimal spellings, which is faster than
+    `int`; it is built only for a body with at least as many characters
+    as it has entries.  A chunk with a token the table lacks (0, a leading
+    zero, "+1", a value past max(n, c)) is read with `int`, as the walk
+    reads it.
     """
     top = max(n, c)
-    to_int = (dict(zip(map(str, range(1, top + 1)), range(1, top + 1))).__getitem__
-              if top <= min(_SPELLED_MAX, len(text) - start) else int)
+    spelled = (dict(zip(map(str, range(1, top + 1)), range(1, top + 1))).__getitem__
+               if top <= min(_SPELLED_MAX, len(text) - start) else int)
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or text.index("\n", start) + 1
         chunk = text[start:end]
         lines, tokens = chunk.count("\n"), chunk.split()
         if len(tokens) != 3 * lines or chunk.translate(_DROP_DIGITS) != "  \n" * lines:
-            yield None
-            return
-        try:
-            values = list(map(to_int, tokens))
-        except KeyError:
+            rows = [row for row in map(str.split, chunk.split("\n")) if row and row[0][0] != "#"]
+            if any(len(row) != 3 for row in rows):
+                yield None
+                return
+            tokens = list(chain.from_iterable(rows))
+        values = _ints(tokens, spelled)
+        if values is None:
             yield None
             return
         yield _checked_columns(n, c, values[0::3], values[1::3], values[2::3])
         start = end
+
+
+def _ints(tokens: list[str], to_int) -> list[int] | None:
+    """The tokens read by `to_int`, or None if `int` does not read them all."""
+    try:
+        return list(map(to_int, tokens))
+    except KeyError:  # not in the table: 0, a leading zero or a value past max(n, c)
+        return _ints(tokens, int)
+    except ValueError:  # not an integer, or too many digits for int
+        return None
 
 
 def _edge_columns(n: int, c: int, edges: list) -> _Columns | None:
@@ -623,12 +630,13 @@ def _checked_columns(n: int, c: int, colors, sources, targets) -> _Columns | Non
 def _build_store(n: int, c: int, chunks: Iterable[_Columns | None],
                  walk: Iterator[tuple[int, int, int]], dense_threshold: int):
     """The store of the checked column chunks.  Where a bulk check
-    declines, `walk` reads the edges again in input order, raising
-    ValueError at the first bad one; a walk that raises nothing (a body
-    with comments, say) hands its triples to the bulk build."""
+    declines, `walk` reads the edges again in input order and raises
+    ValueError at the first bad one."""
     store = _bulk_store(n, c, chunks, dense_threshold)
     if store is None:
-        store = _bulk_store(n, c, [_edge_columns(n, c, list(walk))], dense_threshold)
+        for _ in walk:
+            pass
+        raise AssertionError("a bulk check declined edges that the walk accepts")
     return store
 
 
@@ -669,10 +677,12 @@ def _bulk_store(n: int, c: int, chunks: Iterable[_Columns | None], dense_thresho
 def _walk_edges(n: int, c: int, edges: Iterable) -> Iterator[tuple[int, int, int]]:
     """The triples in input order, each checked before the next is read;
     ValueError names the first bad one."""
-    seen: set[tuple[int, int, int]] = set()
+    m = n + 1
+    seen: set[int] = set()
     for (i, u, v) in edges:
         _check_edge(n, c, i, u, v)
-        if (i, u, v) in seen:
+        key = (i * m + u) * m + v
+        if key in seen:
             raise ValueError(f"duplicate edge ({i}, {u}, {v})")
-        seen.add((i, u, v))
+        seen.add(key)
         yield i, u, v

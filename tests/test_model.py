@@ -100,8 +100,8 @@ def test_backend_equivalence(col):
     edges = list(col.all_edges())
     dense = DigraphCollection.from_edges(col.n, col.c, edges, col.n)
     sparse = DigraphCollection.from_edges(col.n, col.c, edges, 0)
-    # the sparse in side is built on the first in-query: one copy is asked
-    # for in-neighbours before any out-query, the other only after them
+    # one sparse copy is asked for in-neighbours before any out-query, the
+    # other only after them
     in_first = DigraphCollection.from_edges(col.n, col.c, edges, 0)
     vertices = range(1, col.n + 1)
     ins = {(i, v): dense.in_neighbors(i, v) for i in range(1, col.c + 1) for v in vertices}
@@ -297,6 +297,11 @@ def mutated_texts(draw):
 # six tokens on two lines: the right count of tokens, but not one edge a line
 @example("rainbow-digraph v1\n3 2\n1 2 1 2 1 2\n\n", 1 << 16)
 @example("rainbow-digraph v1\n3 2\n1 2 3 1\n1 2\n", 1 << 16)
+# a token past int's digit limit, read through the table (n = 3) and with
+# int (n = 70000); a comment line makes the second chunk of five lines not plain
+@example("rainbow-digraph v1\n3 2\n1 1 2\n1 " + "1" * 5000 + " 2\n", 1 << 16)
+@example("rainbow-digraph v1\n70000 2\n1 1 2\n1 " + "1" * 5000 + " 2\n", 1 << 16)
+@example("rainbow-digraph v1\n3 2\n1 1 2\n2 1 2\n# 1 2\n\n1 2 1\n1 1 2\n", 12)
 def test_parse_matches_line_by_line_reference(text, chunk):
     expected = reference_parse(text)
     # chunks of a few characters put repeats and bad lines on either side
