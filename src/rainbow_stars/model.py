@@ -11,7 +11,8 @@ adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
 n <= dense_threshold, and compressed sparse rows (CSR) above it: per side
 (out and in), one sorted target list, and per color a dict from each source
-that has edges to the start of its run.  Both are built straight from the
+that has edges to the start of its run; the in side is built from the out
+side on the first in-query.  Both layouts are built straight from the
 edges; the sparse one never passes through a dense copy, so its memory
 grows with the edge count alone.  Edges are read back through one walk per
 store, `out_rows`, which yields each source with its ascending targets.
@@ -198,7 +199,10 @@ class _SparseStore:
     Sources without edges get no entry, so memory grows with the edge
     count alone.  The out side comes from the sorted, distinct edge keys
     (i*m + u)*m + v, m = n + 1, that `from_edges` and the parser check in
-    bulk; the in side is the same layout with source and target swapped.
+    bulk; the in side, the same layout with source and target swapped, is
+    built from the out side on the first in-query.  Reading a file back
+    and serializing or comparing it, as a round trip does, never asks for
+    it.
     """
 
     kind = "sparse"
@@ -212,10 +216,21 @@ class _SparseStore:
         self._counts = tuple(bisect_left(keys, (i + 1) * m * m) - bisect_left(keys, i * m * m)
                              for i in range(1, c + 1))
         self._out = _csr_side(keys, m, c)
-        targets, sources = self._out[0], map(mod, map(floordiv, keys, repeat(m)), repeat(m))
-        # (i*m + u)*m + v becomes (i*m + v)*m + u: add (v - u)*(m - 1)
-        keys = sorted(map(add, keys, map(mul, map(sub, targets, sources), repeat(m - 1))))
-        self._in = _csr_side(keys, m, c)
+        self._in: _Side | None = None
+
+    def _in_side(self) -> _Side:
+        """The in side, built from the out side on the first in-query: an
+        edge u -> v in color i has the in key (i*m + v)*m + u."""
+        if self._in is None:
+            m, (targets, starts, rows) = self.n + 1, self._out
+            # each target's color and source: every run's label repeated over the run
+            colors = chain.from_iterable(map(repeat, range(1, self.c + 1), self._counts))
+            sources = chain.from_iterable(
+                map(repeat, chain.from_iterable(rows), map(sub, starts[1:], starts)))
+            rows_in = map(add, map(mul, colors, repeat(m)), targets)  # i*m + v
+            keys = sorted(map(add, map(mul, rows_in, repeat(m)), sources))
+            self._in = _csr_side(keys, m, self.c)
+        return self._in
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
         targets, starts, rows = self._out
@@ -229,7 +244,7 @@ class _SparseStore:
         return _row(self._out, i, u)
 
     def in_list(self, i: int, v: int) -> tuple[int, ...]:
-        return _row(self._in, i, v)
+        return _row(self._in_side(), i, v)
 
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
@@ -245,12 +260,12 @@ class _SparseStore:
         return frozenset(i for i, row in enumerate(self._out[2], start=1) if u in row)
 
     def colors_with_in(self, v: int) -> frozenset[int]:
-        return frozenset(i for i, row in enumerate(self._in[2], start=1) if v in row)
+        return frozenset(i for i, row in enumerate(self._in_side()[2], start=1) if v in row)
 
     def color_masks(self) -> tuple[list[int], list[int]]:
         size = self.n + 1
         return tuple(_color_masks((map(row.__contains__, range(size)) for row in side[2]), size)
-                     for side in (self._in, self._out))
+                     for side in (self._in_side(), self._out))
 
 
 _Side = tuple[list[int], list[int], list[dict[int, int]]]  # targets, starts, per color x -> j

@@ -100,8 +100,8 @@ def test_backend_equivalence(col):
     edges = list(col.all_edges())
     dense = DigraphCollection.from_edges(col.n, col.c, edges, col.n)
     sparse = DigraphCollection.from_edges(col.n, col.c, edges, 0)
-    # one sparse copy is asked for in-neighbours before any out-query, the
-    # other only after them
+    # the sparse in side is built on the first in-query: one copy is asked
+    # for in-neighbours before any out-query, the other only after them
     in_first = DigraphCollection.from_edges(col.n, col.c, edges, 0)
     vertices = range(1, col.n + 1)
     ins = {(i, v): dense.in_neighbors(i, v) for i in range(1, col.c + 1) for v in vertices}
