@@ -19,6 +19,7 @@ from itertools import permutations
 from .model import DigraphCollection, StarEmbedding, StarPattern
 
 NAIVE_WORK_GUARD = 400
+_NO_COLORS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,24 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     candidates per slot ordered by (vertex, color) ascending.  The embedding
     returned is the lexicographically first valid assignment in that order.
 
-    Each center's in- and out-color sets are read once and screened by
-    `_colors_suffice`.  A center that passes has its sorted (leaf, color)
-    pairs gathered once for each side the pattern uses, out side first;
-    each list feeds a maximum matching of leaves to colors, and one below
-    q, resp. p, rules the center out.  For a one-sided pattern that
-    matching is exact: the center has a star, and `_walk_one_side` reads
-    the first one off in polynomial time.  A two-sided pattern must also
-    pass a joint matching of the center's distinct neighbours to colors
-    (a star's p+q leaves form one of size p+q) before the backtracking of
-    `_embed_at_center` runs.
+    Each center's color sets are read once, for the sides the pattern
+    uses, and screened by `_colors_suffice`.  A center that passes has its
+    sorted (leaf, color) pairs gathered once for each side the pattern
+    uses, out side first; each list feeds a maximum matching of leaves to
+    colors, and one below q, resp. p, rules the center out.  For a
+    one-sided pattern that matching is exact: the center has a star, and
+    `_walk_one_side` reads the first one off in polynomial time.  A
+    two-sided pattern must also pass a joint matching of the center's
+    distinct neighbours to colors (a star's p+q leaves form one of size
+    p+q) before the backtracking of `_embed_at_center` runs.
     """
     p, q = pat.p, pat.q
     if collection.n - 1 < p + q:
         return None
     for v in range(1, collection.n + 1):
-        in_colors = collection.colors_with_in_edge(v)
-        out_colors = collection.colors_with_out_edge(v)
+        # a sparse collection builds its in side on the first in-query
+        in_colors = collection.colors_with_in_edge(v) if p else _NO_COLORS
+        out_colors = collection.colors_with_out_edge(v) if q else _NO_COLORS
         if not _colors_suffice(in_colors, out_colors, p, q):
             continue
         if q:

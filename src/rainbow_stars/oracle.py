@@ -3,9 +3,9 @@
 Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
 guarded).  Its per-node work is incremental: the star check of a new edge
-looks only for stars through that edge, forward checking revisits only the
-slots that share an endpoint with it, and the bound reads per-color counts
-of the alive slots left.
+looks only for stars through that edge, forward checking asks of each later
+slot that can share a star with it only for the rest of that star, and the
+bound reads per-color counts of the alive slots left.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -120,17 +120,24 @@ def max_exact(
     anchored there: with u, v and color i taken, it looks for p in- and q-1
     out-leaves at u (when q >= 1) or p-1 in- and q out-leaves at v (when
     p >= 1).  After an include, forward checking kills the later slots that
-    can no longer be added; only slots of another color with an endpoint in
-    {u, v} are checked, since a slot's check reads masks only at its own
-    endpoints and never in its own color, so no other slot's answer has
-    changed.  The optimistic bound caps each color at its count plus its
-    alive slots from the current index on, kept per color as the walk
-    passes slots and forward checking kills them, so it costs O(c).  For
-    the sum objective two symmetry breaks apply: per-color counts must be
-    non-increasing, and the first slot is forced into every nonempty
-    candidate (sound because color and vertex relabeling preserve the sum;
-    the empty collection is the starting incumbent).  Both are off for the
-    min objective.
+    can no longer be added, by pairs.  Every alive later slot passed its
+    star check before the include (for p+q = 1 nothing is ever included;
+    for p+q >= 2 no single edge is a star, and each include kills the slots
+    it blocks), so a slot is blocked now exactly when some star holds both
+    it and the new edge.  Such a slot has another color and meets the new
+    edge at the star's center, in roles the pattern allows, with distinct
+    leaves; it is tested by looking at that center for the leaves the star
+    still needs, outside both colors and the three vertices (none for
+    p+q = 2, one for p+q = 3).  Each slot's list of those pairs is built on
+    its first include.  The slots killed are those a full star check of
+    each would kill, so the search tree is the same.  The optimistic bound
+    caps each color at its count plus its alive slots from the current
+    index on, kept per color as the walk passes slots and forward checking
+    kills them, so it costs O(c).  For the sum objective two symmetry
+    breaks apply: per-color counts must be non-increasing, and the first
+    slot is forced into every nonempty candidate (sound because color and
+    vertex relabeling preserve the sum; the empty collection is the
+    starting incumbent).  Both are off for the min objective.
 
     On budget expiry the best incumbent is returned with
     proved_optimal=False.
@@ -170,9 +177,9 @@ def max_exact(
     remaining = [0] * (c + 1)
     for i, _, _ in slots:
         remaining[i] += 1
-    # per slot, the later slots whose star check including it can change;
-    # built on the first include there
-    touched: list[Optional[list[int]]] = [None] * total_slots
+    # per slot, the later slots that can share a star with it, each with the
+    # rest of that star to look for; built on the first include there
+    pairs: list[Optional[list[tuple[int, int, int, int, int, int]]]] = [None] * total_slots
 
     best_value = 0
     best_edges: list[tuple[int, int, int]] = []
@@ -204,6 +211,32 @@ def max_exact(
         used_c = 1 << (i - 1)
         return (q > 0 and leaves(u, p, q - 1, used_v, used_c)) or \
             (p > 0 and leaves(v, p - 1, q, used_v, used_c))
+
+    def pair_checks(idx: int, i: int, u: int, v: int) -> list[tuple[int, int, int, int, int, int]]:
+        """(j, center, need_in, need_out, used_v, used_c) for each later
+        slot j = (k, x, y) that can join the new edge (i, u, v) in a star:
+        another color, and a center in common where both fit the pattern,
+        with distinct leaves.  The rest is the leaves that star still needs,
+        outside both colors and its three vertices."""
+        used_uv = 1 << (u - 1) | 1 << (v - 1)
+        found = []
+        for j in range(idx + 1, total_slots):
+            k, x, y = slots[j]
+            if k == i:
+                continue
+            if x == u and y != v and q >= 2:      # both out-leaves at u
+                center, leaf, need_in, need_out = u, y, p, q - 2
+            elif y == u and x != v and p and q:   # j an in-leaf at u
+                center, leaf, need_in, need_out = u, x, p - 1, q - 1
+            elif x == v and y != u and p and q:   # j an out-leaf at v
+                center, leaf, need_in, need_out = v, y, p - 1, q - 1
+            elif y == v and x != u and p >= 2:    # both in-leaves at v
+                center, leaf, need_in, need_out = v, x, p - 2, q
+            else:
+                continue
+            found.append((j, center, need_in, need_out,
+                          used_uv | 1 << (leaf - 1), 1 << (i - 1) | 1 << (k - 1)))
+        return found
 
     def bound() -> int:
         if objective == "min":
@@ -241,15 +274,11 @@ def max_exact(
             in_masks[i][v] |= 1 << (u - 1)
             counts[i] += 1
             chosen.append((i, u, v))
-            later = touched[idx]
+            later = pairs[idx]
             if later is None:
-                # another color (a check never reads its own color's masks)
-                # and an endpoint in common (it reads masks only there)
-                later = touched[idx] = [
-                    j for j in range(idx + 1, total_slots)
-                    if slots[j][0] != i and {slots[j][1], slots[j][2]} & {u, v}
-                ]
-            killed = [j for j in later if alive[j] and creates_star(*slots[j])]
+                later = pairs[idx] = pair_checks(idx, i, u, v)
+            killed = [j for j, center, need_in, need_out, used_v, used_c in later
+                      if alive[j] and leaves(center, need_in, need_out, used_v, used_c)]
             for j in killed:
                 alive[j] = False
                 remaining[slots[j][0]] -= 1

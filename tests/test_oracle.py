@@ -94,26 +94,48 @@ def max_exact_domain():
                         yield n, c, p, size - p, objective
 
 
-# sha256 over "n c p q objective optimum nodes_explored proved_optimal"
-# lines, each followed by the serialized witness, for every point of
-# max_exact_domain (704 solves); fixed before the anchored star check, the
-# incident-slot forward check and the incremental bound, which keep the
-# search tree node for node
-MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1c779"
+def max_exact_slow_domain():
+    """The 16 solves max_exact_domain leaves out: n = 4, c in {3, 4},
+    p+q = 3, both objectives (about 35 s of CPU before the pair check)."""
+    for c in (3, 4):
+        for p in range(4):
+            for objective in ("sum", "min"):
+                yield 4, c, p, 3 - p, objective
 
 
-def test_max_exact_search_pinned():
+def max_exact_digest(domain) -> tuple[str, int]:
+    """sha256 over "n c p q objective optimum nodes_explored proved_optimal"
+    lines, each followed by the serialized witness, and the solve count."""
     digest = hashlib.sha256()
     solves = 0
-    for n, c, p, q, objective in max_exact_domain():
+    for n, c, p, q, objective in domain:
         outcome = max_exact(n, c, StarPattern(p, q), objective, allow_large=True)
         digest.update(
             f"{n} {c} {p} {q} {objective} {outcome.optimum} "
             f"{outcome.nodes_explored} {outcome.proved_optimal}\n".encode())
         digest.update(serialize_edge_list(outcome.witness).encode())
         solves += 1
-    assert solves == 704
-    assert digest.hexdigest() == MAX_EXACT_DIGEST
+    return digest.hexdigest(), solves
+
+
+# max_exact_digest over every point of max_exact_domain (704 solves); fixed
+# before the anchored star check, the incident-slot forward check and the
+# incremental bound, which keep the search tree node for node.  The pair
+# check keeps it too: an alive later slot already passes its star check, so
+# the new edge kills it exactly when a star holds both, which is what the
+# full check on that slot found.
+MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1c779"
+# the same over max_exact_slow_domain, fixed before the pair check
+MAX_EXACT_SLOW_DIGEST = "24ad0123f89d3ba42f361cb3ad331cce796db6ee07af859fc6d32f12067de87f"
+
+
+def test_max_exact_search_pinned():
+    assert max_exact_digest(max_exact_domain()) == (MAX_EXACT_DIGEST, 704)
+
+
+@pytest.mark.slow
+def test_max_exact_search_pinned_past_the_default_domain():
+    assert max_exact_digest(max_exact_slow_domain()) == (MAX_EXACT_SLOW_DIGEST, 16)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (4, 1)])
