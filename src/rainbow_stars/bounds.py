@@ -31,6 +31,11 @@ CHAIN_SECOND = "SECOND"
 OBJECTIVES = ("sum", "min")
 
 
+def check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+
+
 class _InfiniteThreshold:
     """Marker for an unbounded threshold; compares above every number."""
 
@@ -79,9 +84,6 @@ class SurdValue:
 
     def float_value(self) -> float:
         return self.base + math.sqrt(self.radicand)
-
-    def is_integer(self) -> bool:
-        return math.isqrt(self.radicand) ** 2 == self.radicand
 
     def descriptor(self) -> str:
         root = math.isqrt(self.radicand)
@@ -309,8 +311,7 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
     Raises ValueError for (1, 1) with objective "min" at n = 3, where the
     closed form fails and callers should use the exact oracle.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    check_objective(objective)
     if n < 1 or c < 1:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     norm, swapped = pat.normalized()

@@ -187,11 +187,8 @@ def _rows_between(n: int, c: int, sources: list[int], targets: list[int]) -> lis
 def _complete_rows(n, c, k):
     """Rows and per-color counts of the first k colors complete, the rest empty."""
     full = (1 << n) - 1
-    rows = [
-        [(full & ~(1 << (u - 1))) if i < k else 0 for u in range(1, n + 1)]
-        for i in range(c)
-    ]
-    return rows, [n * (n - 1)] * k + [0] * (c - k)
+    sources = [0] + [full] * k + [0] * (c - k)
+    return _rows_between(n, c, sources, [full] * (c + 1)), [n * (n - 1)] * k + [0] * (c - k)
 
 
 def _build_complete_prefix(n, c, p, q):
@@ -203,13 +200,8 @@ def _build_complete_prefix(n, c, p, q):
 def _build_assigned_out(n, c, p, q):
     """ASSIGNED_OUT, and A_ONLY for p >= 1: parts own (q-1)-subsets and
     their vertices send edges to everyone in exactly those colors."""
-    groups, _, assigned = _subset_parts(n, c, q - 1, "A")
-    full = (1 << n) - 1
-    rows = [[0] * n for _ in range(c)]
-    for group in groups:
-        for u in group.vertices:
-            for i in group.colors:
-                rows[i - 1][u - 1] = full & ~(1 << (u - 1))
+    groups, masks, assigned = _subset_parts(n, c, q - 1, "A")
+    rows = _rows_between(n, c, masks, [(1 << n) - 1] * (c + 1))
     per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
     return rows, per_color, {"min": Fraction(q - 1, c)}, _parts_info(groups)
 
@@ -276,19 +268,11 @@ def _build_ac_split_sum(n, c, p, q):
     c_vertices = tuple(range(size_a + 1, n + 1))
     mask_a = _mask(a_vertices)
     full = (1 << n) - 1
-    rows = [[0] * n for _ in range(c)]
-    for i in range(1, c + 1):
-        if i <= p - 1:
-            for u in range(1, n + 1):
-                rows[i - 1][u - 1] = full & ~(1 << (u - 1))
-        elif i <= q - 1:
-            for u in a_vertices:
-                rows[i - 1][u - 1] = mask_a & ~(1 << (u - 1))
-            for u in c_vertices:
-                rows[i - 1][u - 1] = mask_a
-        else:
-            for u in c_vertices:
-                rows[i - 1][u - 1] = mask_a
+    # colors below p are complete, colors p..q-1 point everyone into A, and
+    # the rest point C into A
+    sources = [0] + [full] * (q - 1) + [full & ~mask_a] * (c - q + 1)
+    targets = [0] + [full] * (p - 1) + [mask_a] * (c - p + 1)
+    rows = _rows_between(n, c, sources, targets)
     per_color = (
         [n * (n - 1)] * (p - 1)
         + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
@@ -380,11 +364,7 @@ def _build_s11_complete1(n, c, p, q):
 def _build_bipartite_s11(n, c, p, q):
     left = tuple(range(1, n // 2 + 1))
     right = tuple(range(n // 2 + 1, n + 1))
-    mask_right = _mask(right)
-    rows = [
-        [mask_right if u in left else 0 for u in range(1, n + 1)]
-        for _ in range(c)
-    ]
+    rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
     per_color = [len(left) * len(right)] * c
     coefficients = {"min": Fraction(1, 4), "sum": Fraction(c, 4)}
     parts = PartsInfo(
@@ -691,8 +671,7 @@ def predicted_value(
     asymptotic claims return Fractions.  Raises ApplicabilityError outside
     the domain and ValueError for objectives the family makes no claim about.
     """
-    if objective not in _bounds.OBJECTIVES:
-        raise ValueError(f"objective must be one of {_bounds.OBJECTIVES}, got {objective!r}")
+    _bounds.check_objective(objective)
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)

@@ -47,18 +47,6 @@ class ClassificationReport:
     b_by_color: tuple[tuple[int, ...], ...]
     c_by_color: tuple[tuple[int, ...], ...]
 
-    @property
-    def size_a(self) -> int:
-        return len(self.a_vertices)
-
-    @property
-    def size_b(self) -> int:
-        return len(self.b_vertices)
-
-    @property
-    def size_c(self) -> int:
-        return len(self.c_vertices)
-
 
 def detect_homomorphic_center(collection: DigraphCollection, v: int, pat: StarPattern) -> bool:
     """Can v center a star image when leaf vertices may coincide?

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, floordiv, mod, mul, ne, or_, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -202,7 +202,7 @@ class _SparseStore:
     bulk; the in side, the same layout with source and target swapped, is
     built from the out side on the first in-query.  Reading a file back
     and serializing or comparing it, as a round trip does, never asks for
-    it.
+    it, and neither do `color_masks` or a (0, q) star search.
     """
 
     kind = "sparse"
@@ -264,8 +264,13 @@ class _SparseStore:
 
     def color_masks(self) -> tuple[list[int], list[int]]:
         size = self.n + 1
-        return tuple(_color_masks((map(row.__contains__, range(size)) for row in side[2]), size)
-                     for side in (self._in_side(), self._out))
+        targets, _, rows = self._out
+        # color i's in-edges end at the targets of its run on the out side
+        ends = list(accumulate(self._counts, initial=0))
+        in_flags = (map(frozenset(targets[lo:hi]).__contains__, range(size))
+                    for lo, hi in zip(ends, ends[1:]))
+        return (_color_masks(in_flags, size),
+                _color_masks((map(row.__contains__, range(size)) for row in rows), size))
 
 
 _Side = tuple[list[int], list[int], list[dict[int, int]]]  # targets, starts, per color x -> j

@@ -2,10 +2,9 @@
 
 Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
-guarded).  Its per-node work is incremental: the star check of a new edge
-looks only for stars through that edge, forward checking asks of each later
-slot that can share a star with it only for the rest of that star, and the
-bound reads per-color counts of the alive slots left.
+guarded).  Its per-node work is incremental: forward checking asks of each
+later slot that can share a star with a new edge only for the rest of that
+star, and the bound reads per-color counts of the alive slots left.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -27,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import OBJECTIVES
+from .bounds import check_objective
 from .detector import find_rainbow_star
 from .model import DigraphCollection, StarPattern, edge_counts
 
@@ -97,11 +96,6 @@ class _BudgetExpired(Exception):
     pass
 
 
-def _validate_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
 def max_exact(
     n: int,
     c: int,
@@ -113,36 +107,30 @@ def max_exact(
     """Exact optimum over all rainbow-free collections at toy size.
 
     Branch-and-bound over edge slots in lexicographic (color, source, target)
-    order with include/exclude branching.  An edge is included only when it
-    completes no rainbow star, so the collection is free at every node and
-    any star a new edge (i, u, v) would complete uses that edge: as an
-    out-leaf at center u or as an in-leaf at center v.  The star check is
-    anchored there: with u, v and color i taken, it looks for p in- and q-1
-    out-leaves at u (when q >= 1) or p-1 in- and q out-leaves at v (when
-    p >= 1).  After an include, forward checking kills the later slots that
-    can no longer be added, by pairs.  Every alive later slot passed its
-    star check before the include (for p+q = 1 nothing is ever included;
-    for p+q >= 2 no single edge is a star, and each include kills the slots
-    it blocks), so a slot is blocked now exactly when some star holds both
-    it and the new edge.  Such a slot has another color and meets the new
-    edge at the star's center, in roles the pattern allows, with distinct
-    leaves; it is tested by looking at that center for the leaves the star
-    still needs, outside both colors and the three vertices (none for
-    p+q = 2, one for p+q = 3).  Each slot's list of those pairs is built on
-    its first include.  The slots killed are those a full star check of
-    each would kill, so the search tree is the same.  The optimistic bound
-    caps each color at its count plus its alive slots from the current
-    index on, kept per color as the walk passes slots and forward checking
-    kills them, so it costs O(c).  For the sum objective two symmetry
-    breaks apply: per-color counts must be non-increasing, and the first
-    slot is forced into every nonempty candidate (sound because color and
-    vertex relabeling preserve the sum; the empty collection is the
-    starting incumbent).  Both are off for the min objective.
+    order with include/exclude branching; the collection is free at every
+    node.  For p+q = 1 every edge is a star and nothing is included.  For
+    p+q >= 2 no single edge is a star, and a slot stays alive while adding
+    it completes no star: after an include, forward checking kills the
+    later slots it blocks, by pairs.  An alive later slot completed no star
+    before, so it is blocked now exactly when some star holds both it and
+    the new edge.  Such a slot has another color and meets the new edge
+    at the star's center, in roles the pattern allows, with distinct
+    leaves; it is killed when that center has the leaves the star still
+    needs, outside both colors and the three vertices (none for p+q = 2,
+    one for p+q = 3).  Each slot's list of those pairs is built once, before
+    the search.  The optimistic bound caps each color at its count plus its
+    alive slots from the current index on, kept per color as the walk
+    passes slots and forward checking kills them, so it costs O(c).  For
+    the sum objective two symmetry breaks apply: per-color counts must be
+    non-increasing, and the first slot is forced into every nonempty
+    candidate (sound because color and vertex relabeling preserve the sum;
+    the empty collection is the starting incumbent).  Both are off for the
+    min objective.
 
     On budget expiry the best incumbent is returned with
     proved_optimal=False.
     """
-    _validate_objective(objective)
+    check_objective(objective)
     if n < 1 or c < 1:
         raise ValueError(f"requires n >= 1 and c >= 1, got n={n}, c={c}")
     slot_count = c * n * (n - 1)
@@ -177,10 +165,6 @@ def max_exact(
     remaining = [0] * (c + 1)
     for i, _, _ in slots:
         remaining[i] += 1
-    # per slot, the later slots that can share a star with it, each with the
-    # rest of that star to look for; built on the first include there
-    pairs: list[Optional[list[tuple[int, int, int, int, int, int]]]] = [None] * total_slots
-
     best_value = 0
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
@@ -203,14 +187,6 @@ def max_exact(
                 if leaves(center, *after, used_v | low, used_c | bit_i):
                     return True
         return False
-
-    def creates_star(i: int, u: int, v: int) -> bool:
-        # the collection is free, so a new star uses the new edge: as an
-        # out-leaf at u or as an in-leaf at v
-        used_v = 1 << (u - 1) | 1 << (v - 1)
-        used_c = 1 << (i - 1)
-        return (q > 0 and leaves(u, p, q - 1, used_v, used_c)) or \
-            (p > 0 and leaves(v, p - 1, q, used_v, used_c))
 
     def pair_checks(idx: int, i: int, u: int, v: int) -> list[tuple[int, int, int, int, int, int]]:
         """(j, center, need_in, need_out, used_v, used_c) for each later
@@ -237,6 +213,10 @@ def max_exact(
             found.append((j, center, need_in, need_out,
                           used_uv | 1 << (leaf - 1), 1 << (i - 1) | 1 << (k - 1)))
         return found
+
+    # per slot, the later slots that can share a star with it, each with the
+    # rest of that star to look for
+    pairs = [pair_checks(idx, *slots[idx]) for idx in range(total_slots)]
 
     def bound() -> int:
         if objective == "min":
@@ -266,18 +246,15 @@ def max_exact(
         here = alive[idx]
         if here:
             remaining[i] -= 1
-        can_include = here
-        if can_include and objective == "sum" and i > 1 and counts[i] + 1 > counts[i - 1]:
-            can_include = False
-        if can_include and not creates_star(i, u, v):
+        # an alive slot completes a star only for p+q = 1; the sum also
+        # keeps per-color counts non-increasing
+        if here and p + q >= 2 and not (
+                objective == "sum" and i > 1 and counts[i] >= counts[i - 1]):
             out_masks[i][u] |= 1 << (v - 1)
             in_masks[i][v] |= 1 << (u - 1)
             counts[i] += 1
             chosen.append((i, u, v))
-            later = pairs[idx]
-            if later is None:
-                later = pairs[idx] = pair_checks(idx, i, u, v)
-            killed = [j for j, center, need_in, need_out, used_v, used_c in later
+            killed = [j for j, center, need_in, need_out, used_v, used_c in pairs[idx]
                       if alive[j] and leaves(center, need_in, need_out, used_v, used_c)]
             for j in killed:
                 alive[j] = False
@@ -357,7 +334,7 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
     whose vectors were enumerated); it is 1 for q = 1 and q for the sum.
     The witness is re-certified by the detector before it is returned.
     """
-    _validate_objective(objective)
+    check_objective(objective)
     if not (n > c >= q >= 1):
         raise ValueError(
             f"requires n > c >= q >= 1, got n={n}, c={c}, q={q} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Optional
@@ -88,17 +88,7 @@ class VerificationReport:
             "seed": self.seed,
             "tool_version": self.tool_version,
             "timestamp": self.timestamp,
-            "cases": [
-                {
-                    "params": case.params,
-                    "expected": case.expected,
-                    "expected_kind": case.expected_kind,
-                    "actual": case.actual,
-                    "status": case.status,
-                    "note": case.note,
-                }
-                for case in self.cases
-            ],
+            "cases": [asdict(case) for case in self.cases],
             "summary": self.summary,
         }
 
@@ -655,17 +645,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
     if name == "all":
         cases = []
         for suite_name in SUITE_NAMES:
-            for case in _SUITES[suite_name](seed):
-                stamped = dict(case.params)
-                stamped["suite"] = suite_name
-                cases.append(VerificationCase(
-                    params=stamped,
-                    expected=case.expected,
-                    expected_kind=case.expected_kind,
-                    actual=case.actual,
-                    status=case.status,
-                    note=case.note,
-                ))
+            cases.extend(replace(case, params={**case.params, "suite": suite_name})
+                         for case in _SUITES[suite_name](seed))
         return _finish("all", seed, cases)
     if name not in _SUITES:
         raise ValueError(

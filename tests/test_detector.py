@@ -320,9 +320,10 @@ def test_chain_probes_find_the_known_star(length):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_out_star_search_leaves_the_sparse_in_side_unbuilt(q):
-    # a sparse collection builds its in side on the first in-query, and a
-    # (0, q) search reads out-colors only; with q = 4 no center has a star,
-    # so every center is scanned
+    # a sparse collection builds its in side on the first in-query, a
+    # (0, q) search reads out-colors only, and classification reads the
+    # in-colors off the out side; with q = 4 no center has a star, so every
+    # center is scanned
     rng = random.Random(q)
     edges = {(rng.randint(1, 3), *rng.sample(range(1, 201), 2)) for _ in range(600)}
     col = DigraphCollection.from_edges(200, 3, sorted(edges), 0)
@@ -332,6 +333,9 @@ def test_out_star_search_leaves_the_sparse_in_side_unbuilt(q):
     assert col._store._in is None
     dense = DigraphCollection.from_edges(200, 3, sorted(edges))
     assert emb == find_rainbow_star(dense, StarPattern(0, q))
+    report = classify_vertices(col, StarPattern(0, q))
+    assert col._store._in is None
+    assert report == classify_vertices(dense, StarPattern(0, q))
 
 
 def test_deep_two_sided_star_is_found():

@@ -121,9 +121,11 @@ def max_exact_digest(domain) -> tuple[str, int]:
 # max_exact_digest over every point of max_exact_domain (704 solves); fixed
 # before the anchored star check, the incident-slot forward check and the
 # incremental bound, which keep the search tree node for node.  The pair
-# check keeps it too: an alive later slot already passes its star check, so
-# the new edge kills it exactly when a star holds both, which is what the
-# full check on that slot found.
+# check keeps it too: an alive later slot completes no star, so the new edge
+# kills it exactly when a star holds both, which is what the full check on
+# that slot found.  With that invariant the include-time star check never
+# fires for p+q >= 2 (and always fires for p+q = 1), so it is gone and the
+# tree is still the same.
 MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1c779"
 # the same over max_exact_slow_domain, fixed before the pair check
 MAX_EXACT_SLOW_DIGEST = "24ad0123f89d3ba42f361cb3ad331cce796db6ee07af859fc6d32f12067de87f"
