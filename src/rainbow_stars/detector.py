@@ -91,7 +91,7 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     if collection.n - 1 < p + q:
         return None
     for v in range(1, collection.n + 1):
-        # a sparse collection builds its in side on the first in-query
+        # a sparse collection's in-queries scan its out side, then build the in side
         in_colors = collection.colors_with_in_edge(v) if p else _NO_COLORS
         out_colors = collection.colors_with_out_edge(v) if q else _NO_COLORS
         if not _colors_suffice(in_colors, out_colors, p, q):

@@ -10,12 +10,13 @@ equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
 n <= dense_threshold, and compressed sparse rows (CSR) above it: per side
-(out and in), one sorted target list, and per color a dict from each source
-that has edges to the start of its run; the in side is built from the out
-side on the first in-query.  Both layouts are built straight from the
-edges; the sparse one never passes through a dense copy, so its memory
-grows with the edge count alone.  Edges are read back through one walk per
-store, `out_rows`, which yields each source with its ascending targets.
+(out and in), flat int arrays of the sorted targets, of the ids of the
+nonempty rows and of where each row starts; in-queries scan the out side
+until they have read a few times its edges, and then the in side is built
+from it.  Both layouts are built straight from the edges; the sparse one
+never passes through a dense copy, so its memory grows with the edge count
+alone.  Edges are read back through one walk per store, `out_rows`, which
+yields each source with its ascending targets.
 
 Edges are checked in bulk, a column at a time: ranges by min and max, loops
 by one pairwise comparison, repeats by counting.  Only when a bulk check
@@ -40,15 +41,17 @@ serialize to byte-identical strings.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, floordiv, mod, mul, ne, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_DENSE_THRESHOLD = 512
 
 _HEADER = "rainbow-digraph v1"
+_IN_SCANS = 8  # a sparse store's in-queries scan up to this many times its edges
 _CHUNK_CHARS = 1 << 16  # the body is read in chunks of about this many characters
 _SPELLED_MAX = 1 << 16  # values read through a table of decimal spellings
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
@@ -193,110 +196,160 @@ class _DenseStore:
 class _SparseStore:
     """Compressed sparse rows (CSR) per side, for vertex counts past the threshold.
 
-    A side is one list of targets, sorted by (color, source, target); the
-    targets of the j-th source that has edges are targets[starts[j]:
-    starts[j+1]], and per color a dict maps each such source to its j.
-    Sources without edges get no entry, so memory grows with the edge
-    count alone.  The out side comes from the sorted, distinct edge keys
-    (i*m + u)*m + v, m = n + 1, that `from_edges` and the parser check in
-    bulk; the in side, the same layout with source and target swapped, is
-    built from the out side on the first in-query.  Reading a file back
-    and serializing or comparing it, as a round trip does, never asks for
-    it, and neither do `color_masks` or a (0, q) star search.
+    A side is three flat arrays of 8-byte ints: the targets, sorted by
+    (color, source, target); the id i*m + x (m = n + 1) of each row (i, x)
+    that has edges, ascending; and where each such row starts.  The
+    targets of the j-th row are targets[starts[j]:starts[j+1]], and a
+    row's j is found by bisection in the ids.  Sources without edges get
+    no entry, so memory grows with the edge count alone.  The out side
+    comes from the sorted, distinct edge keys (i*m + u)*m + v that
+    `from_edges` and the parser check in bulk; the in side is the same
+    layout with source and target swapped.  It costs a sort of every edge,
+    so the first in-queries read the out side's target runs instead (a
+    scan in C, some 30 times cheaper per edge than the build), and the in
+    side is built once they have read _IN_SCANS times the edge count: a
+    star search that stops at one of the first centers never builds it,
+    and a long one pays at most a fraction of a build more.  Reading a
+    file back and serializing or comparing it, as a round trip does,
+    never asks for it, and neither do `color_masks` or a (0, q) star
+    search.
     """
 
     kind = "sparse"
 
-    __slots__ = ("n", "c", "_out", "_in", "_counts")
+    __slots__ = ("n", "c", "_out", "_in", "_ends", "_scans_left")
 
     def __init__(self, n: int, c: int, keys: list[int]):
         m = n + 1
         self.n = n
         self.c = c
-        self._counts = tuple(bisect_left(keys, (i + 1) * m * m) - bisect_left(keys, i * m * m)
-                             for i in range(1, c + 1))
-        self._out = _csr_side(keys, m, c)
+        # color i's edges are out-side positions _ends[i-1] .. _ends[i]-1
+        self._ends = tuple(bisect_left(keys, i * m * m) for i in range(1, c + 2))
+        self._out = _csr_side(keys, m)
         self._in: _Side | None = None
+        self._scans_left = _IN_SCANS * len(keys)  # edges in-queries may still scan
 
     def _in_side(self) -> _Side:
-        """The in side, built from the out side on the first in-query: an
-        edge u -> v in color i has the in key (i*m + v)*m + u."""
+        """The in side, built from the out side when an in-query finds the
+        scan budget spent: an edge u -> v in color i has the in key
+        (i*m + v)*m + u."""
         if self._in is None:
-            m, (targets, starts, rows) = self.n + 1, self._out
+            m, (targets, row_ids, starts) = self.n + 1, self._out
             # each target's color and source: every run's label repeated over the run
-            colors = chain.from_iterable(map(repeat, range(1, self.c + 1), self._counts))
+            colors = chain.from_iterable(
+                map(repeat, range(1, self.c + 1), map(sub, self._ends[1:], self._ends)))
             sources = chain.from_iterable(
-                map(repeat, chain.from_iterable(rows), map(sub, starts[1:], starts)))
+                map(repeat, map(mod, row_ids, repeat(m)), map(sub, starts[1:], starts)))
             rows_in = map(add, map(mul, colors, repeat(m)), targets)  # i*m + v
             keys = sorted(map(add, map(mul, rows_in, repeat(m)), sources))
-            self._in = _csr_side(keys, m, self.c)
+            self._in = _csr_side(keys, m)
         return self._in
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
-        targets, starts, rows = self._out
-        j = rows[i - 1].get(u)
+        targets, row_ids, starts = self._out
+        j = _row_index(row_ids, i * (self.n + 1) + u)
         if j is None:
             return False
         k = bisect_left(targets, v, starts[j], starts[j + 1])
         return k < starts[j + 1] and targets[k] == v
 
     def out_list(self, i: int, u: int) -> tuple[int, ...]:
-        return _row(self._out, i, u)
+        return _row(self._out, i * (self.n + 1) + u)
 
     def in_list(self, i: int, v: int) -> tuple[int, ...]:
-        return _row(self._in_side(), i, v)
+        lo, hi = self._ends[i - 1], self._ends[i]
+        if self._scan(hi - lo):
+            targets, row_ids, starts = self._out
+            base = i * (self.n + 1)
+            # the row of position k is the last one starting at or before k
+            return tuple(row_ids[bisect_right(starts, k) - 1] - base
+                         for k in _positions(targets, v, lo, hi))
+        return _row(self._in_side(), i * (self.n + 1) + v)
+
+    def _scan(self, edges: int) -> bool:
+        """Whether an in-query may scan this many out-side edges rather
+        than build the in side; a granted scan is charged to the budget."""
+        if self._in is not None or edges > self._scans_left:
+            return False
+        self._scans_left -= edges
+        return True
 
     def edge_count(self, i: int) -> int:
-        return self._counts[i - 1]
+        return self._ends[i] - self._ends[i - 1]
 
-    def out_rows(self, i: int) -> Iterable[tuple[int, list[int]]]:
-        targets, starts, rows = self._out
-        row = rows[i - 1]  # sources ascending, numbered j, j+1, ...
-        first = next(iter(row.values()), 0)
-        spans = map(slice, starts[first:first + len(row)], starts[first + 1:first + len(row) + 1])
-        return zip(row, map(targets.__getitem__, spans))
+    def out_rows(self, i: int) -> Iterable[tuple[int, array]]:
+        targets, row_ids, starts = self._out
+        base = i * (self.n + 1)
+        lo, hi = bisect_left(row_ids, base), bisect_left(row_ids, base + self.n + 1)
+        spans = map(slice, starts[lo:hi], starts[lo + 1:hi + 1])
+        return zip(map(sub, row_ids[lo:hi], repeat(base)), map(targets.__getitem__, spans))
 
     def colors_with_out(self, u: int) -> frozenset[int]:
-        return frozenset(i for i, row in enumerate(self._out[2], start=1) if u in row)
+        return _colors_with(self._out[1], self.n + 1, self.c, u)
 
     def colors_with_in(self, v: int) -> frozenset[int]:
-        return frozenset(i for i, row in enumerate(self._in_side()[2], start=1) if v in row)
+        if self._scan(self._ends[-1]):
+            targets, ends = self._out[0], self._ends
+            return frozenset(i for i in range(1, self.c + 1)
+                             if next(_positions(targets, v, ends[i - 1], ends[i]), None) is not None)
+        return _colors_with(self._in_side()[1], self.n + 1, self.c, v)
 
     def color_masks(self) -> tuple[list[int], list[int]]:
-        size = self.n + 1
-        targets, _, rows = self._out
+        size, (targets, row_ids, _) = self.n + 1, self._out
         # color i's in-edges end at the targets of its run on the out side
-        ends = list(accumulate(self._counts, initial=0))
         in_flags = (map(frozenset(targets[lo:hi]).__contains__, range(size))
-                    for lo, hi in zip(ends, ends[1:]))
-        return (_color_masks(in_flags, size),
-                _color_masks((map(row.__contains__, range(size)) for row in rows), size))
+                    for lo, hi in zip(self._ends, self._ends[1:]))
+        # x has out-edges in color i when i*m + x is a row id
+        bounds = [bisect_left(row_ids, i * size) for i in range(1, self.c + 2)]
+        out_flags = (map(frozenset(row_ids[lo:hi]).__contains__, range(i * size, (i + 1) * size))
+                     for i, lo, hi in zip(count(1), bounds, bounds[1:]))
+        return _color_masks(in_flags, size), _color_masks(out_flags, size)
 
 
-_Side = tuple[list[int], list[int], list[dict[int, int]]]  # targets, starts, per color x -> j
+_Side = tuple[array, array, array]  # targets, row ids i*m + x, row starts
 
 
-def _csr_side(keys: list[int], m: int, c: int) -> _Side:
-    """The side of the sorted keys (i*m + x)*m + y: the targets y, the start
-    of each nonempty row (i, x), and per color i a dict from x to its row."""
-    starts: list[int] = []
-    rows = []
-    for i in range(1, c + 1):
-        lo, hi = bisect_left(keys, i * m * m), bisect_left(keys, (i + 1) * m * m)
-        row_ids = list(map(floordiv, islice(keys, lo, hi), repeat(m)))  # i*m + x
-        # true where a row starts; row ids are positive, so the first key starts one
-        firsts = list(map(ne, row_ids, chain((0,), row_ids)))
-        xs = map(sub, compress(row_ids, firsts), repeat(i * m))
-        rows.append(dict(zip(xs, count(len(starts)))))
-        starts.extend(compress(range(lo, hi), firsts))
-    starts.append(len(keys))
-    return list(map(mod, keys, repeat(m))), starts, rows
+def _csr_side(keys: list[int], m: int) -> _Side:
+    """The side of the sorted keys (i*m + x)*m + y: the targets y, the ids
+    i*m + x of the nonempty rows, and the start of each row in the targets
+    with the end of the last one appended."""
+    row_of_key = array("q", map(floordiv, keys, repeat(m)))
+    # true where a row starts; row ids are positive, so the first key starts one
+    firsts = bytes(map(ne, row_of_key, chain((0,), row_of_key)))
+    return (array("q", map(mod, keys, repeat(m))), array("q", compress(row_of_key, firsts)),
+            array("q", chain(compress(count(), firsts), (len(keys),))))
 
 
-def _row(side: _Side, i: int, x: int) -> tuple[int, ...]:
-    targets, starts, rows = side
-    j = rows[i - 1].get(x)
+def _positions(values: array, x: int, lo: int, hi: int) -> Iterator[int]:
+    """The positions of x in values[lo:hi], ascending, each found by a scan in C."""
+    try:
+        while True:
+            lo = values.index(x, lo, hi)
+            yield lo
+            lo += 1
+    except ValueError:
+        return
+
+
+def _row_index(row_ids: array, r: int) -> int | None:
+    j = bisect_left(row_ids, r)
+    return j if j < len(row_ids) and row_ids[j] == r else None
+
+
+def _row(side: _Side, r: int) -> tuple[int, ...]:
+    targets, row_ids, starts = side
+    j = _row_index(row_ids, r)
     return () if j is None else tuple(targets[starts[j]:starts[j + 1]])
+
+
+def _colors_with(row_ids: array, m: int, c: int, x: int) -> frozenset[int]:
+    """The colors i whose row i*m + x has edges."""
+    found = []
+    for r in range(m + x, (c + 1) * m + x, m):
+        j = bisect_left(row_ids, r)
+        if j < len(row_ids) and row_ids[j] == r:
+            found.append(r // m)
+    return frozenset(found)
 
 
 def _color_masks(flags_by_color: Iterable[Iterable[int]], size: int) -> list[int]:

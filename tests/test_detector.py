@@ -320,8 +320,8 @@ def test_chain_probes_find_the_known_star(length):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_out_star_search_leaves_the_sparse_in_side_unbuilt(q):
-    # a sparse collection builds its in side on the first in-query, a
-    # (0, q) search reads out-colors only, and classification reads the
+    # a sparse collection builds its in side for in-queries, a (0, q)
+    # search reads out-colors only, and classification reads the
     # in-colors off the out side; with q = 4 no center has a star, so every
     # center is scanned
     rng = random.Random(q)

@@ -1,5 +1,8 @@
 """Data model: constructors, value semantics, serialization, symmetries."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -100,8 +103,9 @@ def test_backend_equivalence(col):
     edges = list(col.all_edges())
     dense = DigraphCollection.from_edges(col.n, col.c, edges, col.n)
     sparse = DigraphCollection.from_edges(col.n, col.c, edges, 0)
-    # the sparse in side is built on the first in-query: one copy is asked
-    # for in-neighbours before any out-query, the other only after them
+    # sparse in-queries scan the out side until their budget is spent and
+    # then build the in side: one copy is asked for in-neighbours before
+    # any out-query, the other only after them
     in_first = DigraphCollection.from_edges(col.n, col.c, edges, 0)
     vertices = range(1, col.n + 1)
     ins = {(i, v): dense.in_neighbors(i, v) for i in range(1, col.c + 1) for v in vertices}
@@ -123,6 +127,47 @@ def test_backend_equivalence(col):
     for v in vertices:
         assert dense.colors_with_out_edge(v) == sparse.colors_with_out_edge(v)
         assert dense.colors_with_in_edge(v) == sparse.colors_with_in_edge(v)
+    assert dense.color_masks() == sparse.color_masks() == in_first.color_masks()
+
+
+def test_sparse_store_memory_grows_with_edges_alone():
+    # a side is three arrays of 8-byte ints: a target per edge, and an id
+    # and a start per nonempty row, at most 48 bytes per edge for both
+    # sides; per-color dicts and lists of int objects took over 300
+    rng = random.Random(7)
+    n, c, m = 100_000, 3, 20_000
+    edges = {(rng.randint(1, c), *rng.sample(range(1, n + 1), 2)) for _ in range(m)}
+    tracemalloc.start()
+    try:
+        col = DigraphCollection.from_edges(n, c, edges)
+        col._store._in_side()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert col.storage_kind == "sparse" and col._store._in is not None
+    assert kept < 64 * len(edges)
+
+
+def test_sparse_in_queries_scan_before_the_in_side_is_built():
+    # in-queries read the out side's target runs until they have scanned
+    # model._IN_SCANS times the edge count; the later ones build the in
+    # side, and both kinds of answer match the dense layout's
+    rng = random.Random(11)
+    n, c = 600, 3
+    edges = sorted({(rng.randint(1, c), *rng.sample(range(1, n + 1), 2)) for _ in range(1500)})
+    sparse = DigraphCollection.from_edges(n, c, edges)
+    dense = DigraphCollection.from_edges(n, c, edges, n)
+    assert sparse.storage_kind == "sparse"
+    for v in range(1, 4):
+        assert sparse.colors_with_in_edge(v) == dense.colors_with_in_edge(v)
+        for i in range(1, c + 1):
+            assert sparse.in_neighbors(i, v) == dense.in_neighbors(i, v)
+    assert sparse._store._in is None
+    for v in range(1, n + 1):
+        assert sparse.colors_with_in_edge(v) == dense.colors_with_in_edge(v)
+        for i in range(1, c + 1):
+            assert sparse.in_neighbors(i, v) == dense.in_neighbors(i, v)
+    assert sparse._store._in is not None
 
 
 @given(collections())
