@@ -15,11 +15,14 @@ nonempty rows and of where each row starts; in-queries scan the out side
 until they have read a few times its edges, and then the in side is built
 from it.  Both layouts are built straight from the edges; the sparse one
 never passes through a dense copy, so its memory grows with the edge count
-alone.  Edges are read back through one walk per store, `out_rows`, which
-yields each source with its ascending targets.
+alone.  Edges are read back a color at a time through one reader per store,
+`color_rows`: the sources with edges, where each one's targets start, and
+the ascending targets.
 
-Edges are checked in bulk, a column at a time: ranges by min and max, loops
-by one pairwise comparison, repeats by counting.  Only when a bulk check
+Edges are checked in bulk, a column at a time: loops by one pairwise
+comparison, repeats by counting, and ranges by min and max, except in a
+parsed column whose every token is found in a table of the spellings of
+1..n (or 1..c), which is in range by construction.  Only when a bulk check
 declines are the edges walked one by one, in input order, so that the error
 names the first bad edge (or, in the parser, its line).
 
@@ -32,11 +35,13 @@ Text interchange format, version 1 (LF line endings, trailing newline):
 
 The parser takes edge lines in any order.  It reads the body in chunks of
 whole lines.  A plain chunk (lines of three ASCII digit tokens with single
-spaces) is split and converted at once; in any other chunk the comment and
-blank lines are dropped and the rest is split line by line.  Either way the
-chunk's columns get the same bulk checks.  Serialization is canonical:
-edges sorted by (color, source, target), no comments, so equal collections
-serialize to byte-identical strings.
+spaces) is split at once; in any other chunk the comment and blank lines
+are dropped and the rest is split line by line.  Either way each of the
+chunk's three columns is read at once, through a table or with `int`, and
+gets the same bulk checks.  Edges that arrive in canonical order, as every
+serialized file does, become the sparse layout without a sort.
+Serialization is canonical: edges sorted by (color, source, target), no
+comments, so equal collections serialize to byte-identical strings.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, floordiv, mod, mul, ne, or_, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, floordiv, lt, mod, mul, ne, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_DENSE_THRESHOLD = 512
@@ -53,8 +58,9 @@ DEFAULT_DENSE_THRESHOLD = 512
 _HEADER = "rainbow-digraph v1"
 _IN_SCANS = 8  # a sparse store's in-queries scan up to this many times its edges
 _CHUNK_CHARS = 1 << 16  # the body is read in chunks of about this many characters
-_SPELLED_MAX = 1 << 16  # values read through a table of decimal spellings
+_SPELLED_MAX = 1 << 14  # largest table of decimal spellings; past it int reads faster
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 _Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]  # colors, sources, targets
 
@@ -172,11 +178,12 @@ class _DenseStore:
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
 
-    def out_rows(self, i: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def color_rows(self, i: int) -> tuple[list[int], list[int], list[int]]:
         row = self.rows[i - 1]
-        for u in range(1, self.n + 1):
-            if row[u]:
-                yield u, _mask_to_vertices(row[u])
+        sources = list(compress(range(1, self.n + 1), islice(row, 1, None)))
+        masks = list(map(row.__getitem__, sources))
+        starts = list(accumulate(map(int.bit_count, masks), initial=0))
+        return sources, starts, list(chain.from_iterable(map(_mask_to_vertices, masks)))
 
     def colors_with_out(self, u: int) -> frozenset[int]:
         return frozenset(i for i in range(1, self.c + 1) if self.rows[i - 1][u])
@@ -202,9 +209,10 @@ class _SparseStore:
     targets of the j-th row are targets[starts[j]:starts[j+1]], and a
     row's j is found by bisection in the ids.  Sources without edges get
     no entry, so memory grows with the edge count alone.  The out side
-    comes from the sorted, distinct edge keys (i*m + u)*m + v that
-    `from_edges` and the parser check in bulk; the in side is the same
-    layout with source and target swapped.  It costs a sort of every edge,
+    comes from the row and target columns of the edges that `from_edges`
+    and the parser check in bulk, without a sort when they arrive in
+    order (see `_bulk_store`).  The in side is the same layout with
+    source and target swapped.  It costs a sort of every edge,
     so the first in-queries read the out side's target runs instead (a
     scan in C, some 30 times cheaper per edge than the build), and the in
     side is built once they have read _IN_SCANS times the edge count: a
@@ -219,15 +227,15 @@ class _SparseStore:
 
     __slots__ = ("n", "c", "_out", "_in", "_ends", "_scans_left")
 
-    def __init__(self, n: int, c: int, keys: list[int]):
-        m = n + 1
+    def __init__(self, n: int, c: int, out: _Side):
+        targets, row_ids, starts = out
         self.n = n
         self.c = c
         # color i's edges are out-side positions _ends[i-1] .. _ends[i]-1
-        self._ends = tuple(bisect_left(keys, i * m * m) for i in range(1, c + 2))
-        self._out = _csr_side(keys, m)
+        self._ends = tuple(starts[bisect_left(row_ids, i * (n + 1))] for i in range(1, c + 2))
+        self._out = out
         self._in: _Side | None = None
-        self._scans_left = _IN_SCANS * len(keys)  # edges in-queries may still scan
+        self._scans_left = _IN_SCANS * len(targets)  # edges in-queries may still scan
 
     def _in_side(self) -> _Side:
         """The in side, built from the out side when an in-query finds the
@@ -241,8 +249,7 @@ class _SparseStore:
             sources = chain.from_iterable(
                 map(repeat, map(mod, row_ids, repeat(m)), map(sub, starts[1:], starts)))
             rows_in = map(add, map(mul, colors, repeat(m)), targets)  # i*m + v
-            keys = sorted(map(add, map(mul, rows_in, repeat(m)), sources))
-            self._in = _csr_side(keys, m)
+            self._in = _csr_side(*_split(sorted(_keys(rows_in, sources, m)), m))
         return self._in
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
@@ -277,12 +284,13 @@ class _SparseStore:
     def edge_count(self, i: int) -> int:
         return self._ends[i] - self._ends[i - 1]
 
-    def out_rows(self, i: int) -> Iterable[tuple[int, array]]:
+    def color_rows(self, i: int) -> tuple[list[int], list[int], array]:
         targets, row_ids, starts = self._out
         base = i * (self.n + 1)
         lo, hi = bisect_left(row_ids, base), bisect_left(row_ids, base + self.n + 1)
-        spans = map(slice, starts[lo:hi], starts[lo + 1:hi + 1])
-        return zip(map(sub, row_ids[lo:hi], repeat(base)), map(targets.__getitem__, spans))
+        first = starts[lo]
+        return (list(map(sub, row_ids[lo:hi], repeat(base))),
+                list(map(sub, starts[lo:hi + 1], repeat(first))), targets[first:starts[hi]])
 
     def colors_with_out(self, u: int) -> frozenset[int]:
         return _colors_with(self._out[1], self.n + 1, self.c, u)
@@ -309,15 +317,25 @@ class _SparseStore:
 _Side = tuple[array, array, array]  # targets, row ids i*m + x, row starts
 
 
-def _csr_side(keys: list[int], m: int) -> _Side:
-    """The side of the sorted keys (i*m + x)*m + y: the targets y, the ids
-    i*m + x of the nonempty rows, and the start of each row in the targets
-    with the end of the last one appended."""
-    row_of_key = array("q", map(floordiv, keys, repeat(m)))
-    # true where a row starts; row ids are positive, so the first key starts one
-    firsts = bytes(map(ne, row_of_key, chain((0,), row_of_key)))
-    return (array("q", map(mod, keys, repeat(m))), array("q", compress(row_of_key, firsts)),
-            array("q", chain(compress(count(), firsts), (len(keys),))))
+def _csr_side(rows: Sequence[int], targets: Sequence[int]) -> _Side:
+    """The side of the edges sorted by (row id i*m + x, target y), given as
+    their columns: the targets y, the ids i*m + x of the nonempty rows, and
+    the start of each row in the targets with the end of the last one
+    appended."""
+    # true where a row starts; row ids are positive, so the first edge starts one
+    firsts = bytes(map(ne, rows, chain((0,), rows)))
+    return (array("q", targets), array("q", compress(rows, firsts)),
+            array("q", chain(compress(count(), firsts), (len(rows),))))
+
+
+def _keys(rows: Iterable[int], targets: Iterable[int], m: int) -> Iterator[int]:
+    """The edge keys row*m + target, whose order is (row, target) order."""
+    return map(add, map(mul, rows, repeat(m)), targets)
+
+
+def _split(keys: list[int], m: int) -> tuple[array, array]:
+    """The row and target columns of the keys."""
+    return array("q", map(floordiv, keys, repeat(m))), array("q", map(mod, keys, repeat(m)))
 
 
 def _positions(values: array, x: int, lo: int, hi: int) -> Iterator[int]:
@@ -361,12 +379,21 @@ def _color_masks(flags_by_color: Iterable[Iterable[int]], size: int) -> list[int
 
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices v whose bit v-1 is set, ascending: by `bin()` when over
+    8 + length/8 bits are set, where that costs less, else bit by bit."""
+    if 8 * mask.bit_count() > mask.bit_length() + 64:
+        return tuple(compress(count(1), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def _row_pairs(sources: list[int], starts: list[int], targets: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(source, target) for each edge of a color's rows."""
+    return zip(chain.from_iterable(map(repeat, sources, map(sub, starts[1:], starts))), targets)
 
 
 class DigraphCollection:
@@ -461,14 +488,13 @@ class DigraphCollection:
 
     def color_edges(self, color: int) -> tuple[tuple[int, int], ...]:
         """Edges of one color as (source, target), sorted."""
-        return tuple((u, v) for u, vs in self._store.out_rows(color) for v in vs)
+        return tuple(_row_pairs(*self._store.color_rows(color)))
 
     def all_edges(self) -> Iterator[tuple[int, int, int]]:
         """All (color, source, target) triples, sorted."""
         for i in range(1, self.c + 1):
-            for u, vs in self._store.out_rows(i):
-                for v in vs:
-                    yield (i, u, v)
+            for u, v in _row_pairs(*self._store.color_rows(i)):
+                yield (i, u, v)
 
     def colors_with_out_edge(self, u: int) -> frozenset[int]:
         """Colors in which u has at least one out-edge."""
@@ -566,13 +592,29 @@ def _check_perm(perm: Sequence[int], size: int, label: str) -> Sequence[int]:
 
 
 def serialize_edge_list(collection: DigraphCollection) -> str:
-    """Canonical text form: header, dimensions, sorted edges, trailing LF."""
-    lines = [_HEADER, f"{collection.n} {collection.c}"]
-    for i in range(1, collection.c + 1):
-        for u, vs in collection._store.out_rows(i):
-            prefix = f"{i} {u} "
-            lines.append(prefix + ("\n" + prefix).join(map(str, vs)))  # one string per source
-    return "\n".join(lines) + "\n"
+    """Canonical text form: header, dimensions, sorted edges, trailing LF.
+
+    Each color is one join over the rows that `color_rows` reads: a row is
+    its prefix "i u " joined with the spellings "v\n" of its targets,
+    taken from tables of 0..n when there are at least n edges.
+    """
+    n, c, store = collection.n, collection.c, collection._store
+    edges = sum(map(store.edge_count, range(1, c + 1)))
+    source_of, target_of = _spellings("{} ", n, edges), _spellings("{}\n", n, edges)
+    parts = [f"{_HEADER}\n{n} {c}\n"]
+    for i in range(1, c + 1):
+        sources, starts, targets = store.color_rows(i)
+        prefixes = list(map(f"{i} ".__add__, map(source_of, sources)))
+        spelled = list(map(target_of, targets))
+        rows = map(spelled.__getitem__, map(slice, starts, starts[1:]))
+        parts.append("".join(map(add, prefixes, map(str.join, prefixes, rows))))
+    return "".join(parts)
+
+
+def _spellings(form: str, n: int, uses: int):
+    """form.format as a function of 0..n: a table lookup when it is used
+    at least n times, else form.format itself."""
+    return list(map(form.format, range(n + 1))).__getitem__ if n <= uses else form.format
 
 
 def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> DigraphCollection:
@@ -631,21 +673,17 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
 def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | None]:
     """Checked columns of the body from `start` on, one chunk of whole lines
     at a time; None for a chunk whose edge lines are not all three integers
-    or whose columns fail `_checked_columns`.
+    in range, or that has a loop.
 
     A plain chunk, whose lines are three ASCII digit tokens separated by
     single spaces (one `translate` and one `split` check that), is split
     at once.  In any other chunk the comment and blank lines are dropped
-    and each other line is split on its own.  Values up to _SPELLED_MAX are
-    read through a table of their decimal spellings, which is faster than
-    `int`; it is built only for a body with at least as many characters
-    as it has entries.  A chunk with a token the table lacks (0, a leading
-    zero, "+1", a value past max(n, c)) is read with `int`, as the walk
-    reads it.
+    and each other line is split on its own.  Each column is then read at
+    once (`_column`), colors through a table of the spellings of 1..c and
+    vertices through one of 1..n, so only a column that falls back to
+    `int` needs a range check.
     """
-    top = max(n, c)
-    spelled = (dict(zip(map(str, range(1, top + 1)), range(1, top + 1))).__getitem__
-               if top <= min(_SPELLED_MAX, len(text) - start) else int)
+    color_of, vertex_of = _values(c, len(text) - start), _values(n, len(text) - start)
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or text.index("\n", start) + 1
         chunk = text[start:end]
@@ -656,47 +694,56 @@ def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | N
                 yield None
                 return
             tokens = list(chain.from_iterable(rows))
-        values = _ints(tokens, spelled)
-        if values is None:
+        colors = _column(tokens[0::3], color_of, c)
+        sources = _column(tokens[1::3], vertex_of, n)
+        targets = _column(tokens[2::3], vertex_of, n)
+        if colors is None or sources is None or targets is None or any(map(eq, sources, targets)):
             yield None
             return
-        yield _checked_columns(n, c, values[0::3], values[1::3], values[2::3])
+        yield colors, sources, targets
         start = end
 
 
-def _ints(tokens: list[str], to_int) -> list[int] | None:
-    """The tokens read by `to_int`, or None if `int` does not read them all."""
+def _values(top: int, chars: int) -> dict[str, int] | None:
+    """The value of each spelling of 1..top, or None where the table costs
+    more than `int`: past _SPELLED_MAX entries or one entry per character."""
+    if top > min(_SPELLED_MAX, chars):
+        return None
+    return dict(zip(map(str, range(1, top + 1)), range(1, top + 1)))
+
+
+def _column(tokens: list[str], table: dict[str, int] | None, top: int) -> list[int] | None:
+    """The tokens as ints in 1..top, or None.  Table hits are in range; a
+    token the table lacks (0, "007", "+1", past top) sends the column to
+    `int`, as the walk reads it, and to a min and max check."""
+    if table is not None:
+        try:
+            return list(map(table.__getitem__, tokens))
+        except KeyError:
+            pass
     try:
-        return list(map(to_int, tokens))
-    except KeyError:  # not in the table: 0, a leading zero or a value past max(n, c)
-        return _ints(tokens, int)
+        values = list(map(int, tokens))
     except ValueError:  # not an integer, or too many digits for int
         return None
+    return values if not values or 1 <= min(values) and max(values) <= top else None
 
 
 def _edge_columns(n: int, c: int, edges: list) -> _Columns | None:
-    """Checked columns of a list of triples, or None."""
+    """Checked columns of a list of triples, or None if one is no triple or
+    fails `_check_edge`: ranges by min and max per column, loops by one
+    pairwise comparison."""
     try:
         if set(map(len, edges)) <= {3}:
-            return _checked_columns(n, c, *(zip(*edges) if edges else ((), (), ())))
+            colors, sources, targets = zip(*edges) if edges else ((), (), ())
+            if not targets or (
+                1 <= min(colors) and max(colors) <= c
+                and 1 <= min(sources) and max(sources) <= n
+                and 1 <= min(targets) and max(targets) <= n
+                and not any(map(eq, sources, targets))
+            ):
+                return colors, sources, targets
     except TypeError:
-        pass  # an edge that is no sequence: the walk names it
-    return None
-
-
-def _checked_columns(n: int, c: int, colors, sources, targets) -> _Columns | None:
-    """The columns if every triple passes `_check_edge`, else None: ranges by
-    min and max per column, loops by one pairwise comparison."""
-    try:
-        if not targets or (
-            1 <= min(colors) and max(colors) <= c
-            and 1 <= min(sources) and max(sources) <= n
-            and 1 <= min(targets) and max(targets) <= n
-            and not any(map(eq, sources, targets))
-        ):
-            return colors, sources, targets
-    except TypeError:
-        pass  # the walk raises the error that names the triple
+        pass  # an edge that is no sequence, or a value that is no number: the walk names it
     return None
 
 
@@ -717,8 +764,10 @@ def _bulk_store(n: int, c: int, chunks: Iterable[_Columns | None], dense_thresho
     """Dense or sparse store of the column chunks, or None if a chunk is
     None or an edge repeats.  Repeats are counted, not looked up: dense
     rows OR each edge's bit in, so a repeat leaves the popcount sum short
-    of the number of triples; sparse keys are sorted, so a repeat sits
-    next to itself."""
+    of the number of triples.  Sparse keys row*m + target that strictly
+    increase, checked a chunk at a time, have no repeat and are in CSR
+    order, so the row and target columns are the out side's as they are;
+    other keys are sorted, where a repeat sits next to itself, and split."""
     m = n + 1
     if n <= dense_threshold:
         bits = [0] + [1 << k for k in range(n)]  # bits[v] = 1 << (v-1)
@@ -734,17 +783,27 @@ def _bulk_store(n: int, c: int, chunks: Iterable[_Columns | None], dense_thresho
                 flat[r] |= bit
         store = _DenseStore(n, c, [flat[i * m:(i + 1) * m] for i in range(1, c + 1)])
         return store if sum(store._counts) == total else None
-    keys: list[int] = []
+    rows: list[int] = []
+    targets: list[int] = []
+    last = -1  # the last key so far while they strictly increase, else None
     for columns in chunks:
         if columns is None:
             return None
-        colors, sources, targets = columns
-        keys.extend(map(add, map(mul, map(add, map(mul, colors, repeat(m)), sources), repeat(m)),
-                        targets))
-    keys.sort()
-    if any(map(eq, keys, islice(keys, 1, None))):
-        return None
-    return _SparseStore(n, c, keys)
+        colors, sources, column = columns
+        chunk_rows = list(map(add, map(mul, colors, repeat(m)), sources))
+        if last is not None and column:
+            keys = list(_keys(chunk_rows, column, m))
+            last = keys[-1] if last < keys[0] and all(map(lt, keys, islice(keys, 1, None))) else None
+        rows += chunk_rows
+        targets += column
+    if last is None:
+        keys = sorted(_keys(rows, targets, m))
+        del rows, targets
+        if any(map(eq, keys, islice(keys, 1, None))):
+            return None
+        rows, targets = _split(keys, m)
+        del keys
+    return _SparseStore(n, c, _csr_side(rows, targets))
 
 
 def _walk_edges(n: int, c: int, edges: Iterable) -> Iterator[tuple[int, int, int]]:

@@ -170,17 +170,19 @@ def max_exact(
     nodes = 0
 
     def leaves(center: int, need_in: int, need_out: int, used_v: int, used_c: int) -> bool:
-        """need_in in-leaves and need_out out-leaves at center, in distinct
-        colors outside used_c and at distinct vertices outside used_v."""
-        if need_in == 0 and need_out == 0:
-            return True
+        """need_in in-leaves and need_out out-leaves at center, at least one
+        in all, in distinct colors outside used_c and at distinct vertices
+        outside used_v."""
         masks = in_masks if need_in else out_masks
         after = (need_in - 1, need_out) if need_in else (need_in, need_out - 1)
+        last = after == (0, 0)
         for i in range(1, c + 1):
             bit_i = 1 << (i - 1)
             if used_c & bit_i:
                 continue
             cand = masks[i][center] & ~used_v
+            if last and cand:
+                return True
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -217,6 +219,7 @@ def max_exact(
     # per slot, the later slots that can share a star with it, each with the
     # rest of that star to look for
     pairs = [pair_checks(idx, *slots[idx]) for idx in range(total_slots)]
+    whole = p + q == 2  # a pair is then a whole star, and needs no more leaves
 
     def bound() -> int:
         if objective == "min":
@@ -255,7 +258,7 @@ def max_exact(
             counts[i] += 1
             chosen.append((i, u, v))
             killed = [j for j, center, need_in, need_out, used_v, used_c in pairs[idx]
-                      if alive[j] and leaves(center, need_in, need_out, used_v, used_c)]
+                      if alive[j] and (whole or leaves(center, need_in, need_out, used_v, used_c))]
             for j in killed:
                 alive[j] = False
                 remaining[slots[j][0]] -= 1

@@ -130,6 +130,54 @@ def test_backend_equivalence(col):
     assert dense.color_masks() == sparse.color_masks() == in_first.color_masks()
 
 
+def test_canonical_and_shuffled_bodies_give_the_same_sparse_store():
+    # a canonical body's columns become the CSR as they are; a shuffled one
+    # is sorted first, and both must give the same arrays and text
+    rng = random.Random(5)
+    n, c = 700, 3
+    edges = {(rng.randint(1, c), *rng.sample(range(1, n + 1), 2)) for _ in range(3000)}
+    canonical = serialize_edge_list(DigraphCollection.from_edges(n, c, edges))
+    head, body = canonical.split("\n", 2)[:2], canonical.split("\n")[2:-1]
+    rng.shuffle(body)
+    shuffled = "\n".join(head + body) + "\n"
+    assert shuffled != canonical
+    presorted, sorted_ = parse_edge_list(canonical), parse_edge_list(shuffled)
+    assert presorted.storage_kind == sorted_.storage_kind == "sparse"
+    assert presorted._store._out == sorted_._store._out
+    assert presorted._store._ends == sorted_._store._ends
+    assert presorted == sorted_
+    assert serialize_edge_list(presorted) == serialize_edge_list(sorted_) == canonical
+
+
+def test_serialize_dense_rows_of_every_weight():
+    # dense rows are read bit by bit when light and through bin() when
+    # heavy; rows on both sides of that choice, at both ends of the bit
+    # range, must serialize as the plain one-line-per-edge text
+    n = 600
+    rng = random.Random(9)
+    targets = {
+        (1, 2): [1], (1, 3): [n], (1, 4): [1, n], (1, 5): [v for v in range(1, n + 1) if v != 5],
+        (1, n): list(range(1, n)), (2, n): [1], (2, 1): [2],
+        # of length 600, a row of 83 bits is the heaviest read bit by bit
+        # and one of 84 the lightest read through bin()
+        (1, 6): sorted(rng.sample(range(7, n), 82)) + [n],
+        (1, 7): sorted(rng.sample(range(8, n), 83)) + [n],
+        (2, 8): sorted(rng.sample(range(9, n + 1), 300)),
+        (3, 9): [10, 11, 12],
+    }
+    c = 3
+    rows = [[0] * n for _ in range(c)]
+    for (i, u), vs in targets.items():
+        rows[i - 1][u - 1] = sum(1 << (v - 1) for v in vs)
+    col = DigraphCollection.from_out_rows(n, c, rows)
+    assert col.storage_kind == "dense"
+    edges = sorted((i, u, v) for (i, u), vs in targets.items() for v in vs)
+    assert list(col.all_edges()) == edges
+    expected = f"rainbow-digraph v1\n{n} {c}\n" + "".join(f"{i} {u} {v}\n" for i, u, v in edges)
+    assert serialize_edge_list(col) == expected
+    assert parse_edge_list(expected) == col
+
+
 def test_sparse_store_memory_grows_with_edges_alone():
     # a side is three arrays of 8-byte ints: a target per edge, and an id
     # and a start per nonempty row, at most 48 bytes per edge for both
@@ -350,16 +398,20 @@ def mutated_texts(draw):
 def test_parse_matches_line_by_line_reference(text, chunk):
     expected = reference_parse(text)
     # chunks of a few characters put repeats and bad lines on either side
-    # of a chunk boundary
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_CHUNK_CHARS", chunk)
-        for threshold in (0, 512):
-            try:
-                parsed = parse_edge_list(text, threshold)
-            except ParseError as err:
-                assert (err.line_number, str(err)) == (expected[0], f"line {expected[0]}: {expected[1]}")
-            else:
-                assert (parsed.n, parsed.c, tuple(parsed.all_edges())) == expected
+    # of a chunk boundary; a small table limit reads the vertex columns
+    # (and with 1 the color columns too) with int, whose range checks then
+    # meet the bad edges
+    for spelled_max in (model._SPELLED_MAX, 4, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_CHUNK_CHARS", chunk)
+            patch.setattr(model, "_SPELLED_MAX", spelled_max)
+            for threshold in (0, 512):
+                try:
+                    parsed = parse_edge_list(text, threshold)
+                except ParseError as err:
+                    assert (err.line_number, str(err)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+                else:
+                    assert (parsed.n, parsed.c, tuple(parsed.all_edges())) == expected
 
 
 def test_parse_rejects_crlf_and_missing_newline():
