@@ -308,8 +308,9 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
     The one p = 0 exception is the minimum for n > c when q-1 does not
     divide r = n(q-1) mod c: there the floor formula is an UPPER_BOUND (the
     optimum can fall below it; oracle.cover_oracle_s0q computes it).
-    Raises ValueError for (1, 1) with objective "min" at n = 3, where the
-    closed form fails and callers should use the exact oracle.
+    (1, 1) with objective "min" at n = 3 is off the floor(n^2/4) formula:
+    3 at c = 2 and 2 for c >= 3, resting on `oracle.max_exact` (see the
+    note of that result).
     """
     check_objective(objective)
     if n < 1 or c < 1:
@@ -386,9 +387,12 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
                 "valid for c >= 4, n >= 3",
             )
         if n == 3:
-            raise ValueError(
-                "min objective for pattern (1,1) at n=3 has no closed form "
-                "(opposite triangle orientations reach 3); use the exact oracle"
+            return result(
+                EXACT, 3 if c == 2 else 2, "two-path/min-triangle",
+                "n = 3: max_exact proves 3 at c = 2 (opposite triangle "
+                "orientations) and 2 at c = 3 (18 slots); dropping colors keeps a "
+                "collection free and cannot lower its minimum, so no c > 3 beats "
+                "c = 3, and BIPARTITE_S11 reaches 2 for every c",
             )
         return result(
             EXACT, n * n // 4, "two-path/min",

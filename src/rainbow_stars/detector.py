@@ -3,9 +3,13 @@
 A rainbow star with pattern (p, q) at center v consists of p in-edges and q
 out-edges at v whose leaf vertices are pairwise distinct (and distinct from v)
 and whose p+q colors are pairwise distinct.  `find_rainbow_star` is the
-production search; `find_rainbow_star_naive` re-decides by raw enumeration and
-`matching_fastpath_p0` re-decides the p=0 case through bipartite matching, so
-the three can cross-check each other.
+production search: it decides each center with one walk over the p+q leaf
+slots, which takes a candidate only while leaf-to-color matchings of what is
+left still cover the slots left.  Deciding a center is exact matching in
+general, so no walk is polynomial on every input, but a one-sided pattern's
+walk never backs up.  `find_rainbow_star_naive` re-decides by raw
+enumeration and `matching_fastpath_p0` re-decides the p=0 case through
+bipartite matching, so the three can cross-check each other.
 
 All functions are pure reads of an immutable collection.
 """
@@ -79,17 +83,16 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     Each center's color sets are read once, for the sides the pattern
     uses, and screened by `_colors_suffice`.  A center that passes has its
     sorted (leaf, color) pairs gathered once for each side the pattern
-    uses, out side first; each list feeds a maximum matching of leaves to
-    colors, and one below q, resp. p, rules the center out.  For a
-    one-sided pattern that matching is exact: the center has a star, and
-    `_walk_one_side` reads the first one off in polynomial time.  A
-    two-sided pattern must also pass a joint matching of the center's
-    distinct neighbours to colors (a star's p+q leaves form one of size
-    p+q) before the backtracking of `_embed_at_center` runs.
+    uses, out side first, and matched: out-leaves to colors, in-leaves to
+    colors and, for a two-sided pattern, the center's distinct neighbours
+    to colors.  A star's leaves give matchings of size q, p and p+q, so one
+    below that rules the center out; otherwise the matchings are the
+    witnesses of one checked walk over the p+q leaf slots, `_walk`.
     """
     p, q = pat.p, pat.q
     if collection.n - 1 < p + q:
         return None
+    in_cands = out_cands = out_match = joint = None
     for v in range(1, collection.n + 1):
         # a sparse collection's in-queries scan its out side, then build the in side
         in_colors = collection.colors_with_in_edge(v) if p else _NO_COLORS
@@ -101,17 +104,16 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
             out_match = _match_leaves(out_cands)
             if len(out_match) < q:
                 continue
-            if not p:
-                return StarEmbedding(v, (), _walk_one_side(out_cands, out_match, q))
-        in_cands = _leaf_colors(collection.in_neighbors, v, in_colors)
-        in_match = _match_leaves(in_cands)
-        if len(in_match) < p:
-            continue
-        if not q:
-            return StarEmbedding(v, _walk_one_side(in_cands, in_match, p), ())
-        if _joint_matching_short(in_cands, out_cands, out_match, p + q):
-            continue
-        emb = _embed_at_center(v, p, q, in_cands, out_cands)
+        if p:
+            in_cands = _leaf_colors(collection.in_neighbors, v, in_colors)
+            in_match = _match_leaves(in_cands)
+            if len(in_match) < p:
+                continue
+        if p and q:
+            joint = _augment(_adjacency(in_cands + out_cands), dict(out_match))
+            if len(joint) < p + q:
+                continue
+        emb = _walk(v, p, q, in_cands, out_cands, in_match if p else out_match, out_match, joint)
         if emb is not None:
             return emb
     return None
@@ -136,96 +138,86 @@ def _adjacency(pairs) -> dict[int, list[int]]:
     return adj
 
 
-def _joint_matching_short(in_cands, out_cands, out_match: dict[int, int], size: int) -> bool:
-    """True when the center's distinct neighbours, in or out, cannot be
-    matched to `size` distinct colors, so no (p, q) star with p+q = size
-    is there.  Fewer than `size` neighbours settles it without a matching;
-    otherwise the out-side matching is augmented over both sides."""
-    adj = _adjacency(in_cands)
-    for w, i in out_cands:
-        adj.setdefault(w, []).append(i)
-    return len(adj) < size or len(_augment(adj, dict(out_match))) < size
+def _walk(v: int, p: int, q: int, in_cands, out_cands, same, other, joint):
+    """The first star at v, or None.
 
-
-def _walk_one_side(cands, witness: dict[int, int], size: int) -> tuple[tuple[int, int], ...]:
-    """The first ascending chain of `size` pairs of `cands` (one side's
-    sorted (leaf, color) pairs) with distinct leaves and colors.
-
-    `witness` is a matching {leaf: color} of at least `size` pairs, so the
-    chain exists.  Slots are filled in turn, and a candidate (w, i) is taken
-    iff the leaves after w still match the slots left with colors other
-    than i and those already used.  That test is exact, so the candidate
-    taken is the one a backtracking search would keep, and no choice is
-    undone.  The witness answers the test when enough of its pairs have a
-    leaf after w and a color other than i; otherwise those pairs are
-    augmented to a maximum matching of what is left, which becomes the
-    next witness if it is large enough.
-    """
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    last = start = 0
-    for k in range(size):
-        need = size - k - 1
-        for idx in range(start, len(cands)):
-            w, i = cands[idx]
-            if w == last or i in used:
-                continue
-            rest = {u: j for u, j in witness.items() if u > w and j != i}
-            if len(rest) < need:
-                taken = used | {i}
-                rest = _augment(_adjacency((u, j) for u, j in cands[idx + 1:]
-                                           if u > w and j not in taken), rest)
-                if len(rest) < need:
-                    continue
-            witness = rest
-            chosen.append((w, i))
-            used.add(i)
-            last, start = w, idx + 1
-            break
-    return tuple(chosen)
-
-
-def _embed_at_center(v: int, p: int, q: int, in_cands, out_cands):
-    """Backtracking over the p+q leaf slots at a fixed center (p, q >= 1).
-
-    Slots below p take (leaf, color) pairs from in_cands, the rest from
-    out_cands.  Same-role slots follow ascending candidate chains: the
-    lexicographically first embedding has sorted in-leaves and sorted
-    out-leaves, so restricting to ascending chains returns exactly that
-    embedding; the chain restarts at the first out slot.  The choices are
-    kept on lists, not on the call stack, so p+q is not bounded by the
-    recursion limit.  The search is exponential in
-    p+q at worst; `find_rainbow_star` runs it only where both side
-    matchings and the joint matching pass.
+    Slots below p take in-pairs, the rest out-pairs; each side's slots
+    follow an ascending chain of its sorted pairs, as the lexicographically
+    first star does, and the chain restarts at the first out slot.  A
+    candidate (w, i) is taken only while three matchings of the pairs left
+    still cover the slots left: in-leaves after w to colors, unused
+    out-leaves to colors, and the distinct neighbours still open (in after
+    w, or out and unused) to colors.  `same` is the matching of the slot's
+    side, `other` the out side's during in slots, and `joint` the merged
+    one.  Each is cut by w and i, and augmented over the open pairs only
+    when too little of it survives.  The test only prunes, so the walk
+    keeps the star unpruned backtracking finds.  With no in slot left the
+    out matching is exact, so only in slots are undone and a one-sided
+    pattern never backs up.  The last slot is taken untested.
     """
     size = p + q
-    used_vertices = {v}
+    out_pairs = set(out_cands) if p > 1 and q else None
+    used_leaves: set[int] = set()
     used_colors: set[int] = set()
-    chosen: list[tuple[int, int]] = []
-    indices: list[int] = []   # the candidate index chosen at each filled slot
-    start = 0
-    while len(chosen) < size:
-        k = len(chosen)
-        cands = in_cands if k < p else out_cands
-        idx = start
-        while idx < len(cands) and (cands[idx][0] in used_vertices
-                                    or cands[idx][1] in used_colors):
-            idx += 1
-        if idx < len(cands):
+    trail: list[tuple] = []   # per filled slot: its pair, its index, the state before it
+    start = last = 0
+    while True:
+        k = len(trail)
+        inside = k < p
+        cands = in_cands if inside else out_cands
+        need = (p if inside else size) - k - 1   # slots left on this side
+        for idx in range(start, len(cands)):
             w, i = cands[idx]
-            used_vertices.add(w)
-            used_colors.add(i)
-            chosen.append((w, i))
-            indices.append(idx)
-            start = 0 if k + 1 == p else idx + 1
-        elif chosen:
-            w, i = chosen.pop()
-            used_vertices.remove(w)
-            used_colors.remove(i)
-            start = indices.pop() + 1
+            if w <= last or i in used_colors or w in used_leaves:
+                continue
+            if k + 1 == size:
+                pairs = tuple(t[:2] for t in trail) + ((w, i),)
+                return StarEmbedding(v, pairs[:p], pairs[p:])
+            if need:   # `same` already avoids the earlier choices
+                same_cut = {u: j for u, j in same.items() if u > w and j != i}
+                if len(same_cut) < need:
+                    same_cut = _augment(_adjacency(
+                        (u, j) for u, j in cands[idx + 1:] if u > w and j != i
+                        and j not in used_colors and u not in used_leaves), same_cut)
+                    if len(same_cut) < need:
+                        continue
+            if inside and q:
+                other_cut = {u: j for u, j in other.items() if u != w and j != i}
+                if len(other_cut) < q:
+                    other_cut = _augment(_adjacency(
+                        (u, j) for u, j in out_cands if u != w and j != i
+                        and j not in used_colors and u not in used_leaves), other_cut)
+                    if len(other_cut) < q:
+                        continue
+            if inside and q and need:
+                joint_cut = {u: j for u, j in joint.items() if u != w and j != i
+                             and (u > w or (u, j) in out_pairs)}
+                if len(joint_cut) < need + q:
+                    joint_cut = _augment(_adjacency(
+                        [(u, j) for u, j in in_cands[idx + 1:] if u > w and j != i
+                         and j not in used_colors]
+                        + [(u, j) for u, j in out_cands if u != w and j != i
+                           and j not in used_colors and u not in used_leaves]), joint_cut)
+                    if len(joint_cut) < need + q:
+                        continue
+            break
         else:
-            return None
-    return StarEmbedding(v, tuple(chosen[:p]), tuple(chosen[p:]))
+            if not trail:
+                return None
+            w, i, idx, last, same, other, joint = trail.pop()
+            used_leaves.remove(w)
+            used_colors.remove(i)
+            start = idx + 1
+            continue
+        trail.append((w, i, idx, last, same, other, joint))
+        used_leaves.add(w)
+        used_colors.add(i)
+        if k + 1 == p:
+            same, other, start, last = other_cut, None, 0, 0
+        else:
+            same, start, last = same_cut, idx + 1, w
+            if inside and q:
+                other, joint = other_cut, joint_cut
 
 
 def find_rainbow_star_naive(collection: DigraphCollection, pat: StarPattern, max_work: int = NAIVE_WORK_GUARD):

@@ -640,14 +640,19 @@ _SUITES: dict[str, Callable[[int], list[VerificationCase]]] = {
 }
 
 
+def combine_suites(seed: int, cases_by_suite: dict[str, list[VerificationCase]]) -> VerificationReport:
+    """The "all" report over every suite's cases, each tagged with its suite."""
+    return _finish("all", seed, [
+        replace(case, params={**case.params, "suite": suite_name})
+        for suite_name in SUITE_NAMES for case in cases_by_suite[suite_name]
+    ])
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run one named suite, or all of them under the name "all"."""
     if name == "all":
-        cases = []
-        for suite_name in SUITE_NAMES:
-            cases.extend(replace(case, params={**case.params, "suite": suite_name})
-                         for case in _SUITES[suite_name](seed))
-        return _finish("all", seed, cases)
+        return combine_suites(seed, {suite_name: _SUITES[suite_name](seed)
+                                     for suite_name in SUITE_NAMES})
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES + ('all',))}"

@@ -7,6 +7,8 @@ algebra must finish within 5 s, the detector battery within 60 s, and each
 exact-search instance within a 120 s budget.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -22,6 +24,7 @@ from rainbow_stars.oracle import cover_oracle_s0q, max_exact
 from rainbow_stars.verify import (
     DEFAULT_SEED,
     FROZEN_COVER_853_MIN,
+    combine_suites,
     suite_constructions_free,
     suite_cover_adjudication,
     suite_detector_equivalence,
@@ -218,3 +221,24 @@ def test_criterion_9_invariance_battery(capsys):
     announce(capsys, 9, ok,
              "verdicts and optima invariant under reversal and relabeling")
     assert ok, violations[:5]
+
+
+# sha256 of the `rainbow-stars verify --suite all --seed 20260814` report
+# with its timestamp removed, written as compact JSON with sorted keys (the
+# CLI's indented text parses to the same object); fixed before the
+# detector's three per-center searches became one walk
+VERIFY_REPORT_DIGEST = "5c7e3641a0292db2d8a41958144e223ac60e033ebcef0870806f58d422cbde0d"
+
+
+def test_verify_report_pinned(detector_cases, construction_cases, exact_small_cases,
+                              adjudication_cases):
+    report = combine_suites(DEFAULT_SEED, {
+        "detector-equivalence": detector_cases,
+        "constructions-free": construction_cases,
+        "exact-small": exact_small_cases,
+        "thresholds": suite_thresholds(DEFAULT_SEED),
+        "cover-adjudication": adjudication_cases,
+    }).to_json_dict()
+    del report["timestamp"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_REPORT_DIGEST

@@ -188,8 +188,13 @@ def test_exact_bound_two_path():
     assert exact_bound(StarPattern(1, 1), 4, 5, "sum").value == 5 * 4
     assert exact_bound(StarPattern(1, 1), 4, 2, "min").value == 4
     assert exact_bound(StarPattern(1, 1), 7, 3, "min").value == 12
-    with pytest.raises(ValueError):
-        exact_bound(StarPattern(1, 1), 3, 2, "min")  # n = 3 has no closed form
+    # n = 3 is off the floor(n^2/4) formula: the two triangle orientations
+    # reach 3 at c = 2, and every c >= 3 is capped by the c = 3 optimum, 2
+    res = exact_bound(StarPattern(1, 1), 3, 2, "min")
+    assert (res.kind, res.value) == ("EXACT", 3)
+    for c in (3, 4, 10):
+        res = exact_bound(StarPattern(1, 1), 3, c, "min")
+        assert (res.kind, res.value) == ("EXACT", 2)
 
 
 def test_exact_bound_normalizes_by_reversal():

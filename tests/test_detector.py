@@ -84,7 +84,8 @@ def test_colors_must_differ_across_sides():
     assert find_rainbow_star(two, StarPattern(1, 1)) is not None
 
 
-@pytest.mark.parametrize("p,q", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)])
+@pytest.mark.parametrize("p,q", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2),
+                                 (1, 3), (3, 1), (2, 3)])
 def test_fuzz_against_naive(p, q):
     rng = random.Random(1009 * p + 31 * q + 11)
     for trial in range(120):
@@ -241,8 +242,9 @@ def detector_corpus():
             col = clique_with_isolated_vertex(k, c)
             for size in (k - 1, k):
                 for p in range(size + 1):
-                    # the two-sided near misses of K_6 spend about 4 s in
-                    # exhaustive backtracking; those of K_5 walk the same code
+                    # the two-sided near misses of K_6 are left out, as when
+                    # the digest was fixed; test_two_sided_clique_near_misses
+                    # _are_free decides them
                     if size == 6 and 0 < p < 6:
                         continue
                     yield col, StarPattern(p, size - p)
@@ -256,7 +258,8 @@ def detector_corpus():
 # sha256 over one repr line per corpus entry: n, c, p, q, the embedding
 # find_rainbow_star returns (center, in_leaves, out_leaves) or None, the
 # classify_vertices fields, and for p = 0 the matching_fastpath_p0 result;
-# fixed before the detector's per-center search was restructured
+# fixed before the detector's per-center search was restructured, and kept
+# when its three searches became one checked slot walk
 DETECTOR_DIGEST = "0589ba6680d9c3e621fa8b975b1aa768b0e340f096473074646fe03420735be5"
 
 
@@ -281,10 +284,11 @@ def test_detector_answers_pinned():
     assert digest.hexdigest() == DETECTOR_DIGEST
 
 
-# the worst cases of an exhaustive slot walk, each decided well inside a
-# second of CPU time: the clique near misses fail the joint matching of
-# neighbours to colors, and the chains are one-sided, so their walk is a
-# checked greedy walk with no backtracking
+# the worst cases of an unchecked slot walk, each decided well inside a
+# second of CPU time by the checked one: the clique near misses fail the
+# joint matching of neighbours to colors at the root, the chains are
+# one-sided, so their walk never backs up, and A_k fails the joint matching
+# at its second in slot, so the walk backs up over k+1 first choices only
 
 def timed_find(col, pat, limit=1.0):
     start = time.process_time()
@@ -304,6 +308,65 @@ def test_two_sided_clique_near_misses_are_free(c):
     col = clique_with_isolated_vertex(6, c)
     for p in range(1, 6):
         assert timed_find(col, StarPattern(p, 6 - p)) is None
+
+
+def a_k_edges(k: int) -> set[tuple[int, int, int]]:
+    # center 1 with in-leaves a_j = 1+j and out-leaves b_j = 1+k+j (j = 1..k):
+    # a_j -> 1 and 1 -> b_j in the shared colors 1..k+1, and 1 -> a_j in its
+    # own color k+1+j.  No (k, k) star: the in-leaves must be every a_j, and
+    # they leave one shared color for the b_j.  The center still passes all
+    # three matchings, so no root test decides it
+    edges = {(k + 1 + j, 1, 1 + j) for j in range(1, k + 1)}
+    edges |= {(i, 1 + j, 1) for i in range(1, k + 2) for j in range(1, k + 1)}
+    return edges | {(i, 1, 1 + k + j) for i in range(1, k + 2) for j in range(1, k + 1)}
+
+
+def a_k(k: int, extra=()) -> DigraphCollection:
+    return DigraphCollection.from_edges(2 * k + 1, 2 * k + 1, sorted(a_k_edges(k) | set(extra)))
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_a_k_probes_are_free(k):
+    assert timed_find(a_k(k), StarPattern(k, k)) is None
+
+
+def test_a_k_with_one_edge_added_against_naive():
+    # every edge A_2 lacks, and the nine b_j -> 1 edges in an own color that
+    # each give A_3 a star (b_j then takes an in slot and frees an a_j)
+    pat = StarPattern(2, 2)
+    assert find_rainbow_star_naive(a_k(2), pat) is None
+    stars = 0
+    for i, u, w in itertools.product(range(1, 6), repeat=3):
+        if u == w or (i, u, w) in a_k_edges(2):
+            continue
+        col = a_k(2, [(i, u, w)])
+        fast = find_rainbow_star(col, pat)
+        assert (fast is None) == (find_rainbow_star_naive(col, pat) is None), (i, u, w)
+        if fast is not None:
+            assert fast.is_valid_in(col)
+            stars += 1
+    assert stars == 18
+    for i in range(5, 8):
+        for b in range(5, 8):
+            col = a_k(3, [(i, b, 1)])
+            fast = find_rainbow_star(col, StarPattern(3, 3))
+            assert fast is not None and fast.is_valid_in(col), (i, b)
+            assert find_rainbow_star_naive(col, StarPattern(3, 3)) is not None
+
+
+def test_in_leaves_leave_the_out_colors_free():
+    # center 1 with k+2 in-neighbours 2..k+3 in every color 1..2k+1 and k
+    # out-neighbours in colors 1..k+1 only, k = 6: the (k, k) star's
+    # in-leaves may take one of the out side's colors, so each later in
+    # slot must skip k colors that the out matching rules out (an unchecked
+    # walk tries every in chain first, 13 s at k = 5)
+    k = 6
+    edges = [(i, u, 1) for u in range(2, k + 4) for i in range(1, 2 * k + 2)]
+    edges += [(i, 1, w) for w in range(k + 4, 2 * k + 4) for i in range(1, k + 2)]
+    col = DigraphCollection.from_edges(2 * k + 3, 2 * k + 1, edges)
+    emb = timed_find(col, StarPattern(k, k))
+    assert emb.in_leaves == ((2, 1),) + tuple((2 + j, k + 1 + j) for j in range(1, k))
+    assert emb.out_leaves == tuple((k + 3 + j, 1 + j) for j in range(1, k + 1))
 
 
 @pytest.mark.parametrize("length", [18, 1500])

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from rainbow_stars.bounds import EXACT, UNCONSTRAINED, UPPER_BOUND, exact_bound
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import find_rainbow_star
 from rainbow_stars.model import DigraphCollection, StarPattern, edge_counts, serialize_edge_list
@@ -105,11 +106,21 @@ def max_exact_slow_domain():
 
 def max_exact_digest(domain) -> tuple[str, int]:
     """sha256 over "n c p q objective optimum nodes_explored proved_optimal"
-    lines, each followed by the serialized witness, and the solve count."""
+    lines, each followed by the serialized witness, and the solve count.
+
+    Each solve also audits `exact_bound`'s label: an EXACT or UNCONSTRAINED
+    value must be the proved optimum, and an UPPER_BOUND must not be below
+    it; ASYMPTOTIC coefficients are not compared."""
     digest = hashlib.sha256()
     solves = 0
     for n, c, p, q, objective in domain:
         outcome = max_exact(n, c, StarPattern(p, q), objective, allow_large=True)
+        bound = exact_bound(StarPattern(p, q), n, c, objective)
+        point = (n, c, p, q, objective, bound.kind, bound.value, outcome.optimum)
+        if bound.kind in (EXACT, UNCONSTRAINED):
+            assert outcome.proved_optimal and bound.value == outcome.optimum, point
+        elif bound.kind == UPPER_BOUND:
+            assert bound.value >= outcome.optimum, point
         digest.update(
             f"{n} {c} {p} {q} {objective} {outcome.optimum} "
             f"{outcome.nodes_explored} {outcome.proved_optimal}\n".encode())
