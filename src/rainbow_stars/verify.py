@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Optional
@@ -88,7 +88,8 @@ class VerificationReport:
             "seed": self.seed,
             "tool_version": self.tool_version,
             "timestamp": self.timestamp,
-            "cases": [asdict(case) for case in self.cases],
+            # one level deep: params is the only container in a case
+            "cases": [dict(vars(case), params=dict(case.params)) for case in self.cases],
             "summary": self.summary,
         }
 

@@ -104,7 +104,35 @@ def max_exact_slow_domain():
                 yield 4, c, p, 3 - p, objective
 
 
-def max_exact_digest(domain) -> tuple[str, int]:
+def solve_all(domain) -> dict:
+    """max_exact outcome per (n, c, p, q, objective) point of the domain."""
+    return {(n, c, p, q, objective): max_exact(n, c, StarPattern(p, q), objective,
+                                               allow_large=True)
+            for n, c, p, q, objective in domain}
+
+
+@pytest.fixture(scope="module")
+def default_solves():
+    return solve_all(max_exact_domain())
+
+
+@pytest.fixture(scope="module")
+def slow_solves():
+    return solve_all(max_exact_slow_domain())
+
+
+def answer_digest(solves) -> tuple[str, int]:
+    """sha256 over "n c p q objective optimum proved_optimal" lines, and the
+    solve count: what a search change must keep, without nodes or
+    witnesses."""
+    digest = hashlib.sha256()
+    for (n, c, p, q, objective), outcome in solves.items():
+        digest.update(f"{n} {c} {p} {q} {objective} {outcome.optimum} "
+                      f"{outcome.proved_optimal}\n".encode())
+    return digest.hexdigest(), len(solves)
+
+
+def max_exact_digest(solves) -> tuple[str, int]:
     """sha256 over "n c p q objective optimum nodes_explored proved_optimal"
     lines, each followed by the serialized witness, and the solve count.
 
@@ -112,9 +140,7 @@ def max_exact_digest(domain) -> tuple[str, int]:
     value must be the proved optimum, and an UPPER_BOUND must not be below
     it; ASYMPTOTIC coefficients are not compared."""
     digest = hashlib.sha256()
-    solves = 0
-    for n, c, p, q, objective in domain:
-        outcome = max_exact(n, c, StarPattern(p, q), objective, allow_large=True)
+    for (n, c, p, q, objective), outcome in solves.items():
         bound = exact_bound(StarPattern(p, q), n, c, objective)
         point = (n, c, p, q, objective, bound.kind, bound.value, outcome.optimum)
         if bound.kind in (EXACT, UNCONSTRAINED):
@@ -125,10 +151,13 @@ def max_exact_digest(domain) -> tuple[str, int]:
             f"{n} {c} {p} {q} {objective} {outcome.optimum} "
             f"{outcome.nodes_explored} {outcome.proved_optimal}\n".encode())
         digest.update(serialize_edge_list(outcome.witness).encode())
-        solves += 1
-    return digest.hexdigest(), solves
+    return digest.hexdigest(), len(solves)
 
 
+# answer_digest over max_exact_domain and max_exact_slow_domain, fixed before
+# the out-star slot order and the symmetry breaks for min
+MAX_EXACT_ANSWER_DIGEST = "d25c95b8f2e1ad71dfba84d45bfba9636cfc73616713e4f28dc7245e4e2b9352"
+MAX_EXACT_SLOW_ANSWER_DIGEST = "3981c183ae9218b502f24be3fc6bd9766dc2addfec6e3c2755c8322a193a1de6"
 # max_exact_digest over every point of max_exact_domain (704 solves); fixed
 # before the anchored star check, the incident-slot forward check and the
 # incremental bound, which keep the search tree node for node.  The pair
@@ -142,13 +171,22 @@ MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1
 MAX_EXACT_SLOW_DIGEST = "24ad0123f89d3ba42f361cb3ad331cce796db6ee07af859fc6d32f12067de87f"
 
 
-def test_max_exact_search_pinned():
-    assert max_exact_digest(max_exact_domain()) == (MAX_EXACT_DIGEST, 704)
+def test_max_exact_answers_pinned(default_solves):
+    assert answer_digest(default_solves) == (MAX_EXACT_ANSWER_DIGEST, 704)
+
+
+def test_max_exact_search_pinned(default_solves):
+    assert max_exact_digest(default_solves) == (MAX_EXACT_DIGEST, 704)
 
 
 @pytest.mark.slow
-def test_max_exact_search_pinned_past_the_default_domain():
-    assert max_exact_digest(max_exact_slow_domain()) == (MAX_EXACT_SLOW_DIGEST, 16)
+def test_max_exact_answers_pinned_past_the_default_domain(slow_solves):
+    assert answer_digest(slow_solves) == (MAX_EXACT_SLOW_ANSWER_DIGEST, 16)
+
+
+@pytest.mark.slow
+def test_max_exact_search_pinned_past_the_default_domain(slow_solves):
+    assert max_exact_digest(slow_solves) == (MAX_EXACT_SLOW_DIGEST, 16)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (4, 1)])
