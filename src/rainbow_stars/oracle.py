@@ -4,7 +4,11 @@ Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
 guarded).  Its per-node work is incremental: forward checking asks of each
 later slot that can share a star with a new edge only for the rest of that
-star, and the bound reads per-color counts of the alive slots left.
+star, and the bound reads per-color counts of the alive slots left.  Both
+objectives search only collections with non-increasing per-color counts
+whose first slot is present, and an out-star pattern walks the slots in the
+mirror image of its in-star reversal's order, so the two orientations cost
+the same.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -106,9 +110,12 @@ def max_exact(
 ) -> SearchOutcome:
     """Exact optimum over all rainbow-free collections at toy size.
 
-    Branch-and-bound over edge slots in lexicographic (color, source, target)
-    order with include/exclude branching; the collection is free at every
-    node.  For p+q = 1 every edge is a star and nothing is included.  For
+    Branch-and-bound over edge slots with include/exclude branching; the
+    collection is free at every node.  Slots come in lexicographic (color,
+    source, target) order, or (color, target, source) for out-star patterns
+    (p = 0): that is the mirror image of the in-star reversal's order, so a
+    (0, q) solve runs node for node as its (q, 0) reversal, whose forward
+    checks prune harder, and its witness is the reversal's reversed.  For p+q = 1 every edge is a star and nothing is included.  For
     p+q >= 2 no single edge is a star, and a slot stays alive while adding
     it completes no star: after an include, forward checking kills the
     later slots it blocks, by pairs.  An alive later slot completed no star
@@ -120,12 +127,13 @@ def max_exact(
     one for p+q = 3).  Each slot's list of those pairs is built once, before
     the search.  The optimistic bound caps each color at its count plus its
     alive slots from the current index on, kept per color as the walk
-    passes slots and forward checking kills them, so it costs O(c).  For
-    the sum objective two symmetry breaks apply: per-color counts must be
+    passes slots and forward checking kills them, so it costs O(c).  Two
+    symmetry breaks apply to both objectives: per-color counts must be
     non-increasing, and the first slot is forced into every nonempty
-    candidate (sound because color and vertex relabeling preserve the sum;
-    the empty collection is the starting incumbent).  Both are off for the
-    min objective.
+    candidate.  They are sound because color relabeling keeps the sum and
+    the minimum and can sort the counts, vertex relabeling then puts a
+    color-1 edge of any collection worth more than 0 on the first slot,
+    and the empty collection is the starting incumbent.
 
     On budget expiry the best incumbent is returned with
     proved_optimal=False.
@@ -148,12 +156,15 @@ def max_exact(
     start = time.monotonic()
     deadline = start + budget_secs
 
+    # out-star patterns take slots in (color, target, source) order, the
+    # mirror image of the order their in-star reversal takes, so the two
+    # searches run node for node alike
     slots = [
-        (i, u, v)
+        (i, a, b) if p else (i, b, a)
         for i in range(1, c + 1)
-        for u in range(1, n + 1)
-        for v in range(1, n + 1)
-        if v != u
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        if a != b
     ]
     total_slots = len(slots)
     out_masks = [[0] * (n + 1) for _ in range(c + 1)]
@@ -249,10 +260,9 @@ def max_exact(
         here = alive[idx]
         if here:
             remaining[i] -= 1
-        # an alive slot completes a star only for p+q = 1; the sum also
-        # keeps per-color counts non-increasing
-        if here and p + q >= 2 and not (
-                objective == "sum" and i > 1 and counts[i] >= counts[i - 1]):
+        # an alive slot completes a star only for p+q = 1; per-color counts
+        # stay non-increasing
+        if here and p + q >= 2 and not (i > 1 and counts[i] >= counts[i - 1]):
             out_masks[i][u] |= 1 << (v - 1)
             in_masks[i][v] |= 1 << (u - 1)
             counts[i] += 1
@@ -270,9 +280,10 @@ def max_exact(
             counts[i] -= 1
             out_masks[i][u] &= ~(1 << (v - 1))
             in_masks[i][v] &= ~(1 << (u - 1))
-        # for the sum, any nonempty collection relabels so the first slot is
-        # present, and the empty one is the starting incumbent
-        if idx > 0 or objective == "min":
+        # a collection worth more than the empty starting incumbent has a
+        # color-1 edge once colors are sorted, and relabels so that edge is
+        # the first slot
+        if idx > 0:
             search(idx + 1)
         if here:
             remaining[i] += 1

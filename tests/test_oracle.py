@@ -10,7 +10,13 @@ import pytest
 from rainbow_stars.bounds import EXACT, UNCONSTRAINED, UPPER_BOUND, exact_bound
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import find_rainbow_star
-from rainbow_stars.model import DigraphCollection, StarPattern, edge_counts, serialize_edge_list
+from rainbow_stars.model import (
+    DigraphCollection,
+    StarPattern,
+    edge_counts,
+    reverse,
+    serialize_edge_list,
+)
 from rainbow_stars.oracle import (
     COVER_GUARDS,
     FIRM_SLOT_GUARD,
@@ -72,7 +78,7 @@ def test_outcomes_carry_certified_witnesses():
 
 def test_budget_expiry_returns_unproved_incumbent():
     # the clock is consulted every 4096 nodes, so the instance must be large
-    # enough to reach a checkpoint; full search here takes ~45k nodes
+    # enough to reach a checkpoint; full search here takes ~44k nodes
     outcome = max_exact(4, 3, StarPattern(1, 2), "min", budget_secs=0.0)
     assert not outcome.proved_optimal
     assert outcome.optimum <= 8
@@ -158,17 +164,34 @@ def max_exact_digest(solves) -> tuple[str, int]:
 # the out-star slot order and the symmetry breaks for min
 MAX_EXACT_ANSWER_DIGEST = "d25c95b8f2e1ad71dfba84d45bfba9636cfc73616713e4f28dc7245e4e2b9352"
 MAX_EXACT_SLOW_ANSWER_DIGEST = "3981c183ae9218b502f24be3fc6bd9766dc2addfec6e3c2755c8322a193a1de6"
-# max_exact_digest over every point of max_exact_domain (704 solves); fixed
-# before the anchored star check, the incident-slot forward check and the
-# incremental bound, which keep the search tree node for node.  The pair
-# check keeps it too: an alive later slot completes no star, so the new edge
-# kills it exactly when a star holds both, which is what the full check on
-# that slot found.  With that invariant the include-time star check never
-# fires for p+q >= 2 (and always fires for p+q = 1), so it is gone and the
-# tree is still the same.
-MAX_EXACT_DIGEST = "9e0a5562f48c2c90c0756bcc8889193337dd391cc94296235f1a0343f4c1c779"
-# the same over max_exact_slow_domain, fixed before the pair check
-MAX_EXACT_SLOW_DIGEST = "24ad0123f89d3ba42f361cb3ad331cce796db6ee07af859fc6d32f12067de87f"
+# max_exact_digest over every point of max_exact_domain (704 solves).  The
+# anchored star check, the incident-slot forward check, the incremental bound
+# and the pair check each kept the search tree node for node.  Re-pinned when
+# out-star patterns took the mirror of their reversal's slot order and min
+# took the non-increasing color counts and the forced first slot: 151,790
+# nodes became 78,723, no solve took more, and every answer held.
+MAX_EXACT_DIGEST = "9df70da13f1e5cfdff3c064e5bcc7942d5d1d3f234ff0da504bae9f2c7376a35"
+# the same over max_exact_slow_domain, re-pinned with it: 1,376,904 nodes
+# became 976,336
+MAX_EXACT_SLOW_DIGEST = "754b4389ec911e6056e8604c351758bac535a2e1712e402acfee144b6adc2283"
+
+
+def check_symmetries(solves) -> None:
+    """Each (0, q) solve runs as its (q, 0) reversal, node for node, and
+    finds its witness reversed; each min witness has non-increasing
+    per-color counts."""
+    for (n, c, p, q, objective), outcome in solves.items():
+        if p == 0:
+            mirror = solves[n, c, q, 0, objective]
+            assert outcome.nodes_explored == mirror.nodes_explored, (n, c, q, objective)
+            assert outcome.witness == reverse(mirror.witness), (n, c, q, objective)
+        if objective == "min":
+            per_color = edge_counts(outcome.witness).per_color
+            assert list(per_color) == sorted(per_color, reverse=True), (n, c, p, q)
+
+
+def test_out_star_search_mirrors_in_star_search(default_solves):
+    check_symmetries(default_solves)
 
 
 def test_max_exact_answers_pinned(default_solves):
@@ -187,6 +210,7 @@ def test_max_exact_answers_pinned_past_the_default_domain(slow_solves):
 @pytest.mark.slow
 def test_max_exact_search_pinned_past_the_default_domain(slow_solves):
     assert max_exact_digest(slow_solves) == (MAX_EXACT_SLOW_DIGEST, 16)
+    check_symmetries(slow_solves)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (4, 1)])
@@ -224,10 +248,11 @@ def test_slot_guards():
 
 
 def test_reversal_symmetry_of_optima():
-    for objective in ("sum", "min"):
-        fwd = max_exact(3, 2, StarPattern(0, 2), objective)
-        rev = max_exact(3, 2, StarPattern(2, 0), objective)
-        assert fwd.optimum == rev.optimum
+    for n in (3, 4):
+        for objective in ("sum", "min"):
+            fwd = max_exact(n, 2, StarPattern(0, 2), objective)
+            rev = max_exact(n, 2, StarPattern(2, 0), objective)
+            assert fwd.optimum == rev.optimum
 
 
 def test_min_times_colors_never_beats_sum():
