@@ -115,7 +115,8 @@ def max_exact(
     source, target) order, or (color, target, source) for out-star patterns
     (p = 0): that is the mirror image of the in-star reversal's order, so a
     (0, q) solve runs node for node as its (q, 0) reversal, whose forward
-    checks prune harder, and its witness is the reversal's reversed.  For p+q = 1 every edge is a star and nothing is included.  For
+    checks prune harder, and its witness is the reversal's reversed.  For
+    p+q = 1 every edge is a star and nothing is included.  For
     p+q >= 2 no single edge is a star, and a slot stays alive while adding
     it completes no star: after an include, forward checking kills the
     later slots it blocks, by pairs.  An alive later slot completed no star
@@ -156,9 +157,7 @@ def max_exact(
     start = time.monotonic()
     deadline = start + budget_secs
 
-    # out-star patterns take slots in (color, target, source) order, the
-    # mirror image of the order their in-star reversal takes, so the two
-    # searches run node for node alike
+    # (color, target, source) for out-stars: their reversal's order, mirrored
     slots = [
         (i, a, b) if p else (i, b, a)
         for i in range(1, c + 1)
