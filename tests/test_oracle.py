@@ -190,7 +190,7 @@ def check_symmetries(solves) -> None:
             assert list(per_color) == sorted(per_color, reverse=True), (n, c, p, q)
 
 
-def test_out_star_search_mirrors_in_star_search(default_solves):
+def test_out_star_mirror_and_sorted_min_counts(default_solves):
     check_symmetries(default_solves)
 
 
