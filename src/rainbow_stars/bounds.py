@@ -317,22 +317,21 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     norm, swapped = pat.normalized()
     p, q = norm.p, norm.q
+    complete = c * n * (n - 1) if objective == "sum" else n * (n - 1)  # every color complete
 
     def result(kind, value, regime, note):
         return BoundResult(kind, objective, value, regime, note, norm, n, c, swapped)
 
     if p == 0:
         if n <= q:
-            value = c * n * (n - 1) if objective == "sum" else n * (n - 1)
             return result(
-                EXACT, value, "out-star/all-complete",
+                EXACT, complete, "out-star/all-complete",
                 f"n <= q: an out-star needs q distinct targets, so every collection "
                 f"on {n} vertices is free; complete collection is optimal",
             )
         if c < q:
-            value = c * n * (n - 1) if objective == "sum" else n * (n - 1)
             return result(
-                UNCONSTRAINED, value, "trivial/too-few-colors",
+                UNCONSTRAINED, complete, "trivial/too-few-colors",
                 "c < q: fewer colors than star edges; complete collection is free",
             )
         if n > c:
@@ -363,15 +362,13 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
         )
 
     if c < p + q:
-        value = c * n * (n - 1) if objective == "sum" else n * (n - 1)
         return result(
-            UNCONSTRAINED, value, "trivial/too-few-colors",
+            UNCONSTRAINED, complete, "trivial/too-few-colors",
             "c < p+q: fewer colors than star edges; complete collection is free",
         )
     if n <= p + q:
-        value = c * n * (n - 1) if objective == "sum" else n * (n - 1)
         return result(
-            UNCONSTRAINED, value, "trivial/too-few-vertices",
+            UNCONSTRAINED, complete, "trivial/too-few-vertices",
             "n <= p+q: fewer vertices than the star needs; complete collection is free",
         )
 

@@ -211,52 +211,37 @@ def _assigned_out_min(n, c, p, q):
     return min(assigned[1:]) * (n - 1)
 
 
+def _cyclic_assignment(n, c, q):
+    """CYCLIC_REMAINDER's colors per vertex and edges per color.
+
+    The assignment walks colors 1..c cyclically, q-1 consecutive ones per
+    vertex, and drops its last r = n(q-1) mod c entries.  A vertex sends
+    edges to everyone in its own colors; one that lost x of its q-1 colors
+    sends x edges in each other color instead.
+    """
+    kept = n * (q - 1) - n * (q - 1) % c
+    vertex_colors = [
+        tuple(sorted(pos % c + 1 for pos in range(v * (q - 1), min((v + 1) * (q - 1), kept))))
+        for v in range(n)
+    ]
+    per_color = [kept // c * (n - 1)] * c
+    for own in vertex_colors:
+        for i in range(1, c + 1):
+            if i not in own:
+                per_color[i - 1] += q - 1 - len(own)
+    return vertex_colors, per_color
+
+
 def _build_cyclic_remainder(n, c, p, q):
-    total = n * (q - 1)
-    r = total % c
-    kept = total - r
-    # the assignment sequence walks colors 0,1,...,c-1 cyclically (0-based),
-    # q-1 consecutive colors per vertex; drop the last r assignments
-    vertex_colors: list[tuple[int, ...]] = []
-    position = 0
-    for v in range(1, n + 1):
-        own = []
-        for _ in range(q - 1):
-            if position < kept:
-                own.append(position % c + 1)
-            position += 1
-        vertex_colors.append(tuple(sorted(own)))
+    vertex_colors, per_color = _cyclic_assignment(n, c, q)
     full = (1 << n) - 1
     rows = [[0] * n for _ in range(c)]
-    readded_per_color = [0] * (c + 1)
-    for v in range(1, n + 1):
-        own = set(vertex_colors[v - 1])
-        for i in own:
-            rows[i - 1][v - 1] = full & ~(1 << (v - 1))
-        missing = (q - 1) - len(own)
-        if missing:
-            targets = [u for u in range(1, n + 1) if u != v][:missing]
-            tmask = _mask(targets)
-            for i in range(1, c + 1):
-                if i not in own:
-                    rows[i - 1][v - 1] |= tmask
-                    readded_per_color[i] += len(targets)
-    per_assign = kept // c
-    per_color = [per_assign * (n - 1) + readded_per_color[i] for i in range(1, c + 1)]
-    parts = PartsInfo((), tuple(vertex_colors))
-    return rows, per_color, {}, parts
-
-
-def _cyclic_remainder_sum(n, c, p, q):
-    # each kept assignment contributes n-1 edges; each vertex with x
-    # removed assignments re-adds x targets in its c-(q-1)+x other colors
-    total = n * (q - 1)
-    kept = total - total % c
-    removed_by_vertex = [0] * (n + 1)
-    for pos in range(kept, total):
-        removed_by_vertex[pos // (q - 1) + 1] += 1
-    extra = sum(x * (c - (q - 1) + x) for x in removed_by_vertex[1:] if x)
-    return kept * (n - 1) + extra
+    for v, own in enumerate(vertex_colors, start=1):
+        # the first q-1-|own| other vertices, the targets of the colors it lacks
+        short = _mask([u for u in range(1, n + 1) if u != v][:q - 1 - len(own)])
+        for i in range(1, c + 1):
+            rows[i - 1][v - 1] = full & ~(1 << (v - 1)) if i in own else short
+    return rows, per_color, {}, PartsInfo((), tuple(vertex_colors))
 
 
 def _build_ac_split_sum(n, c, p, q):
@@ -508,8 +493,8 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_cyclic_remainder,
         _build_cyclic_remainder,
         {
-            "sum": _cyclic_remainder_sum,
-            "min": lambda n, c, p, q: _bounds.out_star_min_formula(n, c, q),
+            "sum": lambda n, c, p, q: sum(_cyclic_assignment(n, c, q)[1]),
+            "min": lambda n, c, p, q: min(_cyclic_assignment(n, c, q)[1]),
         },
         "p = 0, n > c >= q >= 1",
         "balanced cyclic color assignment: min = floor(n(q-1)/c)(n-1) + r when q-1 divides r",

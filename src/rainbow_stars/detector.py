@@ -20,10 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
-from .model import DigraphCollection, StarEmbedding, StarPattern
+from .model import DigraphCollection, StarEmbedding, StarPattern, _mask_to_vertices
 
 NAIVE_WORK_GUARD = 400
-_NO_COLORS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,19 @@ def detect_homomorphic_center(collection: DigraphCollection, v: int, pat: StarPa
     True iff disjoint color sets P ⊆ in_colors(v), Q ⊆ out_colors(v) with
     |P| = p, |Q| = q exist; see `_colors_suffice`.
     """
-    return _colors_suffice(
-        collection.colors_with_in_edge(v), collection.colors_with_out_edge(v), pat.p, pat.q
-    )
+    in_masks, out_masks = collection.color_masks()
+    return _colors_suffice(in_masks[v], out_masks[v], pat.p, pat.q)
 
 
-def _colors_suffice(in_colors: frozenset[int], out_colors: frozenset[int], p: int, q: int) -> bool:
-    """Disjoint P ⊆ in_colors, Q ⊆ out_colors with |P| = p, |Q| = q exist.
+def _colors_suffice(in_mask: int, out_mask: int, p: int, q: int) -> bool:
+    """Disjoint P ⊆ I, Q ⊆ O with |P| = p, |Q| = q exist; the masks hold I and O.
 
     Closed form: |I| >= p, |O| >= q, |I ∪ O| >= p+q.  (Put min(p, |I∖O|)
     in-colors outside O first; the rest of P forces Q to avoid only what
     remains, and the union bound is exactly what's needed.)
     """
-    return len(in_colors) >= p and len(out_colors) >= q and len(in_colors | out_colors) >= p + q
+    return (in_mask.bit_count() >= p and out_mask.bit_count() >= q
+            and (in_mask | out_mask).bit_count() >= p + q)
 
 
 def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
@@ -80,32 +79,31 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     candidates per slot ordered by (vertex, color) ascending.  The embedding
     returned is the lexicographically first valid assignment in that order.
 
-    Each center's color sets are read once, for the sides the pattern
-    uses, and screened by `_colors_suffice`.  A center that passes has its
-    sorted (leaf, color) pairs gathered once for each side the pattern
-    uses, out side first, and matched: out-leaves to colors, in-leaves to
-    colors and, for a two-sided pattern, the center's distinct neighbours
-    to colors.  A star's leaves give matchings of size q, p and p+q, so one
-    below that rules the center out; otherwise the matchings are the
-    witnesses of one checked walk over the p+q leaf slots, `_walk`.
+    Each center's in- and out-colors are read off the collection's
+    `color_masks`, computed once per collection, and screened by
+    `_colors_suffice`.  A center that passes has its sorted (leaf, color)
+    pairs gathered once for each side the pattern uses, out side first,
+    and matched: out-leaves to colors, in-leaves to colors and, for a
+    two-sided pattern, the center's distinct neighbours to colors.  A
+    star's leaves give matchings of size q, p and p+q, so one below that
+    rules the center out; otherwise the matchings are the witnesses of one
+    checked walk over the p+q leaf slots, `_walk`.
     """
     p, q = pat.p, pat.q
     if collection.n - 1 < p + q:
         return None
+    in_masks, out_masks = collection.color_masks()
     in_cands = out_cands = out_match = joint = None
     for v in range(1, collection.n + 1):
-        # a sparse collection's in-queries scan its out side, then build the in side
-        in_colors = collection.colors_with_in_edge(v) if p else _NO_COLORS
-        out_colors = collection.colors_with_out_edge(v) if q else _NO_COLORS
-        if not _colors_suffice(in_colors, out_colors, p, q):
+        if not _colors_suffice(in_masks[v], out_masks[v], p, q):
             continue
         if q:
-            out_cands = _leaf_colors(collection.out_neighbors, v, out_colors)
+            out_cands = _leaf_colors(collection.out_neighbors, v, out_masks[v])
             out_match = _match_leaves(out_cands)
             if len(out_match) < q:
                 continue
         if p:
-            in_cands = _leaf_colors(collection.in_neighbors, v, in_colors)
+            in_cands = _leaf_colors(collection.in_neighbors, v, in_masks[v])
             in_match = _match_leaves(in_cands)
             if len(in_match) < p:
                 continue
@@ -119,10 +117,10 @@ def find_rainbow_star(collection: DigraphCollection, pat: StarPattern):
     return None
 
 
-def _leaf_colors(neighbors, v: int, colors: frozenset[int]) -> list[tuple[int, int]]:
-    """Sorted (leaf, color) pairs of one side at v; `neighbors` is the
-    collection's `in_neighbors` or `out_neighbors`."""
-    return sorted((w, i) for i in colors for w in neighbors(i, v))
+def _leaf_colors(neighbors, v: int, mask: int) -> list[tuple[int, int]]:
+    """Sorted (leaf, color) pairs of one side at v, colors taken from the
+    mask in ascending order; `neighbors` is `in_neighbors` or `out_neighbors`."""
+    return sorted((w, i) for i in _mask_to_vertices(mask) for w in neighbors(i, v))
 
 
 def _match_leaves(cands: list[tuple[int, int]]) -> dict[int, int]:
@@ -293,7 +291,7 @@ def matching_fastpath_p0(collection: DigraphCollection, q: int):
 
 
 def _center_out_matching(collection: DigraphCollection, v: int) -> dict[int, int]:
-    return _match_leaves(_leaf_colors(collection.out_neighbors, v, collection.colors_with_out_edge(v)))
+    return _match_leaves(_leaf_colors(collection.out_neighbors, v, collection.color_masks()[1][v]))
 
 
 def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -373,8 +371,9 @@ def _augment(adjacency: dict[int, list[int]], match_left: dict[int, int]) -> dic
 def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> ClassificationReport:
     """Partition vertices: B by incidence, then A, then C, rest violators.
 
-    Every vertex's in- and out-colors come from one `color_masks` call,
-    as masks (bit i-1 for color i)."""
+    Every vertex's in- and out-colors are read off the collection's
+    `color_masks` (bit i-1 for color i), which it computes once and shares
+    with any star search on it."""
     p, q = pat.p, pat.q
     in_masks, out_masks = collection.color_masks()
     a_set, b_set, c_set, bad = [], [], [], []

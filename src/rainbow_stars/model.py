@@ -11,13 +11,15 @@ adjacency happens to be stored.  Two storage layouts exist behind the same
 interface: dense bit rows (one Python int per source vertex per color) for
 n <= dense_threshold, and compressed sparse rows (CSR) above it: per side
 (out and in), flat int arrays of the sorted targets, of the ids of the
-nonempty rows and of where each row starts; in-queries scan the out side
-until they have read a few times its edges, and then the in side is built
-from it.  Both layouts are built straight from the edges; the sparse one
-never passes through a dense copy, so its memory grows with the edge count
-alone.  Edges are read back a color at a time through one reader per store,
-`color_rows`: the sources with edges, where each one's targets start, and
-the ascending targets.
+nonempty rows and of where each row starts; in-neighbour queries scan the
+out side until they have read a few times its edges, and then the in side
+is built from it.  Both layouts are built straight from the edges; the
+sparse one never passes through a dense copy, so its memory grows with the
+edge count alone.  Edges are read back a color at a time through one
+reader per store, `color_rows`: the sources with edges, where each one's
+targets start, and the ascending targets.  Which colors a vertex has in-
+or out-edges in is read off per-vertex color masks, which each collection
+computes once, in one pass over each color's edges (`color_masks`).
 
 Edges are checked in bulk, a column at a time: loops by one pairwise
 comparison, repeats by counting, and ranges by min and max, except in a
@@ -50,7 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, floordiv, lt, mod, mul, ne, or_, sub
+from operator import add, eq, floordiv, lt, mod, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_DENSE_THRESHOLD = 512
@@ -124,14 +126,18 @@ class StarEmbedding:
         return triples
 
     def is_valid_in(self, collection: "DigraphCollection") -> bool:
-        """Structural soundness plus edge membership in the collection."""
+        """Structural soundness plus edge membership in the collection; a
+        center, leaf or color outside the collection makes it False."""
         vertices = [u for (u, _) in self.in_leaves] + [w for (w, _) in self.out_leaves]
         colors = [i for (_, i) in self.in_leaves] + [i for (_, i) in self.out_leaves]
         if self.center in vertices:
             return False
         if len(set(vertices)) != len(vertices) or len(set(colors)) != len(colors):
             return False
-        return all(collection.has_edge(i, u, v) for (i, u, v) in self.edge_triples())
+        try:
+            return all(collection.has_edge(i, u, v) for (i, u, v) in self.edge_triples())
+        except ValueError:  # an index out of range
+            return False
 
 
 @dataclass(frozen=True)
@@ -148,18 +154,12 @@ class _DenseStore:
 
     kind = "dense"
 
-    __slots__ = ("n", "c", "rows", "_in_presence", "_counts")
+    __slots__ = ("n", "c", "rows", "_counts")
 
     def __init__(self, n: int, c: int, rows: list[list[int]]):
         self.n = n
         self.c = c
         self.rows = rows  # rows[i-1][u] for u in 1..n; index 0 unused
-        self._in_presence = [0] * c  # OR of all rows of one color
-        for i in range(c):
-            acc = 0
-            for u in range(1, n + 1):
-                acc |= rows[i][u]
-            self._in_presence[i] = acc
         self._counts = tuple(
             sum(rows[i][u].bit_count() for u in range(1, n + 1)) for i in range(c)
         )
@@ -185,19 +185,16 @@ class _DenseStore:
         starts = list(accumulate(map(int.bit_count, masks), initial=0))
         return sources, starts, list(chain.from_iterable(map(_mask_to_vertices, masks)))
 
-    def colors_with_out(self, u: int) -> frozenset[int]:
-        return frozenset(i for i in range(1, self.c + 1) if self.rows[i - 1][u])
-
-    def colors_with_in(self, v: int) -> frozenset[int]:
-        bit = 1 << (v - 1)
-        return frozenset(i for i in range(1, self.c + 1) if self._in_presence[i - 1] & bit)
-
     def color_masks(self) -> tuple[list[int], list[int]]:
-        size = self.n + 1
-        # presence << 1 puts vertex v's bit at position v
-        in_flags = ([(presence << 1) >> v & 1 for v in range(size)]
-                    for presence in self._in_presence)
-        return _color_masks(in_flags, size), _color_masks(map(map, repeat(bool), self.rows), size)
+        in_masks, out_masks = [0] * (self.n + 1), [0] * (self.n + 1)
+        for k, row in enumerate(self.rows):
+            bit, presence = 1 << k, 0  # presence: the OR of the color's rows
+            for u in compress(range(self.n + 1), row):
+                out_masks[u] |= bit
+                presence |= row[u]
+            for v in _mask_to_vertices(presence):
+                in_masks[v] |= bit
+        return in_masks, out_masks
 
 
 class _SparseStore:
@@ -212,15 +209,16 @@ class _SparseStore:
     comes from the row and target columns of the edges that `from_edges`
     and the parser check in bulk, without a sort when they arrive in
     order (see `_bulk_store`).  The in side is the same layout with
-    source and target swapped.  It costs a sort of every edge,
-    so the first in-queries read the out side's target runs instead (a
+    source and target swapped.  It costs a sort of every edge, so the
+    first `in_list` queries read the out side's target runs instead (a
     scan in C, some 30 times cheaper per edge than the build), and the in
     side is built once they have read _IN_SCANS times the edge count: a
-    star search that stops at one of the first centers never builds it,
-    and a long one pays at most a fraction of a build more.  Reading a
-    file back and serializing or comparing it, as a round trip does,
-    never asks for it, and neither do `color_masks` or a (0, q) star
-    search.
+    star search asks for in-neighbours only at centers whose colors pass
+    its screen, so one that stops early, or finds few such centers, never
+    builds it, and a long one pays at most a fraction of a build more.
+    `color_masks` reads the out side alone, so neither it nor a round trip
+    (reading a file back and serializing or comparing it) nor a (0, q)
+    star search ever builds the in side.
     """
 
     kind = "sparse"
@@ -292,26 +290,19 @@ class _SparseStore:
         return (list(map(sub, row_ids[lo:hi], repeat(base))),
                 list(map(sub, starts[lo:hi + 1], repeat(first))), targets[first:starts[hi]])
 
-    def colors_with_out(self, u: int) -> frozenset[int]:
-        return _colors_with(self._out[1], self.n + 1, self.c, u)
-
-    def colors_with_in(self, v: int) -> frozenset[int]:
-        if self._scan(self._ends[-1]):
-            targets, ends = self._out[0], self._ends
-            return frozenset(i for i in range(1, self.c + 1)
-                             if next(_positions(targets, v, ends[i - 1], ends[i]), None) is not None)
-        return _colors_with(self._in_side()[1], self.n + 1, self.c, v)
-
     def color_masks(self) -> tuple[list[int], list[int]]:
-        size, (targets, row_ids, _) = self.n + 1, self._out
-        # color i's in-edges end at the targets of its run on the out side
-        in_flags = (map(frozenset(targets[lo:hi]).__contains__, range(size))
-                    for lo, hi in zip(self._ends, self._ends[1:]))
-        # x has out-edges in color i when i*m + x is a row id
-        bounds = [bisect_left(row_ids, i * size) for i in range(1, self.c + 2)]
-        out_flags = (map(frozenset(row_ids[lo:hi]).__contains__, range(i * size, (i + 1) * size))
-                     for i, lo, hi in zip(count(1), bounds, bounds[1:]))
-        return _color_masks(in_flags, size), _color_masks(out_flags, size)
+        m, (targets, row_ids, _) = self.n + 1, self._out
+        in_masks, out_masks = [0] * m, [0] * m
+        bounds = [bisect_left(row_ids, i * m) for i in range(1, self.c + 2)]
+        for k in range(self.c):
+            bit, base = 1 << k, (k + 1) * m
+            # x has out-edges in color k+1 where base + x is a row id
+            for r in row_ids[bounds[k]:bounds[k + 1]]:
+                out_masks[r - base] |= bit
+            # and in-edges where x is a target of the color's run
+            for v in set(targets[self._ends[k]:self._ends[k + 1]]):
+                in_masks[v] |= bit
+        return in_masks, out_masks
 
 
 _Side = tuple[array, array, array]  # targets, row ids i*m + x, row starts
@@ -360,24 +351,6 @@ def _row(side: _Side, r: int) -> tuple[int, ...]:
     return () if j is None else tuple(targets[starts[j]:starts[j + 1]])
 
 
-def _colors_with(row_ids: array, m: int, c: int, x: int) -> frozenset[int]:
-    """The colors i whose row i*m + x has edges."""
-    found = []
-    for r in range(m + x, (c + 1) * m + x, m):
-        j = bisect_left(row_ids, r)
-        if j < len(row_ids) and row_ids[j] == r:
-            found.append(r // m)
-    return frozenset(found)
-
-
-def _color_masks(flags_by_color: Iterable[Iterable[int]], size: int) -> list[int]:
-    """Per index, a mask with bit k set where the k-th flag list is true."""
-    masks = [0] * size
-    for k, flags in enumerate(flags_by_color):
-        masks = list(map(or_, masks, map(mul, flags, repeat(1 << k))))
-    return masks
-
-
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     """The vertices v whose bit v-1 is set, ascending: by `bin()` when over
     8 + length/8 bits are set, where that costs less, else bit by bit."""
@@ -399,10 +372,11 @@ def _row_pairs(sources: list[int], starts: list[int], targets: Sequence[int]) ->
 class DigraphCollection:
     """Immutable collection of c simple digraphs on vertices {1..n}."""
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "_masks")
 
     def __init__(self, store):
         self._store = store
+        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -498,17 +472,21 @@ class DigraphCollection:
 
     def colors_with_out_edge(self, u: int) -> frozenset[int]:
         """Colors in which u has at least one out-edge."""
-        return self._store.colors_with_out(u)
+        return frozenset(_mask_to_vertices(self.color_masks()[1][u]))
 
     def colors_with_in_edge(self, v: int) -> frozenset[int]:
         """Colors in which v has at least one in-edge."""
-        return self._store.colors_with_in(v)
+        return frozenset(_mask_to_vertices(self.color_masks()[0][v]))
 
-    def color_masks(self) -> tuple[list[int], list[int]]:
+    def color_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per vertex v (index 0 unused), the colors of its in-edges and of
-        its out-edges as masks, bit i-1 standing for color i; one pass per
-        color."""
-        return self._store.color_masks()
+        its out-edges as masks, bit i-1 standing for color i.  The store
+        computes them in one pass over each color's edges, on the first
+        call; every later call returns the same tuples."""
+        if self._masks is None:
+            in_masks, out_masks = self._store.color_masks()
+            self._masks = (tuple(in_masks), tuple(out_masks))
+        return self._masks
 
     # -- value semantics -----------------------------------------------------
 

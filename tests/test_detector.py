@@ -401,6 +401,18 @@ def test_out_star_search_leaves_the_sparse_in_side_unbuilt(q):
     assert report == classify_vertices(dense, StarPattern(0, q))
 
 
+def test_two_sided_search_screened_by_color_masks_leaves_the_in_side_unbuilt():
+    # with 3 colors no center has the 4 colors a (2, 2) star needs; the
+    # screen reads every center's in-colors off the color masks, so no
+    # in-neighbour query runs and the sparse in side is never built
+    rng = random.Random(11)
+    edges = sorted({(rng.randint(1, 3), *rng.sample(range(1, 601), 2)) for _ in range(1500)})
+    col = DigraphCollection.from_edges(600, 3, edges)
+    assert col.storage_kind == "sparse"
+    assert find_rainbow_star(col, StarPattern(2, 2)) is None
+    assert col._store._in is None
+
+
 def test_deep_two_sided_star_is_found():
     # center 1 has in-leaf 1+j in color j and out-leaf 601+j in color 600+j
     # (j = 1..600): the (600, 600) star is deeper than the recursion limit

@@ -124,10 +124,18 @@ def test_backend_equivalence(col):
         for v in vertices:
             assert dense.out_neighbors(i, v) == sparse.out_neighbors(i, v)
             assert sparse.in_neighbors(i, v) == ins[i, v]
+    # both color-set queries read the masks, so check them against the edges
     for v in vertices:
-        assert dense.colors_with_out_edge(v) == sparse.colors_with_out_edge(v)
-        assert dense.colors_with_in_edge(v) == sparse.colors_with_in_edge(v)
+        out_colors = frozenset(i for (i, u, _) in edges if u == v)
+        in_colors = frozenset(i for (i, _, w) in edges if w == v)
+        for layout in (dense, sparse, in_first):
+            assert layout.colors_with_out_edge(v) == out_colors
+            assert layout.colors_with_in_edge(v) == in_colors
     assert dense.color_masks() == sparse.color_masks() == in_first.color_masks()
+    # the masks are computed once and kept, as tuples
+    for layout in (dense, sparse):
+        masks = layout.color_masks()
+        assert layout.color_masks() is masks and all(type(side) is tuple for side in masks)
 
 
 def test_canonical_and_shuffled_bodies_give_the_same_sparse_store():
@@ -197,9 +205,11 @@ def test_sparse_store_memory_grows_with_edges_alone():
 
 
 def test_sparse_in_queries_scan_before_the_in_side_is_built():
-    # in-queries read the out side's target runs until they have scanned
-    # model._IN_SCANS times the edge count; the later ones build the in
-    # side, and both kinds of answer match the dense layout's
+    # in-neighbour queries read the out side's target runs until they have
+    # scanned model._IN_SCANS times the edge count; the later ones build
+    # the in side, and both kinds of answer match the dense layout's.  The
+    # in-colors come from the color masks, which read the out side alone
+    # and scan nothing
     rng = random.Random(11)
     n, c = 600, 3
     edges = sorted({(rng.randint(1, c), *rng.sample(range(1, n + 1), 2)) for _ in range(1500)})
@@ -434,3 +444,12 @@ def test_embedding_validity():
     # missing edge
     ghost = StarEmbedding(center=1, in_leaves=((4, 1),), out_leaves=((3, 2), (4, 3)))
     assert not ghost.is_valid_in(col)
+    # a color, leaf or center outside the collection
+    for star in [
+        StarEmbedding(center=1, in_leaves=((2, 1),), out_leaves=((3, 2), (4, 9))),
+        StarEmbedding(center=1, in_leaves=((2, 0),), out_leaves=((3, 2), (4, 3))),
+        StarEmbedding(center=1, in_leaves=((2, 1),), out_leaves=((3, 2), (5, 3))),
+        StarEmbedding(center=0, in_leaves=((2, 1),), out_leaves=((3, 2), (4, 3))),
+        StarEmbedding(center=7, in_leaves=((2, 1),), out_leaves=()),
+    ]:
+        assert not star.is_valid_in(col), star

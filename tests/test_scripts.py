@@ -1,4 +1,4 @@
-"""The experiment scripts import and parse their arguments."""
+"""The experiment scripts import, parse their arguments and run on tiny inputs."""
 
 import os
 import subprocess
@@ -33,3 +33,22 @@ def test_exact_optima_table_runs():
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [row[:4] for row in rows] == [["3", "2", "6", "3"]]
+
+
+def test_adjudicate_min_formula_runs():
+    # the one strict case of the grid is (n, c, q) = (5, 3, 3): the oracle
+    # and the build reach 12, the floor formula claims 13
+    done = run_script(ROOT / "scripts" / "adjudicate_min_formula.py",
+                      "--max-n", "7", "--max-c", "4", "--max-q", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1].split() == ["5", "3", "3", "12", "13", "1", "no", "12"]
+    assert lines[-1] == ("19 instances, 1 strictly below the formula; "
+                         "all divisible cases attained it exactly")
+
+
+def test_attainment_sweep_runs():
+    done = run_script(ROOT / "scripts" / "attainment_sweep.py", "--scale", "1")
+    assert done.returncode == 0, done.stderr
+    assert "OUT OF TOLERANCE" not in done.stdout
+    assert done.stdout.splitlines()[-1] == "worst deviation/tolerance ratio: 0.800"
