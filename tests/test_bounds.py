@@ -1,5 +1,7 @@
 """Closed forms: thresholds, coefficients, exact values, exact arithmetic."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -229,3 +231,32 @@ def test_fraction_str_and_threshold_json():
     blob = threshold_json(thresholds(1, 3))
     assert blob["t2"] == {"exact": "6", "decimal": "6.000000000000"}
     assert blob["t4"]["exact"] == "4"  # 2 + sqrt(4) collapses to an integer
+
+
+def test_bound_outputs_pinned():
+    # one sha256 over every exact_bound repr (or its error's type and
+    # message) for p, q <= 5, c <= 15, n <= 12 and both objectives, every
+    # thresholds repr and threshold_json for p <= q <= 12, and both
+    # coefficients for c from p+q to 39; pinned before the closed forms
+    # became one function per regime
+    digest = hashlib.sha256()
+    for p in range(0, 6):
+        for q in range(0, 6):
+            for c in range(0, 16):
+                for n in range(0, 13):
+                    for objective in ("sum", "min"):
+                        try:
+                            line = repr(exact_bound(StarPattern(p, q), n, c, objective))
+                        except ValueError as exc:
+                            line = f"{type(exc).__name__}: {exc}"
+                        digest.update(line.encode())
+    for q in range(1, 13):
+        for p in range(1, q + 1):
+            ts = thresholds(p, q)
+            digest.update(repr(ts).encode())
+            digest.update(json.dumps(threshold_json(ts), sort_keys=True).encode())
+            for c in range(p + q, 40):
+                digest.update(repr((coefficient_min(p, q, c), coefficient_sum(p, q, c))).encode())
+    assert digest.hexdigest() == (
+        "a84ef26587d111f31b4dd0a5bd521fba11ebfe696f1e0b0782dfbcd20a51028f"
+    )
