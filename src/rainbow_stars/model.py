@@ -451,11 +451,17 @@ class DigraphCollection:
 
     def out_neighbors(self, color: int, u: int) -> tuple[int, ...]:
         """Targets of u in the given color, ascending."""
-        return self._store.out_list(color, u)
+        store = self._store
+        if not (1 <= color <= store.c and 1 <= u <= store.n):
+            _check_index(store.n, store.c, color, u)
+        return store.out_list(color, u)
 
     def in_neighbors(self, color: int, v: int) -> tuple[int, ...]:
         """Sources of edges into v in the given color, ascending."""
-        return self._store.in_list(color, v)
+        store = self._store
+        if not (1 <= color <= store.c and 1 <= v <= store.n):
+            _check_index(store.n, store.c, color, v)
+        return store.in_list(color, v)
 
     def edge_count(self, color: int) -> int:
         return self._store.edge_count(color)
@@ -472,10 +478,12 @@ class DigraphCollection:
 
     def colors_with_out_edge(self, u: int) -> frozenset[int]:
         """Colors in which u has at least one out-edge."""
+        _check_vertex(self.n, u)
         return frozenset(_mask_to_vertices(self.color_masks()[1][u]))
 
     def colors_with_in_edge(self, v: int) -> frozenset[int]:
         """Colors in which v has at least one in-edge."""
+        _check_vertex(self.n, v)
         return frozenset(_mask_to_vertices(self.color_masks()[0][v]))
 
     def color_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -514,13 +522,20 @@ def _check_dims(n: int, c: int) -> None:
         raise ValueError(f"need at least one color, got c={c}")
 
 
-def _check_edge(n: int, c: int, i: int, u: int, v: int) -> None:
-    if not 1 <= i <= c:
-        raise ValueError(f"color {i} out of range 1..{c}")
-    if not 1 <= u <= n:
-        raise ValueError(f"vertex {u} out of range 1..{n}")
+def _check_vertex(n: int, v: int) -> None:
     if not 1 <= v <= n:
         raise ValueError(f"vertex {v} out of range 1..{n}")
+
+
+def _check_index(n: int, c: int, i: int, v: int) -> None:
+    if not 1 <= i <= c:
+        raise ValueError(f"color {i} out of range 1..{c}")
+    _check_vertex(n, v)
+
+
+def _check_edge(n: int, c: int, i: int, u: int, v: int) -> None:
+    _check_index(n, c, i, u)
+    _check_vertex(n, v)
     if u == v:
         raise ValueError(f"loop at vertex {u} in color {i}")
 

@@ -71,6 +71,24 @@ def test_constructor_rejects_bad_edges(threshold):
         DigraphCollection.from_edges(3, 0, [], threshold)
 
 
+
+@pytest.mark.parametrize("threshold", [DEFAULT_DENSE_THRESHOLD, 0], ids=["dense", "sparse"])
+def test_per_vertex_queries_reject_out_of_range_indices(threshold):
+    # one edge 3 -> 1 in color 2; -1 must not read vertex 3 from the end,
+    # nor color 0 read color 2, and n+1 must not raise IndexError
+    col = DigraphCollection.from_edges(3, 2, [(2, 3, 1)], threshold)
+    assert col.out_neighbors(2, 3) == (1,) and col.in_neighbors(2, 1) == (3,)
+    assert col.colors_with_out_edge(3) == col.colors_with_in_edge(1) == {2}
+    for bad in (-1, 0, 4):
+        for query in (col.colors_with_out_edge, col.colors_with_in_edge,
+                      lambda v: col.out_neighbors(2, v), lambda v: col.in_neighbors(2, v)):
+            with pytest.raises(ValueError, match=rf"vertex {bad} out of range 1\.\.3"):
+                query(bad)
+    for bad in (-1, 0, 3):
+        for query in (col.out_neighbors, col.in_neighbors):
+            with pytest.raises(ValueError, match=rf"color {bad} out of range 1\.\.2"):
+                query(bad, 3)
+
 def test_golden_serialization():
     col = DigraphCollection.from_edges(3, 2, [(2, 3, 1), (1, 1, 2), (1, 1, 3)])
     assert serialize_edge_list(col) == (
