@@ -2,15 +2,19 @@
 """Sweep the cover oracle against the floor formula for the out-star minimum.
 
 The formula floor(n(q-1)/c)(n-1) + r is attained whenever (q-1) divides
-r = n(q-1) mod c.  This sweep prints every strict case in the grid, the gap,
-and whether the balanced-assignment construction reaches the oracle value.
-The frozen regression constant for (8,5,3) came from this table.
+r = n(q-1) mod c, which is where `exact_bound` labels it EXACT.  This sweep
+prints every strict case in the grid, the gap, and whether the
+balanced-assignment construction reaches the oracle value, and exits non-zero
+if the oracle misses an EXACT label.  The frozen regression constant for
+(8,5,3) came from this table.
 """
 
 import argparse
+import sys
 
-from rainbow_stars.bounds import out_star_min_formula
+from rainbow_stars.bounds import EXACT, exact_bound
 from rainbow_stars.constructions import ConstructionFamily, applicability_error, build
+from rainbow_stars.model import StarPattern
 from rainbow_stars.oracle import cover_oracle_s0q
 
 
@@ -30,11 +34,12 @@ def main() -> None:
             for n in range(c + 1, args.max_n + 1):
                 total += 1
                 got = cover_oracle_s0q(n, c, q, "min").optimum
-                target = out_star_min_formula(n, c, q)
-                r = (n * (q - 1)) % c
-                divisible = r % (q - 1) == 0
-                if divisible:
-                    assert got == target, (n, c, q, got, target)
+                bound = exact_bound(StarPattern(0, q), n, c, "min")
+                target = bound.value
+                if bound.kind == EXACT:
+                    if got != target:
+                        sys.exit(f"EXACT formula missed: (n, c, q, oracle, formula) = "
+                                 f"{(n, c, q, got, target)}")
                     continue
                 strict += 1
                 family = ConstructionFamily.CYCLIC_REMAINDER

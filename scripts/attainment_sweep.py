@@ -9,9 +9,8 @@ from the closed-form coefficient against the 5*parts/n tolerance.
 import argparse
 from fractions import Fraction
 
-from rainbow_stars.bounds import coefficient_min, coefficient_sum
-from rainbow_stars.verify import attainment_instances
-from rainbow_stars.constructions import build, part_count
+from rainbow_stars.constructions import part_count
+from rainbow_stars.verify import attainment, attainment_instances
 
 
 def main() -> None:
@@ -24,15 +23,8 @@ def main() -> None:
           f"{'coefficient':>12} {'deviation':>10} {'tolerance':>10}")
     worst = Fraction(0)
     for (family, objective, n, c, p, q) in attainment_instances():
-        parts = part_count(family, c, p, q)
-        n = args.scale * parts
-        out = build(family, n, c, p, q)
-        value = (out.predicted_counts.total if objective == "sum"
-                 else out.predicted_counts.minimum)
-        coefficient = (coefficient_sum(p, q, c) if objective == "sum"
-                       else coefficient_min(p, q, c))
-        deviation = abs(Fraction(value, n * n) - coefficient)
-        tolerance = Fraction(5 * parts, n)
+        n = args.scale * part_count(family, c, p, q)
+        coefficient, deviation, tolerance = attainment(family, objective, n, c, p, q)
         worst = max(worst, deviation / tolerance)
         flag = "" if deviation <= tolerance else "  <-- OUT OF TOLERANCE"
         print(f"{family.value:<16} {objective:<4} {p:>2} {q:>2} {c:>3} {n:>6} "

@@ -5,10 +5,20 @@ Objectives: "sum" maximizes the total edge count over the collection, "min"
 maximizes the smallest per-color edge count, both over collections with no
 rainbow star of the given pattern.
 
+Each regime of the n² coefficient has one function here, taking (p, q, c)
+and returning a Fraction: `sum_low` and `sum_high` for the total, and
+`min_base`, `min_mid`, `min_linear` and `min_top` for the minimum.  Each
+computes in integer arithmetic (c may also be a Fraction) and leaves the
+domain check to its callers.  `coefficient_sum` and `coefficient_min` choose
+among them; the constructions that reach each regime, the verification
+suites and the CLI read the same functions.
+
 Every regime comparison against an irrational threshold is decided in exact
 integer arithmetic by squaring (each helper documents its reduction); floats
-appear only in reporting.  At a boundary both adjacent formulas are evaluated
-and must agree, otherwise a RuntimeError signals an internal inconsistency.
+appear only in reporting and in the thresholds suite, which evaluates the
+regime functions at float breakpoints.  At a boundary both adjacent formulas
+are evaluated and must agree, otherwise a RuntimeError signals an internal
+inconsistency.  An unbounded threshold is `INFINITY`, which is `math.inf`.
 """
 
 from __future__ import annotations
@@ -36,39 +46,7 @@ def check_objective(objective: str) -> None:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-class _InfiniteThreshold:
-    """Marker for an unbounded threshold; compares above every number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _InfiniteThreshold)
-
-    def __hash__(self) -> int:
-        return hash("_InfiniteThreshold")
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _InfiniteThreshold)
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _InfiniteThreshold)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-
-INFINITY = _InfiniteThreshold()
+INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -148,7 +126,7 @@ class ThresholdSet:
     p: int
     q: int
     t1: int
-    t2: Union[Fraction, _InfiniteThreshold]
+    t2: Union[Fraction, float]  # INFINITY when unbounded
     t3: SurdValue
     t4: SurdValue
     chain: str
@@ -167,23 +145,22 @@ def thresholds(p: int, q: int) -> ThresholdSet:
     if p > q:
         raise ValueError(f"thresholds need p <= q, got ({p}, {q}); normalize by reversal")
     t1 = 2 * p + q - 1
-    t2: Union[Fraction, _InfiniteThreshold]
-    if q >= p + 2:
-        t2 = Fraction((q - 1) * (p + q - 1), q - p - 1)
-    else:
-        t2 = INFINITY
+    t2 = Fraction((q - 1) * (p + q - 1), q - p - 1) if q >= p + 2 else INFINITY
     t3 = SurdValue(p + q - 1, p * q)
     t4 = SurdValue(q - 1, (q - 1) * (q - p))
     first = q >= p + 2 and q * (q - p - 1) ** 2 >= p * (p + q - 1) ** 2
     return ThresholdSet(p, q, t1, t2, t3, t4, CHAIN_FIRST if first else CHAIN_SECOND)
 
 
-def _continuity(label: str, left: Fraction, right: Fraction) -> Fraction:
-    if left != right:
+def _continuity(label: str, left, right, p: int, q: int, c: int) -> Fraction:
+    """The common value of two adjacent regime formulas at a boundary c."""
+    a, b = left(p, q, c), right(p, q, c)
+    if a != b:
         raise RuntimeError(
-            f"internal error: adjacent formulas disagree at {label}: {left} != {right}"
+            f"internal error: adjacent formulas disagree at {label} "
+            f"(p={p}, q={q}, c={c}): {a} != {b}"
         )
-    return left
+    return a
 
 
 def _check_coefficient_domain(p: int, q: int, c: int) -> None:
@@ -195,76 +172,87 @@ def _check_coefficient_domain(p: int, q: int, c: int) -> None:
         raise ValueError(f"coefficients need c >= p+q, got c={c} < {p + q}")
 
 
+def sum_low(p: int, q: int, c) -> Fraction:
+    """p+q-1: the first p+q-1 colors complete."""
+    return Fraction(p + q - 1)
+
+
+def sum_high(p: int, q: int, c) -> Fraction:
+    """(c-p+1)^2/(4(c-q+1)) + p-1: the A/C split."""
+    den = 4 * (c - q + 1)
+    return Fraction((c - p + 1) ** 2 + (p - 1) * den, den)
+
+
+def min_base(p: int, q: int, c) -> Fraction:
+    """(p+q-1)^2/c^2: complete digraphs on color-sharing parts."""
+    return Fraction((p + q - 1) ** 2, c * c)
+
+
+def min_mid(p: int, q: int, c) -> Fraction:
+    """(c-q+1)^2 (p+q-1)^2/(4c^2 p(c-p-q+1)): A parts into all, B parts complete."""
+    return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
+
+
+def min_linear(p: int, q: int, c) -> Fraction:
+    """(q-1)/c: every vertex out to everyone in q-1 of the c colors."""
+    return Fraction(q - 1, c)
+
+
+def min_top(p: int, q: int, c) -> Fraction:
+    """(c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1)): assigned A to A plus C both ways."""
+    return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
+
+
 def coefficient_sum(p: int, q: int, c: int) -> Fraction:
     """Coefficient of n^2 in the largest total edge count.
 
-    (p+q-1) for c below the threshold p+2q-1+2*sqrt(pq), else
-    (c-p+1)^2/(4(c-q+1)) + p-1.  Membership is exact: with
-    d = c-(p+2q-1), c is below iff d <= 0, at the threshold iff d^2 = 4pq,
-    above iff d > 0 and d^2 > 4pq.
+    `sum_low` for c below the threshold p+2q-1+2*sqrt(pq), else `sum_high`.
+    Membership is exact: with d = c-(p+2q-1), c is below iff d <= 0, at the
+    threshold iff d^2 = 4pq, above iff d > 0 and d^2 > 4pq.
     """
     _check_coefficient_domain(p, q, c)
-    low = Fraction(p + q - 1)
-    high = Fraction((c - p + 1) ** 2, 4 * (c - q + 1)) + (p - 1)
     d = c - (p + 2 * q - 1)
-    if d < 0:
-        return low
-    dd = d * d
-    if dd < 4 * p * q:
-        return low
-    if dd == 4 * p * q:
-        return _continuity(f"sum threshold (p={p}, q={q}, c={c})", low, high)
-    return high
+    if d < 0 or d * d < 4 * p * q:
+        return sum_low(p, q, c)
+    if d * d == 4 * p * q:
+        return _continuity("sum threshold", sum_low, sum_high, p, q, c)
+    return sum_high(p, q, c)
 
 
 def coefficient_min(p: int, q: int, c: int) -> Fraction:
     """Coefficient of n^2 in the largest minimum per-color edge count.
 
-    Piecewise along the threshold chain; boundary integers evaluate both
-    adjacent formulas and return their common value.
+    Piecewise along the threshold chain: `min_base` below t1, then
+    `min_mid`, then `min_top` past t3 on the SECOND chain, or `min_linear`
+    from t2 and `min_top` past t4 on the FIRST.  Boundary integers evaluate
+    both adjacent formulas and return their common value.
     """
     _check_coefficient_domain(p, q, c)
     ts = thresholds(p, q)
-
-    def base() -> Fraction:
-        return Fraction((p + q - 1) ** 2, c * c)
-
-    def mid() -> Fraction:
-        return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
-
-    def linear() -> Fraction:
-        return Fraction(q - 1, c)
-
-    def top() -> Fraction:
-        return Fraction(
-            (c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1)
-        )
-
     if c < ts.t1:
-        return base()
+        return min_base(p, q, c)
     if c == ts.t1:
-        return _continuity(f"t1 (p={p}, q={q}, c={c})", base(), mid())
+        return _continuity("t1", min_base, min_mid, p, q, c)
 
     if ts.chain == CHAIN_SECOND:
         pos = compare_int_surd(c, ts.t3)
         if pos < 0:
-            return mid()
+            return min_mid(p, q, c)
         if pos == 0:
-            return _continuity(f"t3 (p={p}, q={q}, c={c})", mid(), top())
-        return top()
+            return _continuity("t3", min_mid, min_top, p, q, c)
+        return min_top(p, q, c)
 
     # FIRST chain: t2 is finite here (q >= p+2)
-    assert isinstance(ts.t2, Fraction)
     if c < ts.t2:
-        return mid()
+        return min_mid(p, q, c)
     if c == ts.t2:
-        return _continuity(f"t2 (p={p}, q={q}, c={c})", mid(), linear())
+        return _continuity("t2", min_mid, min_linear, p, q, c)
     pos = compare_int_surd(c, ts.t4)
     if pos < 0:
-        return linear()
+        return min_linear(p, q, c)
     if pos == 0:
-        return _continuity(f"t4 (p={p}, q={q}, c={c})", linear(), top())
-    return top()
+        return _continuity("t4", min_linear, min_top, p, q, c)
+    return min_top(p, q, c)
 
 
 @dataclass(frozen=True)
@@ -405,9 +393,9 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
     )
 
 
-def fraction_str(value: Union[int, Fraction, _InfiniteThreshold]) -> str:
-    """Canonical text for rational outputs; integers print without /1."""
-    if isinstance(value, _InfiniteThreshold):
+def fraction_str(value: Union[int, Fraction, float]) -> str:
+    """Canonical text for rational outputs and INFINITY; integers print without /1."""
+    if value == INFINITY:
         return "inf"
     return str(Fraction(value))
 
@@ -418,15 +406,11 @@ def threshold_json(ts: ThresholdSet) -> dict:
     def surd_entry(s: SurdValue) -> dict:
         return {"exact": s.descriptor(), "decimal": f"{s.float_value():.12f}"}
 
-    if isinstance(ts.t2, _InfiniteThreshold):
-        t2_entry = {"exact": "inf", "decimal": "inf"}
-    else:
-        t2_entry = {"exact": fraction_str(ts.t2), "decimal": f"{float(ts.t2):.12f}"}
     return {
         "p": ts.p,
         "q": ts.q,
         "t1": ts.t1,
-        "t2": t2_entry,
+        "t2": {"exact": fraction_str(ts.t2), "decimal": f"{float(ts.t2):.12f}"},
         "t3": surd_entry(ts.t3),
         "t4": surd_entry(ts.t4),
         "chain": ts.chain,

@@ -29,6 +29,8 @@ from .bounds import (
     coefficient_sum,
     exact_bound,
     fraction_str,
+    min_linear,
+    sum_low,
     threshold_json,
     thresholds,
 )
@@ -100,7 +102,7 @@ def cmd_bound(args) -> int:
             raise ValueError(
                 f"the out-star coefficient needs c >= q, got c={c} < q={q}"
             )
-        coefficient = Fraction(q - 1) if args.objective == "sum" else Fraction(q - 1, c)
+        coefficient = sum_low(0, q, c) if args.objective == "sum" else min_linear(0, q, c)
         regime = "out-star"
         ts_entry = None
     else:

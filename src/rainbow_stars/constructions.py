@@ -13,7 +13,9 @@ then the family's own conditions; then at least as many vertices as parts.
 A build returns the collection, the partition data actually used, per-color
 edge counts derived from the partition arithmetic (asserted against the
 materialized collection), and the rational n^2 coefficients the family is
-designed to attain.  Every build is certified rainbow-star-free by the
+designed to attain.  Those coefficients are read from the regime functions
+of `bounds` (`sum_low`, `sum_high`, `min_base`, `min_mid`, `min_linear`,
+`min_top`); no family writes its own copy of a closed form.  Every build is certified rainbow-star-free by the
 detector before it is returned.
 
 Conventions shared by the partitioned families: parts are sized with the
@@ -31,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from . import bounds as _bounds
+from .bounds import min_base, min_linear, min_mid, min_top, sum_high, sum_low
 from .detector import find_rainbow_star
 from .model import (
     DigraphCollection,
@@ -194,7 +197,7 @@ def _complete_rows(n, c, k):
 def _build_complete_prefix(n, c, p, q):
     k = p + q - 1
     rows, per_color = _complete_rows(n, c, k)
-    return rows, per_color, {"sum": Fraction(max(k, 0))}, PartsInfo((), ((),) * n)
+    return rows, per_color, {"sum": sum_low(p, q, c)}, PartsInfo((), ((),) * n)
 
 
 def _build_assigned_out(n, c, p, q):
@@ -203,7 +206,7 @@ def _build_assigned_out(n, c, p, q):
     groups, masks, assigned = _subset_parts(n, c, q - 1, "A")
     rows = _rows_between(n, c, masks, [(1 << n) - 1] * (c + 1))
     per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
-    return rows, per_color, {"min": Fraction(q - 1, c)}, _parts_info(groups)
+    return rows, per_color, {"min": min_linear(p, q, c)}, _parts_info(groups)
 
 
 def _assigned_out_min(n, c, p, q):
@@ -267,11 +270,7 @@ def _build_ac_split_sum(n, c, p, q):
         (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices)),
         ((),) * n,
     )
-    return rows, per_color, {"sum": _ac_split_sum_coefficient(n, c, p, q)}, parts
-
-
-def _ac_split_sum_coefficient(n, c, p, q):
-    return Fraction((c - p + 1) ** 2, 4 * (c - q + 1)) + (p - 1)
+    return rows, per_color, {"sum": sum_high(p, q, c)}, parts
 
 
 def _build_b_only(n, c, p, q):
@@ -279,7 +278,7 @@ def _build_b_only(n, c, p, q):
     groups, masks, sizes = _subset_parts(n, c, k, "B")
     rows = _rows_between(n, c, masks, masks)
     per_color = [sizes[i] * (sizes[i] - 1) for i in range(1, c + 1)]
-    coefficients = {"min": Fraction(k * k, c * c), "sum": Fraction(k * k, c)}
+    coefficients = {"min": min_base(p, q, c), "sum": c * min_base(p, q, c)}
     return rows, per_color, coefficients, _parts_info(groups)
 
 
@@ -291,7 +290,7 @@ def _b_only_claim(n, c, p, q, copies):
     if n % math.comb(c, k) == 0 and (n * k) % c == 0:
         size = n * k // c
         return copies * size * (size - 1)
-    return Fraction(copies * k * k, c * c)
+    return copies * min_base(p, q, c)
 
 
 def _build_ab_mix(n, c, p, q):
@@ -309,12 +308,7 @@ def _build_ab_mix(n, c, p, q):
     for i in range(1, c + 1):
         src = a_sizes[i] + b_sizes[i]
         per_color.append(src * (n_a + b_sizes[i]) - src)
-    coefficients = {"min": _ab_mix_coefficient(n, c, p, q)}
-    return rows, per_color, coefficients, _parts_info(a_groups + b_groups)
-
-
-def _ab_mix_coefficient(n, c, p, q):
-    return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
+    return rows, per_color, {"min": min_mid(p, q, c)}, _parts_info(a_groups + b_groups)
 
 
 def _build_ac_min(n, c, p, q):
@@ -333,12 +327,7 @@ def _build_ac_min(n, c, p, q):
     for i in range(1, c + 1):
         alpha_i, gamma_i = a_sizes[i], c_sizes[i]
         per_color.append((alpha_i + n_c) * (n_a + gamma_i) - alpha_i - gamma_i)
-    coefficients = {"min": _ac_min_coefficient(n, c, p, q)}
-    return rows, per_color, coefficients, _parts_info(a_groups + c_groups)
-
-
-def _ac_min_coefficient(n, c, p, q):
-    return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
+    return rows, per_color, {"min": min_top(p, q, c)}, _parts_info(a_groups + c_groups)
 
 
 def _build_s11_complete1(n, c, p, q):
@@ -351,7 +340,8 @@ def _build_bipartite_s11(n, c, p, q):
     right = tuple(range(n // 2 + 1, n + 1))
     rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
     per_color = [len(left) * len(right)] * c
-    coefficients = {"min": Fraction(1, 4), "sum": Fraction(c, 4)}
+    # the A/C split at p = q = 1: min 1/4, sum c/4
+    coefficients = {"min": min_top(p, q, c), "sum": sum_high(p, q, c)}
     parts = PartsInfo(
         (PartGroup("left", (), left), PartGroup("right", (), right)),
         ((),) * n,
@@ -420,7 +410,7 @@ def _domain_ab_mix(n, c, p, q):
     _domain_two_sided(n, c, p, q)
     ts = _bounds.thresholds(p, q)
     _require(c >= ts.t1, f"requires c >= t1 = {ts.t1}, got c={c}")
-    _require(Fraction(c) <= ts.t2, f"requires c <= t2 = {ts.t2}, got c={c}")
+    _require(c <= ts.t2, f"requires c <= t2 = {ts.t2}, got c={c}")
 
 
 def _domain_ac_min(n, c, p, q):
@@ -502,7 +492,7 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
     ConstructionFamily.AC_SPLIT_SUM: _FamilySpec(
         _domain_ac_split_sum,
         _build_ac_split_sum,
-        {"sum": _ac_split_sum_coefficient},
+        {"sum": lambda n, c, p, q: sum_high(p, q, c)},
         "1 <= p <= q, c >= max(p+q, 2q-p-1), n >= 2",
         "A/C split: sum coefficient (c-p+1)^2/(4(c-q+1)) + p-1",
         part_count=lambda c, p, q: 2,
@@ -522,7 +512,7 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
     ConstructionFamily.AB_MIX: _FamilySpec(
         _domain_ab_mix,
         _build_ab_mix,
-        {"min": _ab_mix_coefficient},
+        {"min": lambda n, c, p, q: min_mid(p, q, c)},
         "1 <= p <= q, t1 <= c <= t2, n >= binom(c,p+q-1) + binom(c,q-1)",
         "A parts into all, B parts complete: min coefficient (c-q+1)^2(p+q-1)^2/(4c^2 p(c-p-q+1))",
         part_count=lambda c, p, q: math.comb(c, p + q - 1) + math.comb(c, q - 1),
@@ -540,7 +530,7 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
     ConstructionFamily.AC_MIN: _FamilySpec(
         _domain_ac_min,
         _build_ac_min,
-        {"min": _ac_min_coefficient},
+        {"min": lambda n, c, p, q: min_top(p, q, c)},
         "1 <= p <= q, c >= max(p+q, t4), n >= binom(c,q-1) + binom(c,p-1)",
         "assigned A to A plus C both ways: min coefficient (c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1))",
         part_count=lambda c, p, q: math.comb(c, q - 1) + math.comb(c, p - 1),

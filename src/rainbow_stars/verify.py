@@ -286,16 +286,13 @@ def _regime_cs(p: int, q: int) -> dict[str, list[int]]:
     """Up to three c values in each coefficient regime of a chain-SECOND pair."""
     ts = bounds.thresholds(p, q)
     assert ts.chain == bounds.CHAIN_SECOND
-    sum_split = p + 2 * q - 1  # low regime while (c - sum_split)^2 <= 4pq
     lows, highs = [], []
     c = p + q
     while len(lows) < 3 or len(highs) < 3:
-        d = c - sum_split
-        if d < 0 or d * d <= 4 * p * q:
-            if len(lows) < 3:
-                lows.append(c)
-        elif len(highs) < 3:
-            highs.append(c)
+        # low up to and at the split, where the two sum formulas agree
+        side = lows if bounds.coefficient_sum(p, q, c) == bounds.sum_low(p, q, c) else highs
+        if len(side) < 3:
+            side.append(c)
         c += 1
     base = [c for c in range(p + q, ts.t1 + 1)][:3]
     mid = [c for c in range(ts.t1, ts.t1 + 10)
@@ -331,33 +328,34 @@ def attainment_instances() -> list[tuple[ConstructionFamily, str, int, int, int,
     return out
 
 
-def _attainment_case(family, objective, n, c, p, q) -> VerificationCase:
+def attainment(family, objective, n, c, p, q) -> tuple[Fraction, Fraction, Fraction]:
+    """Build the family at (n, c, p, q); return the closed-form coefficient
+    of the objective, how far objective/n^2 of the build lands from it, and
+    the tolerance 5*parts/n."""
     coefficient = (
         bounds.coefficient_sum(p, q, c)
         if objective == "sum"
         else bounds.coefficient_min(p, q, c)
     )
-    parts = part_count(family, c, p, q)
-    tolerance = Fraction(5 * parts, n)
-    params = {"family": family.value, "objective": objective,
-              "n": n, "c": c, "p": p, "q": q}
-    out = build(family, n, c, p, q)
-    value = out.predicted_counts.total if objective == "sum" else out.predicted_counts.minimum
+    counts = build(family, n, c, p, q).predicted_counts
+    value = counts.total if objective == "sum" else counts.minimum
     deviation = abs(Fraction(value, n * n) - coefficient)
-    return VerificationCase(
-        params=params,
-        expected=f"|{objective}/n^2 - {coefficient}| <= {tolerance}",
-        expected_kind="theorem",
-        actual=f"deviation {float(deviation):.6f}",
-        status="pass" if deviation <= tolerance else "fail",
-    )
+    return coefficient, deviation, Fraction(5 * part_count(family, c, p, q), n)
 
 
 def suite_constructions_free(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     """Freeness over the documented grid plus coefficient attainment."""
     cases = [_freeness_case(*job) for job in _grid_builds()]
     for (family, objective, n, c, p, q) in attainment_instances():
-        cases.append(_attainment_case(family, objective, n, c, p, q))
+        coefficient, deviation, tolerance = attainment(family, objective, n, c, p, q)
+        cases.append(VerificationCase(
+            params={"family": family.value, "objective": objective,
+                    "n": n, "c": c, "p": p, "q": q},
+            expected=f"|{objective}/n^2 - {coefficient}| <= {tolerance}",
+            expected_kind="theorem",
+            actual=f"deviation {float(deviation):.6f}",
+            status="pass" if deviation <= tolerance else "fail",
+        ))
     return cases
 
 
@@ -427,28 +425,10 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 
 # -- thresholds ---------------------------------------------------------
 
-def _float_t2(ts: bounds.ThresholdSet) -> float:
-    return math.inf if ts.t2 is bounds.INFINITY else float(ts.t2)
-
-
-def _sum_high(p: int, q: int, c: float) -> float:
-    return (c - p + 1) ** 2 / (4 * (c - q + 1)) + (p - 1)
-
-
-def _min_base(p: int, q: int, c: float) -> float:
-    return (p + q - 1) ** 2 / c ** 2
-
-
-def _min_mid(p: int, q: int, c: float) -> float:
-    return (c - q + 1) ** 2 * (p + q - 1) ** 2 / (4 * c * c * p * (c - p - q + 1))
-
-
-def _min_linear(p: int, q: int, c: float) -> float:
-    return (q - 1) / c
-
-
-def _min_top(p: int, q: int, c: float) -> float:
-    return (c * c - (p - 1) * (q - 1)) ** 2 / (4 * c * c * (c - p + 1) * (c - q + 1))
+def _gap(left, right, p: int, q: int, x: float) -> float:
+    """|left - right| of two regime formulas of `bounds` at a float breakpoint x."""
+    at = Fraction(x)
+    return abs(float(left(p, q, at)) - float(right(p, q, at)))
 
 
 def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
@@ -458,7 +438,7 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
         for q in range(p, 13):
             ts = bounds.thresholds(p, q)
             problems = []
-            if not ts.t1 <= _float_t2(ts) + 1e-12:
+            if not ts.t1 <= ts.t2:
                 problems.append("t1 > t2")
             if bounds.compare_int_surd(ts.t1, ts.t3) > 0:
                 problems.append("t1 > t3")
@@ -486,22 +466,17 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 
             # continuity at each interior breakpoint, 1e-9 float tolerance
             boundary = p + 2 * q - 1 + 2 * math.sqrt(p * q)
-            if abs((p + q - 1) - _sum_high(p, q, boundary)) > 1e-9:
+            if _gap(bounds.sum_low, bounds.sum_high, p, q, boundary) > 1e-9:
                 problems.append("sum discontinuity")
-            t1f = float(ts.t1)
-            if abs(_min_base(p, q, t1f) - _min_mid(p, q, t1f)) > 1e-9:
+            if _gap(bounds.min_base, bounds.min_mid, p, q, ts.t1) > 1e-9:
                 problems.append("min discontinuity at t1")
             if ts.chain == bounds.CHAIN_FIRST:
-                t2f = _float_t2(ts)
-                if abs(_min_mid(p, q, t2f) - _min_linear(p, q, t2f)) > 1e-9:
+                if _gap(bounds.min_mid, bounds.min_linear, p, q, float(ts.t2)) > 1e-9:
                     problems.append("min discontinuity at t2")
-                t4f = ts.t4.float_value()
-                if abs(_min_linear(p, q, t4f) - _min_top(p, q, t4f)) > 1e-9:
+                if _gap(bounds.min_linear, bounds.min_top, p, q, ts.t4.float_value()) > 1e-9:
                     problems.append("min discontinuity at t4")
-            else:
-                t3f = ts.t3.float_value()
-                if abs(_min_mid(p, q, t3f) - _min_top(p, q, t3f)) > 1e-9:
-                    problems.append("min discontinuity at t3")
+            elif _gap(bounds.min_mid, bounds.min_top, p, q, ts.t3.float_value()) > 1e-9:
+                problems.append("min discontinuity at t3")
             cases.append(VerificationCase(
                 params={"p": p, "q": q},
                 expected="orderings, chain rule, continuity",
@@ -524,7 +499,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
     for q in range(1, 5):
         for n in range(q + 1, 31):
             for c in range(q, n):
-                expected = (q - 1) * (n * n - n)
+                expected = bounds.exact_bound(StarPattern(0, q), n, c, "sum").value
                 for family in (ConstructionFamily.COMPLETE_PREFIX,
                                ConstructionFamily.ASSIGNED_OUT):
                     if applicability_error(family, n, c, 0, q) is not None:
@@ -544,16 +519,15 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
             for c in range(q, n):
                 if applicability_error(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q) is not None:
                     continue
-                target = bounds.out_star_min_formula(n, c, q)
+                bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
+                target, divisible = bound.value, bound.kind == bounds.EXACT
                 got = build(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q).predicted_counts.minimum
-                r = (n * (q - 1)) % c
-                divisible = q == 1 or r % (q - 1) == 0
                 if got == target:
                     status = "pass"
                     note = ""
                 elif not divisible and got < target:
                     status = "discrepancy"
-                    note = (f"(q-1) = {q-1} does not divide r = {r}: balanced "
+                    note = (f"(q-1) = {q-1} does not divide r = {n * (q - 1) % c}: balanced "
                             f"assignment reaches {got}, formula target {target}")
                 else:
                     status = "fail"
@@ -571,7 +545,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
     for c in range(1, 7):
         for q in range(1, c + 1):
             for n in range(c + 1, 31):
-                expected = (q - 1) * (n * n - n)
+                expected = bounds.exact_bound(StarPattern(0, q), n, c, "sum").value
                 got = cover_oracle_s0q(n, c, q, "sum").optimum
                 cases.append(VerificationCase(
                     params={"check": "cover-sum", "n": n, "c": c, "q": q},
@@ -580,21 +554,20 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                     actual=str(got),
                     status="pass" if got == expected else "fail",
                 ))
-    # cover oracle min grid: formula equality iff (q-1) | r
+    # cover oracle min grid: formula equality where exact_bound labels it EXACT
     for c in range(1, 7):
         for q in range(1, c + 1):
             for n in range(c + 1, 31):
-                target = bounds.out_star_min_formula(n, c, q)
+                bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
+                target, divisible = bound.value, bound.kind == bounds.EXACT
                 got = cover_oracle_s0q(n, c, q, "min").optimum
-                r = (n * (q - 1)) % c
-                divisible = q == 1 or r % (q - 1) == 0
                 if divisible:
                     status = "pass" if got == target else "fail"
                     note = ""
                 elif got <= target:
                     status = "discrepancy" if got < target else "pass"
-                    note = (f"exact optimum {got} below formula target {target}; "
-                            f"(q-1) = {q-1} does not divide r = {r}" if got < target else "")
+                    note = (f"exact optimum {got} below formula target {target}; (q-1) = "
+                            f"{q-1} does not divide r = {n * (q - 1) % c}" if got < target else "")
                 else:
                     status = "fail"
                     note = "oracle exceeds the proved upper bound"
