@@ -172,33 +172,33 @@ def _check_coefficient_domain(p: int, q: int, c: int) -> None:
         raise ValueError(f"coefficients need c >= p+q, got c={c} < {p + q}")
 
 
-def sum_low(p: int, q: int, c) -> Fraction:
+def sum_low(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """p+q-1: the first p+q-1 colors complete."""
     return Fraction(p + q - 1)
 
 
-def sum_high(p: int, q: int, c) -> Fraction:
+def sum_high(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """(c-p+1)^2/(4(c-q+1)) + p-1: the A/C split."""
     den = 4 * (c - q + 1)
     return Fraction((c - p + 1) ** 2 + (p - 1) * den, den)
 
 
-def min_base(p: int, q: int, c) -> Fraction:
+def min_base(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """(p+q-1)^2/c^2: complete digraphs on color-sharing parts."""
     return Fraction((p + q - 1) ** 2, c * c)
 
 
-def min_mid(p: int, q: int, c) -> Fraction:
+def min_mid(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """(c-q+1)^2 (p+q-1)^2/(4c^2 p(c-p-q+1)): A parts into all, B parts complete."""
     return Fraction((c - q + 1) ** 2 * (p + q - 1) ** 2, 4 * c * c * p * (c - p - q + 1))
 
 
-def min_linear(p: int, q: int, c) -> Fraction:
+def min_linear(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """(q-1)/c: every vertex out to everyone in q-1 of the c colors."""
     return Fraction(q - 1, c)
 
 
-def min_top(p: int, q: int, c) -> Fraction:
+def min_top(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """(c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1)): assigned A to A plus C both ways."""
     return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
 
@@ -207,8 +207,8 @@ def coefficient_sum(p: int, q: int, c: int) -> Fraction:
     """Coefficient of n^2 in the largest total edge count.
 
     `sum_low` for c below the threshold p+2q-1+2*sqrt(pq), else `sum_high`.
-    Membership is exact: with d = c-(p+2q-1), c is below iff d <= 0, at the
-    threshold iff d^2 = 4pq, above iff d > 0 and d^2 > 4pq.
+    Membership is exact: with d = c-(p+2q-1), c is below iff d < 0 or
+    d^2 < 4pq, at the threshold iff d >= 0 and d^2 = 4pq, above otherwise.
     """
     _check_coefficient_domain(p, q, c)
     d = c - (p + 2 * q - 1)

@@ -15,8 +15,8 @@ edge counts derived from the partition arithmetic (asserted against the
 materialized collection), and the rational n^2 coefficients the family is
 designed to attain.  Those coefficients are read from the regime functions
 of `bounds` (`sum_low`, `sum_high`, `min_base`, `min_mid`, `min_linear`,
-`min_top`); no family writes its own copy of a closed form.  Every build is certified rainbow-star-free by the
-detector before it is returned.
+`min_top`); no family writes its own copy of a closed form.  Every build
+is certified rainbow-star-free by the detector before it is returned.
 
 Conventions shared by the partitioned families: parts are sized with the
 largest-remainder method over exact rational targets (ties broken by lower
