@@ -2,9 +2,9 @@
 
 Each family is a deterministic generator parameterized by (n, c, p, q).  All
 that is known about a family is one row of the spec table `_SPECS`: its
-domain check, its builder, its predicted sum and minimum, its part count and
-the two catalog strings.  `build`, `applicability_error`, `predicted_value`,
-`part_count` and `catalog` only read that table.
+domain check, its builder, its predicted sum and minimum and its part count.
+`build`, `applicability_error`, `predicted_value` and `part_count` only read
+that table.
 
 A domain is checked in three steps, and the first failure is reported as a
 message prefixed with the family name: n, c >= 1 and p, q >= 0 with p+q >= 1;
@@ -45,19 +45,19 @@ from .model import (
 
 
 class ConstructionFamily(Enum):
-    COMPLETE_PREFIX = "COMPLETE_PREFIX"
-    ASSIGNED_OUT = "ASSIGNED_OUT"
-    CYCLIC_REMAINDER = "CYCLIC_REMAINDER"
-    AC_SPLIT_SUM = "AC_SPLIT_SUM"
-    B_ONLY = "B_ONLY"
-    AB_MIX = "AB_MIX"
-    A_ONLY = "A_ONLY"
-    AC_MIN = "AC_MIN"
-    S11_COMPLETE1 = "S11_COMPLETE1"
-    BIPARTITE_S11 = "BIPARTITE_S11"
-    REMARK_CN = "REMARK_CN"
-    REMARK_NQ = "REMARK_NQ"
-    TRIANGLE_N3 = "TRIANGLE_N3"
+    COMPLETE_PREFIX = "COMPLETE_PREFIX"  # the first p+q-1 colors complete
+    ASSIGNED_OUT = "ASSIGNED_OUT"  # parts own (q-1)-color subsets, out-edges to everyone
+    CYCLIC_REMAINDER = "CYCLIC_REMAINDER"  # balanced cyclic color assignment
+    AC_SPLIT_SUM = "AC_SPLIT_SUM"  # A/C split for the sum
+    B_ONLY = "B_ONLY"  # complete digraphs on color-sharing parts
+    AB_MIX = "AB_MIX"  # A parts into all, B parts complete
+    A_ONLY = "A_ONLY"  # ASSIGNED_OUT's build for p >= 1
+    AC_MIN = "AC_MIN"  # assigned A to A, plus C both ways
+    S11_COMPLETE1 = "S11_COMPLETE1"  # one complete color
+    BIPARTITE_S11 = "BIPARTITE_S11"  # every color the same oriented bipartite graph
+    REMARK_CN = "REMARK_CN"  # fixed q-1 targets per vertex in every color
+    REMARK_NQ = "REMARK_NQ"  # all colors complete
+    TRIANGLE_N3 = "TRIANGLE_N3"  # opposite triangle orientations
 
 
 class ApplicabilityError(ValueError):
@@ -453,8 +453,6 @@ class _FamilySpec:
     domain: Callable[..., None]  # raises ApplicabilityError at the first failed condition
     build: Callable[..., tuple]
     predict: dict[str, Callable[..., Union[int, Fraction]]]  # by objective
-    applicability: str
-    prediction: str
     part_count: Callable[..., int] = lambda c, p, q: 1
     part_formula: str = ""  # how a part count that is not constant is named in messages
 
@@ -467,15 +465,11 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
             "sum": lambda n, c, p, q: (p + q - 1) * (n * n - n),
             "min": lambda n, c, p, q: n * n - n if c == p + q - 1 else 0,
         },
-        "c >= p+q-1; any n",
-        "first p+q-1 colors complete: sum = (p+q-1)(n^2-n), sum coefficient p+q-1",
     ),
     ConstructionFamily.ASSIGNED_OUT: _FamilySpec(
         _domain_assigned_out,
         _build_assigned_out,
         {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
-        "p = 0, 1 <= q <= c, n >= binom(c, q-1)",
-        "parts own (q-1)-color subsets, edges to everyone: sum = (q-1)(n^2-n)",
         part_count=lambda c, p, q: math.comb(c, q - 1),
         part_formula="binom(c, q-1)",
     ),
@@ -486,15 +480,11 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
             "sum": lambda n, c, p, q: sum(_cyclic_assignment(n, c, q)[1]),
             "min": lambda n, c, p, q: min(_cyclic_assignment(n, c, q)[1]),
         },
-        "p = 0, n > c >= q >= 1",
-        "balanced cyclic color assignment: min = floor(n(q-1)/c)(n-1) + r when q-1 divides r",
     ),
     ConstructionFamily.AC_SPLIT_SUM: _FamilySpec(
         _domain_ac_split_sum,
         _build_ac_split_sum,
         {"sum": lambda n, c, p, q: sum_high(p, q, c)},
-        "1 <= p <= q, c >= max(p+q, 2q-p-1), n >= 2",
-        "A/C split: sum coefficient (c-p+1)^2/(4(c-q+1)) + p-1",
         part_count=lambda c, p, q: 2,
     ),
     ConstructionFamily.B_ONLY: _FamilySpec(
@@ -504,8 +494,6 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
             "sum": lambda n, c, p, q: _b_only_claim(n, c, p, q, c),
             "min": lambda n, c, p, q: _b_only_claim(n, c, p, q, 1),
         },
-        "1 <= p <= q, c >= p+q, n >= binom(c, p+q-1)",
-        "complete digraphs on color-sharing parts: min coefficient (p+q-1)^2/c^2",
         part_count=lambda c, p, q: math.comb(c, p + q - 1),
         part_formula="binom(c, p+q-1)",
     ),
@@ -513,8 +501,6 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_ab_mix,
         _build_ab_mix,
         {"min": lambda n, c, p, q: min_mid(p, q, c)},
-        "1 <= p <= q, t1 <= c <= t2, n >= binom(c,p+q-1) + binom(c,q-1)",
-        "A parts into all, B parts complete: min coefficient (c-q+1)^2(p+q-1)^2/(4c^2 p(c-p-q+1))",
         part_count=lambda c, p, q: math.comb(c, p + q - 1) + math.comb(c, q - 1),
         part_formula="binom(c,p+q-1) + binom(c,q-1)",
     ),
@@ -522,8 +508,6 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_two_sided,
         _build_assigned_out,
         {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
-        "1 <= p <= q, c >= p+q, n >= binom(c, q-1)",
-        "out-assignment reused for p >= 1: min coefficient (q-1)/c",
         part_count=lambda c, p, q: math.comb(c, q - 1),
         part_formula="binom(c, q-1)",
     ),
@@ -531,8 +515,6 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_ac_min,
         _build_ac_min,
         {"min": lambda n, c, p, q: min_top(p, q, c)},
-        "1 <= p <= q, c >= max(p+q, t4), n >= binom(c,q-1) + binom(c,p-1)",
-        "assigned A to A plus C both ways: min coefficient (c^2-(p-1)(q-1))^2/(4c^2(c-p+1)(c-q+1))",
         part_count=lambda c, p, q: math.comb(c, q - 1) + math.comb(c, p - 1),
         part_formula="binom(c,q-1) + binom(c,p-1)",
     ),
@@ -543,36 +525,26 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
             "sum": lambda n, c, p, q: n * n - n,
             "min": lambda n, c, p, q: n * n - n if c == 1 else 0,
         },
-        "(p, q) = (1, 1); any n, c",
-        "one complete color: sum = n^2 - n",
     ),
     ConstructionFamily.BIPARTITE_S11: _FamilySpec(
         _domain_s11,
         _build_bipartite_s11,
         {"sum": lambda n, c, p, q: c * (n * n // 4), "min": lambda n, c, p, q: n * n // 4},
-        "(p, q) = (1, 1); any n, c",
-        "every color the same oriented bipartite graph: min = floor(n^2/4)",
     ),
     ConstructionFamily.REMARK_CN: _FamilySpec(
         _domain_remark_cn,
         _build_remark_cn,
         {"sum": lambda n, c, p, q: (q - 1) * c * n, "min": lambda n, c, p, q: n * (q - 1)},
-        "p = 0, c >= n >= q >= 1",
-        "fixed q-1 targets per vertex in every color: sum = (q-1)cn",
     ),
     ConstructionFamily.REMARK_NQ: _FamilySpec(
         _domain_remark_nq,
         _build_remark_nq,
         {"sum": lambda n, c, p, q: c * n * (n - 1), "min": lambda n, c, p, q: n * (n - 1)},
-        "p = 0, n <= q; any c",
-        "all colors complete: sum = c(n^2-n)",
     ),
     ConstructionFamily.TRIANGLE_N3: _FamilySpec(
         _domain_triangle_n3,
         _build_triangle_n3,
         {"sum": lambda n, c, p, q: 6, "min": lambda n, c, p, q: 3},
-        "n = 3, c = 2, (p, q) = (1, 1)",
-        "opposite triangle orientations: min = 3",
     ),
 }
 
@@ -654,18 +626,3 @@ def predicted_value(
     if predict is None:
         raise ValueError(f"{family.value} makes no {objective} prediction")
     return predict(n, c, p, q)
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    family: ConstructionFamily
-    applicability: str
-    prediction: str
-
-
-def catalog() -> list[CatalogEntry]:
-    """Stable-ordered descriptions of all 13 families."""
-    return [
-        CatalogEntry(family, _SPECS[family].applicability, _SPECS[family].prediction)
-        for family in ConstructionFamily
-    ]

@@ -8,8 +8,10 @@ slots, which takes a candidate only while leaf-to-color matchings of what is
 left still cover the slots left.  Deciding a center is exact matching in
 general, so no walk is polynomial on every input, but a one-sided pattern's
 walk never backs up.  `find_rainbow_star_naive` re-decides by raw
-enumeration and `matching_fastpath_p0` re-decides the p=0 case through
-bipartite matching, so the three can cross-check each other.
+enumeration, independently of it.  `matching_fastpath_p0` re-decides the
+p=0 case by one maximum matching per center; it shares `_leaf_colors` and
+`_match_leaves` with `find_rainbow_star`, so it checks the walk and the
+screen, not the matching.
 
 All functions are pure reads of an immutable collection.
 """
@@ -32,8 +34,8 @@ class ClassificationReport:
     b_vertices: incident to edges of at most p+q-1 colors.
     a_vertices: not in B, out-edges in at most q-1 colors.
     c_vertices: not in B or A, in-edges in at most p-1 colors.
-    violators: the rest; exactly the vertices passing the homomorphic
-    center test (enough in-colors and out-colors for a color-disjoint,
+    violators: the rest; exactly the vertices passing `_colors_suffice`
+    (enough in-colors and out-colors for a color-disjoint,
     vertex-repeating image of the star).
 
     Per-color breakdowns: a_by_color[i-1] lists A-vertices with an out-edge in
@@ -49,16 +51,6 @@ class ClassificationReport:
     a_by_color: tuple[tuple[int, ...], ...]
     b_by_color: tuple[tuple[int, ...], ...]
     c_by_color: tuple[tuple[int, ...], ...]
-
-
-def detect_homomorphic_center(collection: DigraphCollection, v: int, pat: StarPattern) -> bool:
-    """Can v center a star image when leaf vertices may coincide?
-
-    True iff disjoint color sets P ⊆ in_colors(v), Q ⊆ out_colors(v) with
-    |P| = p, |Q| = q exist; see `_colors_suffice`.
-    """
-    in_masks, out_masks = collection.color_masks()
-    return _colors_suffice(in_masks[v], out_masks[v], pat.p, pat.q)
 
 
 def _colors_suffice(in_mask: int, out_mask: int, p: int, q: int) -> bool:
@@ -269,15 +261,6 @@ def _color_tuples(collection, v, in_tuple, out_tuple):
     return StarEmbedding(v, in_leaves, out_leaves)
 
 
-def out_edge_matching_number(collection: DigraphCollection, v: int) -> int:
-    """Maximum matching between out-neighbor slots of v and colors.
-
-    The bipartite graph joins u to color i iff v -> u is an edge of G_i; a
-    matching of size q is exactly a rainbow (0, q) star at v.
-    """
-    return len(_center_out_matching(collection, v))
-
-
 def matching_fastpath_p0(collection: DigraphCollection, q: int):
     """Decide (0, q) patterns via maximum bipartite matching per center."""
     if q < 1:
@@ -291,6 +274,7 @@ def matching_fastpath_p0(collection: DigraphCollection, q: int):
 
 
 def _center_out_matching(collection: DigraphCollection, v: int) -> dict[int, int]:
+    """Maximum matching {out-leaf: color} at v; q or more pairs iff a (0, q) star sits at v."""
     return _match_leaves(_leaf_colors(collection.out_neighbors, v, collection.color_masks()[1][v]))
 
 

@@ -464,10 +464,12 @@ class DigraphCollection:
         return store.in_list(color, v)
 
     def edge_count(self, color: int) -> int:
+        _check_color(self._store.c, color)
         return self._store.edge_count(color)
 
     def color_edges(self, color: int) -> tuple[tuple[int, int], ...]:
         """Edges of one color as (source, target), sorted."""
+        _check_color(self._store.c, color)
         return tuple(_row_pairs(*self._store.color_rows(color)))
 
     def all_edges(self) -> Iterator[tuple[int, int, int]]:
@@ -475,16 +477,6 @@ class DigraphCollection:
         for i in range(1, self.c + 1):
             for u, v in _row_pairs(*self._store.color_rows(i)):
                 yield (i, u, v)
-
-    def colors_with_out_edge(self, u: int) -> frozenset[int]:
-        """Colors in which u has at least one out-edge."""
-        _check_vertex(self.n, u)
-        return frozenset(_mask_to_vertices(self.color_masks()[1][u]))
-
-    def colors_with_in_edge(self, v: int) -> frozenset[int]:
-        """Colors in which v has at least one in-edge."""
-        _check_vertex(self.n, v)
-        return frozenset(_mask_to_vertices(self.color_masks()[0][v]))
 
     def color_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per vertex v (index 0 unused), the colors of its in-edges and of
@@ -527,9 +519,13 @@ def _check_vertex(n: int, v: int) -> None:
         raise ValueError(f"vertex {v} out of range 1..{n}")
 
 
-def _check_index(n: int, c: int, i: int, v: int) -> None:
+def _check_color(c: int, i: int) -> None:
     if not 1 <= i <= c:
         raise ValueError(f"color {i} out of range 1..{c}")
+
+
+def _check_index(n: int, c: int, i: int, v: int) -> None:
+    _check_color(c, i)
     _check_vertex(n, v)
 
 

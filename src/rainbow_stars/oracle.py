@@ -621,29 +621,3 @@ def _assign_tokens(counts_by_color: list[int], capacities: list[int]) -> list[se
             remaining[j] -= 1
             sets[j].add(i)
     return sets
-
-
-@dataclass(frozen=True)
-class CrossCheck:
-    n: int
-    c: int
-    q: int
-    objective: str
-    branch_bound_value: int
-    cover_value: int
-    agree: bool
-
-
-def cross_check(n: int, c: int, q: int, objective: str) -> CrossCheck:
-    """Run both engines on one instance; they must agree exactly."""
-    bb = max_exact(n, c, StarPattern(0, q), objective)
-    cover = cover_oracle_s0q(n, c, q, objective)
-    return CrossCheck(
-        n=n,
-        c=c,
-        q=q,
-        objective=objective,
-        branch_bound_value=bb.optimum,
-        cover_value=cover.optimum,
-        agree=bb.optimum == cover.optimum,
-    )

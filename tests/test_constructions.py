@@ -13,7 +13,6 @@ from rainbow_stars.constructions import (
     ConstructionFamily,
     applicability_error,
     build,
-    catalog,
     colex_subsets,
     predicted_value,
     proportional_sizes,
@@ -101,14 +100,6 @@ def test_applicability_error_rejects_bad_patterns():
     assert applicability_error(F.TRIANGLE_N3, 4, 2, 1, 1) is not None  # n = 3 only
     with pytest.raises(ApplicabilityError):
         build(F.S11_COMPLETE1, 30, 2, 1, 2)
-
-
-def test_catalog_covers_every_family():
-    entries = catalog()
-    assert [e.family for e in entries] == list(F)
-    assert len(entries) == 13
-    for entry in entries:
-        assert entry.applicability and entry.prediction
 
 
 @pytest.mark.parametrize(

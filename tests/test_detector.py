@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import (
+    _center_out_matching,
+    _colors_suffice,
     classify_vertices,
-    detect_homomorphic_center,
     find_rainbow_star,
     find_rainbow_star_naive,
     hopcroft_karp,
     matching_fastpath_p0,
-    out_edge_matching_number,
 )
 from rainbow_stars.model import DigraphCollection, StarPattern, permute, reverse
 
@@ -136,11 +136,9 @@ def test_prefilter_alone_is_not_decisive():
     # size q exists: the per-center bipartite matching stays at q-1
     out = build(ConstructionFamily.REMARK_CN, 8, 8, 0, 8)
     col = out.collection
-    assert all(
-        detect_homomorphic_center(col, v, StarPattern(0, 8)) for v in range(1, 9)
-    )
+    assert classify_vertices(col, StarPattern(0, 8)).violators == tuple(range(1, 9))
     assert find_rainbow_star(col, StarPattern(0, 8)) is None
-    assert all(out_edge_matching_number(col, v) == 7 for v in range(1, 9))
+    assert all(len(_center_out_matching(col, v)) == 7 for v in range(1, 9))
 
 
 def _brute_matching_size(adjacency) -> int:
@@ -186,8 +184,41 @@ def test_classification_partitions_vertices():
     # vertex 5 has out-edges in 3 colors but in-edges in at most p-1 = 0
     assert report.c_vertices == (5,)
     assert report.violators == (1,)
-    for v in report.violators:
-        assert detect_homomorphic_center(col, v, StarPattern(1, 2))
+
+
+def _disjoint_choice_exists(in_mask: int, out_mask: int, p: int, q: int) -> bool:
+    in_colors = [i for i in range(4) if in_mask >> i & 1]
+    out_colors = [i for i in range(4) if out_mask >> i & 1]
+    return any(
+        not set(chosen_in) & set(chosen_out)
+        for chosen_in in itertools.combinations(in_colors, p)
+        for chosen_out in itertools.combinations(out_colors, q)
+    )
+
+
+def test_color_screen_matches_enumeration_and_picks_the_violators():
+    # the closed form |I| >= p, |O| >= q, |I ∪ O| >= p+q against every
+    # choice of disjoint P ⊆ I, Q ⊆ O, for all masks over c <= 4 colors
+    for in_mask, out_mask in itertools.product(range(16), repeat=2):
+        for p, q in itertools.product(range(4), repeat=2):
+            if p + q:
+                assert _colors_suffice(in_mask, out_mask, p, q) == \
+                    _disjoint_choice_exists(in_mask, out_mask, p, q), (in_mask, out_mask, p, q)
+    # classify_vertices' violators are exactly the centers the screen passes
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n, c = rng.randint(2, 10), rng.randint(1, 5)
+        dense = random_collection(rng, n, c, rng.uniform(0.05, 0.6))
+        sparse = DigraphCollection.from_edges(n, c, dense.all_edges(), 0)
+        size = rng.randint(1, 4)
+        p = rng.randint(0, size)
+        pat = StarPattern(p, size - p)
+        assert (dense.storage_kind, sparse.storage_kind) == ("dense", "sparse")
+        for col in (dense, sparse):
+            in_masks, out_masks = col.color_masks()
+            passing = tuple(v for v in range(1, n + 1)
+                            if _colors_suffice(in_masks[v], out_masks[v], pat.p, pat.q))
+            assert classify_vertices(col, pat).violators == passing
 
 
 @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -78,16 +78,16 @@ def test_per_vertex_queries_reject_out_of_range_indices(threshold):
     # nor color 0 read color 2, and n+1 must not raise IndexError
     col = DigraphCollection.from_edges(3, 2, [(2, 3, 1)], threshold)
     assert col.out_neighbors(2, 3) == (1,) and col.in_neighbors(2, 1) == (3,)
-    assert col.colors_with_out_edge(3) == col.colors_with_in_edge(1) == {2}
+    assert col.edge_count(2) == 1 and col.color_edges(2) == ((3, 1),)
     for bad in (-1, 0, 4):
-        for query in (col.colors_with_out_edge, col.colors_with_in_edge,
-                      lambda v: col.out_neighbors(2, v), lambda v: col.in_neighbors(2, v)):
+        for query in (lambda v: col.out_neighbors(2, v), lambda v: col.in_neighbors(2, v)):
             with pytest.raises(ValueError, match=rf"vertex {bad} out of range 1\.\.3"):
                 query(bad)
     for bad in (-1, 0, 3):
-        for query in (col.out_neighbors, col.in_neighbors):
+        for query in (lambda i: col.out_neighbors(i, 3), lambda i: col.in_neighbors(i, 3),
+                      col.edge_count, col.color_edges):
             with pytest.raises(ValueError, match=rf"color {bad} out of range 1\.\.2"):
-                query(bad, 3)
+                query(bad)
 
 def test_golden_serialization():
     col = DigraphCollection.from_edges(3, 2, [(2, 3, 1), (1, 1, 2), (1, 1, 3)])
@@ -142,13 +142,13 @@ def test_backend_equivalence(col):
         for v in vertices:
             assert dense.out_neighbors(i, v) == sparse.out_neighbors(i, v)
             assert sparse.in_neighbors(i, v) == ins[i, v]
-    # both color-set queries read the masks, so check them against the edges
+    # each layout's color masks against the colors of the edges
     for v in vertices:
-        out_colors = frozenset(i for (i, u, _) in edges if u == v)
-        in_colors = frozenset(i for (i, _, w) in edges if w == v)
+        out_mask = sum({1 << (i - 1) for (i, u, _) in edges if u == v})
+        in_mask = sum({1 << (i - 1) for (i, _, w) in edges if w == v})
         for layout in (dense, sparse, in_first):
-            assert layout.colors_with_out_edge(v) == out_colors
-            assert layout.colors_with_in_edge(v) == in_colors
+            in_masks, out_masks = layout.color_masks()
+            assert (in_masks[v], out_masks[v]) == (in_mask, out_mask)
     assert dense.color_masks() == sparse.color_masks() == in_first.color_masks()
     # the masks are computed once and kept, as tuples
     for layout in (dense, sparse):
@@ -235,12 +235,12 @@ def test_sparse_in_queries_scan_before_the_in_side_is_built():
     dense = DigraphCollection.from_edges(n, c, edges, n)
     assert sparse.storage_kind == "sparse"
     for v in range(1, 4):
-        assert sparse.colors_with_in_edge(v) == dense.colors_with_in_edge(v)
+        assert sparse.color_masks()[0][v] == dense.color_masks()[0][v]
         for i in range(1, c + 1):
             assert sparse.in_neighbors(i, v) == dense.in_neighbors(i, v)
     assert sparse._store._in is None
     for v in range(1, n + 1):
-        assert sparse.colors_with_in_edge(v) == dense.colors_with_in_edge(v)
+        assert sparse.color_masks()[0][v] == dense.color_masks()[0][v]
         for i in range(1, c + 1):
             assert sparse.in_neighbors(i, v) == dense.in_neighbors(i, v)
     assert sparse._store._in is not None
