@@ -15,6 +15,7 @@ subcommand (reported as the same structured JSON as a domain error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,22 +56,6 @@ def _number(value) -> object:
     if isinstance(value, Fraction) and value.denominator != 1:
         return fraction_str(value)
     return int(value)
-
-
-def _counts_json(counts) -> dict:
-    return {
-        "per_color": list(counts.per_color),
-        "total": counts.total,
-        "minimum": counts.minimum,
-    }
-
-
-def _embedding_json(emb) -> dict:
-    return {
-        "center": emb.center,
-        "in_leaves": [[u, i] for (u, i) in emb.in_leaves],
-        "out_leaves": [[w, j] for (w, j) in emb.out_leaves],
-    }
 
 
 def _by_color_json(groups) -> dict:
@@ -141,7 +126,7 @@ def cmd_construct(args) -> int:
         "p": out.p,
         "q": out.q,
         "certified_free": out.certified_free,
-        "predicted_counts": _counts_json(out.predicted_counts),
+        "predicted_counts": dataclasses.asdict(out.predicted_counts),
         "predicted_coefficients": {
             objective: fraction_str(coef)
             for objective, coef in sorted(out.predicted_coefficients.items())
@@ -178,8 +163,8 @@ def cmd_check(args) -> int:
         "p": args.p,
         "q": args.q,
         "rainbow_free": witness is None,
-        "witness": None if witness is None else _embedding_json(witness),
-        "edge_counts": _counts_json(counts),
+        "witness": None if witness is None else dataclasses.asdict(witness),
+        "edge_counts": dataclasses.asdict(counts),
         "classification": {
             "a_vertices": list(report.a_vertices),
             "b_vertices": list(report.b_vertices),
@@ -195,7 +180,7 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     pat = StarPattern(args.p, args.q)
-    budget = args.budget_secs if args.budget_secs is not None else DEFAULT_BUDGET_SECS
+    budget = args.budget_secs
     if not math.isfinite(budget):
         raise ValueError(f"--budget-secs must be a finite number of seconds, got {budget}")
     if args.cover:
@@ -223,14 +208,13 @@ def cmd_oracle(args) -> int:
         "nodes_explored": outcome.nodes_explored,
         "elapsed_secs": round(outcome.elapsed, 6),
         "budget_secs": budget if engine == "branch-bound" else None,
-        "witness": None if outcome.witness is None else serialize_edge_list(outcome.witness),
+        "witness": serialize_edge_list(outcome.witness),
     })
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = run_suite(args.suite, seed=seed)
+    report = run_suite(args.suite, seed=args.seed)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
@@ -275,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact optimum by search")
     star_args(sp, require_n=True)
     sp.add_argument("--objective", choices=OBJECTIVES, required=True)
-    sp.add_argument("--budget-secs", type=float, default=None)
+    sp.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     sp.add_argument("--cover", action="store_true",
                     help="use the cover-structure engine (out-stars, p = 0)")
     sp.add_argument("--allow-large", action="store_true",
@@ -286,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True,
                     help="one of: " + ", ".join(SUITE_NAMES + ("all",)))
     sp.add_argument("--out", help="write the report to this path")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(func=cmd_verify)
     return parser
 

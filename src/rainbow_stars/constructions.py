@@ -2,9 +2,11 @@
 
 Each family is a deterministic generator parameterized by (n, c, p, q).  All
 that is known about a family is one row of the spec table `_SPECS`: its
-domain check, its builder, its predicted sum and minimum and its part count.
-`build`, `applicability_error`, `predicted_value` and `part_count` only read
-that table.
+domain check, its builder, its exact sum and minimum, the `bounds` regime
+functions (`sum_low`, `sum_high`, `min_base`, `min_mid`, `min_linear`,
+`min_top`) of the n^2 coefficients it is designed to attain, and its part
+count.  `build`, `applicability_error`, `predicted_value` and `part_count`
+only read that table; no builder states a claim.
 
 A domain is checked in three steps, and the first failure is reported as a
 message prefixed with the family name: n, c >= 1 and p, q >= 0 with p+q >= 1;
@@ -12,11 +14,13 @@ then the family's own conditions; then at least as many vertices as parts.
 
 A build returns the collection, the partition data actually used, per-color
 edge counts derived from the partition arithmetic (asserted against the
-materialized collection), and the rational n^2 coefficients the family is
-designed to attain.  Those coefficients are read from the regime functions
-of `bounds` (`sum_low`, `sum_high`, `min_base`, `min_mid`, `min_linear`,
-`min_top`); no family writes its own copy of a closed form.  Every build
-is certified rainbow-star-free by the detector before it is returned.
+materialized collection), and the row's coefficients.  Every build is
+certified rainbow-star-free by the detector before it is returned.
+
+Out-star shapes built vertex by vertex are `CoverStructure`s: a collection
+has no rainbow (0, q) star exactly when each vertex's (target, color) pairs
+have a vertex cover of size at most q-1.  CYCLIC_REMAINDER, REMARK_CN and
+the cover oracle's witnesses are built through its `rows` and `counts`.
 
 Conventions shared by the partitioned families: parts are sized with the
 largest-remainder method over exact rational targets (ties broken by lower
@@ -27,7 +31,7 @@ and vertices 1..n fill the parts consecutively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -183,30 +187,108 @@ def _rows_between(n: int, c: int, sources: list[int], targets: list[int]) -> lis
     return rows
 
 
+# -- cover structures --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoverStructure:
+    """Per-vertex covers: colors in a_sets saturate, targets in b_sets catch
+    the rest.  Valid when |a_sets[v]| + |b_sets[v]| <= q-1 for every v."""
+
+    n: int
+    c: int
+    q: int
+    a_sets: tuple[frozenset[int], ...]
+    b_sets: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if len(self.a_sets) != self.n or len(self.b_sets) != self.n:
+            raise ValueError("cover structure needs one (A_v, B_v) pair per vertex")
+        colors = frozenset(range(1, self.c + 1))
+        vertices = frozenset(range(1, self.n + 1))
+        for v in range(1, self.n + 1):
+            a_v, b_v = self.a_sets[v - 1], self.b_sets[v - 1]
+            if len(a_v) + len(b_v) > self.q - 1:
+                raise ValueError(
+                    f"vertex {v}: cover size {len(a_v)} + {len(b_v)} exceeds q-1 = {self.q - 1}"
+                )
+            if not a_v <= colors:
+                raise ValueError(f"vertex {v}: colors outside 1..{self.c}")
+            if v in b_v or not b_v <= vertices:
+                raise ValueError(f"vertex {v}: bad target set {sorted(b_v)}")
+
+    def rows(self) -> list[list[int]]:
+        """Out-rows of the maximal realization: v->u in color i iff i in A_v
+        or u in B_v."""
+        rows = [[0] * self.n for _ in range(self.c)]
+        full = (1 << self.n) - 1
+        for v, (a_v, b_v) in enumerate(zip(self.a_sets, self.b_sets), start=1):
+            own, short = full & ~(1 << (v - 1)), _mask(b_v)
+            for i in range(1, self.c + 1):
+                rows[i - 1][v - 1] = own if i in a_v else short
+        return rows
+
+    def counts(self) -> list[int]:
+        """Per-color edge counts of the maximal realization: n-1 from each
+        vertex that covers the color, |B_v| from each other vertex."""
+        pairs = list(zip(self.a_sets, self.b_sets))
+        return [sum(self.n - 1 if i in a_v else len(b_v) for a_v, b_v in pairs)
+                for i in range(1, self.c + 1)]
+
+    def realize(self) -> DigraphCollection:
+        """The maximal realization, as a collection."""
+        return DigraphCollection.from_out_rows(self.n, self.c, self.rows())
+
+
+def _smallest_targets(v: int, n: int, b: int) -> frozenset[int]:
+    """The b smallest vertices of 1..n other than v."""
+    targets: list[int] = []
+    u = 1
+    while len(targets) < b:
+        if u != v:
+            targets.append(u)
+        u += 1
+    return frozenset(targets)
+
+
+def _cyclic_cover(n: int, c: int, q: int, per: int, kept: int) -> CoverStructure:
+    """Colors 1..c dealt cyclically, the next `per` to each vertex, keeping
+    the first `kept` entries; B_v is the q-1-|A_v| smallest other vertices."""
+    dealt = [pos % c + 1 for pos in range(kept)]
+    a_sets = tuple(frozenset(dealt[v * per:(v + 1) * per]) for v in range(n))
+    b_sets = tuple(_smallest_targets(v, n, q - 1 - len(a_v)) for v, a_v in enumerate(a_sets, start=1))
+    return CoverStructure(n, c, q, a_sets, b_sets)
+
+
 # -- family builders ---------------------------------------------------------
-# Each returns (rows, predicted per-color counts, coefficients, parts info).
+# Each returns (rows, predicted per-color counts, parts info), the parts info
+# None for a family without parts.
+
+
+def _cover_build(cover: CoverStructure):
+    vertex_colors = tuple(tuple(sorted(a_v)) for a_v in cover.a_sets)
+    return cover.rows(), cover.counts(), PartsInfo((), vertex_colors)
 
 
 def _complete_rows(n, c, k):
-    """Rows and per-color counts of the first k colors complete, the rest empty."""
+    """The first k colors complete, the rest empty."""
     full = (1 << n) - 1
     sources = [0] + [full] * k + [0] * (c - k)
-    return _rows_between(n, c, sources, [full] * (c + 1)), [n * (n - 1)] * k + [0] * (c - k)
+    rows = _rows_between(n, c, sources, [full] * (c + 1))
+    return rows, [n * (n - 1)] * k + [0] * (c - k), None
 
 
 def _build_complete_prefix(n, c, p, q):
-    k = p + q - 1
-    rows, per_color = _complete_rows(n, c, k)
-    return rows, per_color, {"sum": sum_low(p, q, c)}, PartsInfo((), ((),) * n)
+    return _complete_rows(n, c, p + q - 1)
 
 
 def _build_assigned_out(n, c, p, q):
-    """ASSIGNED_OUT, and A_ONLY for p >= 1: parts own (q-1)-subsets and
-    their vertices send edges to everyone in exactly those colors."""
+    """Parts own (q-1)-subsets and their vertices send edges to everyone in
+    exactly those colors."""
     groups, masks, assigned = _subset_parts(n, c, q - 1, "A")
     rows = _rows_between(n, c, masks, [(1 << n) - 1] * (c + 1))
     per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
-    return rows, per_color, {"min": min_linear(p, q, c)}, _parts_info(groups)
+    return rows, per_color, _parts_info(groups)
 
 
 def _assigned_out_min(n, c, p, q):
@@ -214,37 +296,14 @@ def _assigned_out_min(n, c, p, q):
     return min(assigned[1:]) * (n - 1)
 
 
-def _cyclic_assignment(n, c, q):
-    """CYCLIC_REMAINDER's colors per vertex and edges per color.
-
-    The assignment walks colors 1..c cyclically, q-1 consecutive ones per
-    vertex, and drops its last r = n(q-1) mod c entries.  A vertex sends
-    edges to everyone in its own colors; one that lost x of its q-1 colors
-    sends x edges in each other color instead.
-    """
-    kept = n * (q - 1) - n * (q - 1) % c
-    vertex_colors = [
-        tuple(sorted(pos % c + 1 for pos in range(v * (q - 1), min((v + 1) * (q - 1), kept))))
-        for v in range(n)
-    ]
-    per_color = [kept // c * (n - 1)] * c
-    for own in vertex_colors:
-        for i in range(1, c + 1):
-            if i not in own:
-                per_color[i - 1] += q - 1 - len(own)
-    return vertex_colors, per_color
+def _cyclic_remainder_cover(n, c, q):
+    """q-1 colors per vertex, dealt cyclically, less the last r = n(q-1) mod
+    c entries: a vertex that lost x of its colors catches x targets instead."""
+    return _cyclic_cover(n, c, q, q - 1, n * (q - 1) - n * (q - 1) % c)
 
 
 def _build_cyclic_remainder(n, c, p, q):
-    vertex_colors, per_color = _cyclic_assignment(n, c, q)
-    full = (1 << n) - 1
-    rows = [[0] * n for _ in range(c)]
-    for v, own in enumerate(vertex_colors, start=1):
-        # the first q-1-|own| other vertices, the targets of the colors it lacks
-        short = _mask([u for u in range(1, n + 1) if u != v][:q - 1 - len(own)])
-        for i in range(1, c + 1):
-            rows[i - 1][v - 1] = full & ~(1 << (v - 1)) if i in own else short
-    return rows, per_color, {}, PartsInfo((), tuple(vertex_colors))
+    return _cover_build(_cyclic_remainder_cover(n, c, q))
 
 
 def _build_ac_split_sum(n, c, p, q):
@@ -270,7 +329,7 @@ def _build_ac_split_sum(n, c, p, q):
         (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices)),
         ((),) * n,
     )
-    return rows, per_color, {"sum": sum_high(p, q, c)}, parts
+    return rows, per_color, parts
 
 
 def _build_b_only(n, c, p, q):
@@ -278,19 +337,17 @@ def _build_b_only(n, c, p, q):
     groups, masks, sizes = _subset_parts(n, c, k, "B")
     rows = _rows_between(n, c, masks, masks)
     per_color = [sizes[i] * (sizes[i] - 1) for i in range(1, c + 1)]
-    coefficients = {"min": min_base(p, q, c), "sum": c * min_base(p, q, c)}
-    return rows, per_color, coefficients, _parts_info(groups)
+    return rows, per_color, _parts_info(groups)
 
 
 def _b_only_claim(n, c, p, q, copies):
-    """B_ONLY's per-color claim times `copies` (1 for the min, c for the
-    sum): exact when the parts and the color unions split n evenly, else
-    the n^2 coefficient."""
+    """B_ONLY's per-color count times `copies` (1 for the min, c for the
+    sum), or None unless the parts and the color unions split n evenly."""
     k = p + q - 1
-    if n % math.comb(c, k) == 0 and (n * k) % c == 0:
-        size = n * k // c
-        return copies * size * (size - 1)
-    return copies * min_base(p, q, c)
+    if n % math.comb(c, k) or (n * k) % c:
+        return None
+    size = n * k // c
+    return copies * size * (size - 1)
 
 
 def _build_ab_mix(n, c, p, q):
@@ -308,7 +365,7 @@ def _build_ab_mix(n, c, p, q):
     for i in range(1, c + 1):
         src = a_sizes[i] + b_sizes[i]
         per_color.append(src * (n_a + b_sizes[i]) - src)
-    return rows, per_color, {"min": min_mid(p, q, c)}, _parts_info(a_groups + b_groups)
+    return rows, per_color, _parts_info(a_groups + b_groups)
 
 
 def _build_ac_min(n, c, p, q):
@@ -327,12 +384,7 @@ def _build_ac_min(n, c, p, q):
     for i in range(1, c + 1):
         alpha_i, gamma_i = a_sizes[i], c_sizes[i]
         per_color.append((alpha_i + n_c) * (n_a + gamma_i) - alpha_i - gamma_i)
-    return rows, per_color, {"min": min_top(p, q, c)}, _parts_info(a_groups + c_groups)
-
-
-def _build_s11_complete1(n, c, p, q):
-    rows, per_color = _complete_rows(n, c, 1)
-    return rows, per_color, {}, PartsInfo((), ((),) * n)
+    return rows, per_color, _parts_info(a_groups + c_groups)
 
 
 def _build_bipartite_s11(n, c, p, q):
@@ -340,29 +392,21 @@ def _build_bipartite_s11(n, c, p, q):
     right = tuple(range(n // 2 + 1, n + 1))
     rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
     per_color = [len(left) * len(right)] * c
-    # the A/C split at p = q = 1: min 1/4, sum c/4
-    coefficients = {"min": min_top(p, q, c), "sum": sum_high(p, q, c)}
     parts = PartsInfo(
         (PartGroup("left", (), left), PartGroup("right", (), right)),
         ((),) * n,
     )
-    return rows, per_color, coefficients, parts
+    return rows, per_color, parts
 
 
 def _build_remark_cn(n, c, p, q):
-    rows = [[0] * n for _ in range(c)]
-    for v in range(1, n + 1):
-        targets = [(v - 1 + k) % n + 1 for k in range(1, q)]
-        tmask = _mask(targets)
-        for i in range(c):
-            rows[i][v - 1] = tmask
-    per_color = [n * (q - 1)] * c
-    return rows, per_color, {}, PartsInfo((), ((),) * n)
+    # no color covered; B_v the q-1 next vertices in cyclic order
+    b_sets = tuple(frozenset((v - 1 + k) % n + 1 for k in range(1, q)) for v in range(1, n + 1))
+    return _cover_build(CoverStructure(n, c, q, (frozenset(),) * n, b_sets))
 
 
 def _build_remark_nq(n, c, p, q):
-    rows, per_color = _complete_rows(n, c, c)
-    return rows, per_color, {}, PartsInfo((), ((),) * n)
+    return _complete_rows(n, c, c)
 
 
 def _build_triangle_n3(n, c, p, q):
@@ -372,8 +416,7 @@ def _build_triangle_n3(n, c, p, q):
     for (u, v) in forward:
         rows[0][u - 1] |= 1 << (v - 1)
         rows[1][v - 1] |= 1 << (u - 1)
-    per_color = [3, 3]
-    return rows, per_color, {}, PartsInfo((), ((), (), ()))
+    return rows, [3, 3], None
 
 
 # -- family domains ----------------------------------------------------------
@@ -448,43 +491,51 @@ def _domain_triangle_n3(n, c, p, q):
 @dataclass(frozen=True)
 class _FamilySpec:
     """One family.  Every callable takes (n, c, p, q), except part_count,
-    which takes (c, p, q)."""
+    which takes (c, p, q), and the regimes, which take (p, q, c)."""
 
     domain: Callable[..., None]  # raises ApplicabilityError at the first failed condition
     build: Callable[..., tuple]
-    predict: dict[str, Callable[..., Union[int, Fraction]]]  # by objective
+    # exact values by objective; an entry may answer None off its exact points
+    predict: dict[str, Callable[..., Optional[int]]] = field(default_factory=dict)
+    regimes: dict[str, Callable[..., Fraction]] = field(default_factory=dict)  # n^2 coefficients
     part_count: Callable[..., int] = lambda c, p, q: 1
     part_formula: str = ""  # how a part count that is not constant is named in messages
 
 
+_COMPLETE_PREFIX = _FamilySpec(
+    _domain_complete_prefix,
+    _build_complete_prefix,
+    {
+        "sum": lambda n, c, p, q: (p + q - 1) * (n * n - n),
+        "min": lambda n, c, p, q: n * n - n if c == p + q - 1 else 0,
+    },
+    {"sum": sum_low},
+)
+
+_ASSIGNED_OUT = _FamilySpec(
+    _domain_assigned_out,
+    _build_assigned_out,
+    {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
+    {"min": min_linear},
+    part_count=lambda c, p, q: math.comb(c, q - 1),
+    part_formula="binom(c, q-1)",
+)
+
 _SPECS: dict[ConstructionFamily, _FamilySpec] = {
-    ConstructionFamily.COMPLETE_PREFIX: _FamilySpec(
-        _domain_complete_prefix,
-        _build_complete_prefix,
-        {
-            "sum": lambda n, c, p, q: (p + q - 1) * (n * n - n),
-            "min": lambda n, c, p, q: n * n - n if c == p + q - 1 else 0,
-        },
-    ),
-    ConstructionFamily.ASSIGNED_OUT: _FamilySpec(
-        _domain_assigned_out,
-        _build_assigned_out,
-        {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
-        part_count=lambda c, p, q: math.comb(c, q - 1),
-        part_formula="binom(c, q-1)",
-    ),
+    ConstructionFamily.COMPLETE_PREFIX: _COMPLETE_PREFIX,
+    ConstructionFamily.ASSIGNED_OUT: _ASSIGNED_OUT,
     ConstructionFamily.CYCLIC_REMAINDER: _FamilySpec(
         _domain_cyclic_remainder,
         _build_cyclic_remainder,
         {
-            "sum": lambda n, c, p, q: sum(_cyclic_assignment(n, c, q)[1]),
-            "min": lambda n, c, p, q: min(_cyclic_assignment(n, c, q)[1]),
+            "sum": lambda n, c, p, q: sum(_cyclic_remainder_cover(n, c, q).counts()),
+            "min": lambda n, c, p, q: min(_cyclic_remainder_cover(n, c, q).counts()),
         },
     ),
     ConstructionFamily.AC_SPLIT_SUM: _FamilySpec(
         _domain_ac_split_sum,
         _build_ac_split_sum,
-        {"sum": lambda n, c, p, q: sum_high(p, q, c)},
+        regimes={"sum": sum_high},
         part_count=lambda c, p, q: 2,
     ),
     ConstructionFamily.B_ONLY: _FamilySpec(
@@ -494,42 +545,33 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
             "sum": lambda n, c, p, q: _b_only_claim(n, c, p, q, c),
             "min": lambda n, c, p, q: _b_only_claim(n, c, p, q, 1),
         },
+        {"min": min_base, "sum": lambda p, q, c: c * min_base(p, q, c)},
         part_count=lambda c, p, q: math.comb(c, p + q - 1),
         part_formula="binom(c, p+q-1)",
     ),
     ConstructionFamily.AB_MIX: _FamilySpec(
         _domain_ab_mix,
         _build_ab_mix,
-        {"min": lambda n, c, p, q: min_mid(p, q, c)},
+        regimes={"min": min_mid},
         part_count=lambda c, p, q: math.comb(c, p + q - 1) + math.comb(c, q - 1),
         part_formula="binom(c,p+q-1) + binom(c,q-1)",
     ),
-    ConstructionFamily.A_ONLY: _FamilySpec(
-        _domain_two_sided,
-        _build_assigned_out,
-        {"sum": lambda n, c, p, q: (q - 1) * (n * n - n), "min": _assigned_out_min},
-        part_count=lambda c, p, q: math.comb(c, q - 1),
-        part_formula="binom(c, q-1)",
-    ),
+    ConstructionFamily.A_ONLY: replace(_ASSIGNED_OUT, domain=_domain_two_sided),
     ConstructionFamily.AC_MIN: _FamilySpec(
         _domain_ac_min,
         _build_ac_min,
-        {"min": lambda n, c, p, q: min_top(p, q, c)},
+        regimes={"min": min_top},
         part_count=lambda c, p, q: math.comb(c, q - 1) + math.comb(c, p - 1),
         part_formula="binom(c,q-1) + binom(c,p-1)",
     ),
-    ConstructionFamily.S11_COMPLETE1: _FamilySpec(
-        _domain_s11,
-        _build_s11_complete1,
-        {
-            "sum": lambda n, c, p, q: n * n - n,
-            "min": lambda n, c, p, q: n * n - n if c == 1 else 0,
-        },
-    ),
+    # COMPLETE_PREFIX at (1, 1): one complete color
+    ConstructionFamily.S11_COMPLETE1: replace(_COMPLETE_PREFIX, domain=_domain_s11, regimes={}),
     ConstructionFamily.BIPARTITE_S11: _FamilySpec(
         _domain_s11,
         _build_bipartite_s11,
         {"sum": lambda n, c, p, q: c * (n * n // 4), "min": lambda n, c, p, q: n * n // 4},
+        # the A/C split at p = q = 1: min 1/4, sum c/4
+        {"min": min_top, "sum": sum_high},
     ),
     ConstructionFamily.REMARK_CN: _FamilySpec(
         _domain_remark_cn,
@@ -562,7 +604,8 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
-    rows, per_color, coefficients, parts = _SPECS[family].build(n, c, p, q)
+    spec = _SPECS[family]
+    rows, per_color, parts = spec.build(n, c, p, q)
     collection = DigraphCollection.from_out_rows(n, c, rows)
     predicted = _summary(per_color)
     actual = edge_counts(collection)
@@ -577,6 +620,9 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
             f"internal error: {family.value} build contains a rainbow star at "
             f"center {witness.center}"
         )
+    coefficients = {objective: regime(p, q, c) for objective, regime in spec.regimes.items()}
+    if parts is None:
+        parts = PartsInfo((), ((),) * n)
     return ConstructionOutput(
         family, n, c, p, q, collection, predicted, coefficients, parts, True
     )
@@ -614,15 +660,20 @@ def predicted_value(
 ) -> Union[int, Fraction]:
     """The value a family is built to reach: exact integer or n^2 coefficient.
 
-    Exact families (and exact objectives of mixed families) return integers;
-    asymptotic claims return Fractions.  Raises ApplicabilityError outside
+    The row's exact value where it has one, as an integer; otherwise its
+    regime's coefficient, as a Fraction.  Raises ApplicabilityError outside
     the domain and ValueError for objectives the family makes no claim about.
     """
     _bounds.check_objective(objective)
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
-    predict = _SPECS[family].predict.get(objective)
-    if predict is None:
+    spec = _SPECS[family]
+    predict = spec.predict.get(objective)
+    value = None if predict is None else predict(n, c, p, q)
+    if value is not None:
+        return value
+    regime = spec.regimes.get(objective)
+    if regime is None:
         raise ValueError(f"{family.value} makes no {objective} prediction")
-    return predict(n, c, p, q)
+    return regime(p, q, c)

@@ -210,16 +210,16 @@ def _walk(v: int, p: int, q: int, in_cands, out_cands, same, other, joint):
                 other, joint = other_cut, joint_cut
 
 
-def find_rainbow_star_naive(collection: DigraphCollection, pat: StarPattern, max_work: int = NAIVE_WORK_GUARD):
+def find_rainbow_star_naive(collection: DigraphCollection, pat: StarPattern):
     """Reference oracle: enumerate centers, leaf-vertex tuples, color tuples.
 
     No pruning beyond skipping absent edges.  Guarded by n*c*(p+q) so it is
     only ever run on tiny instances.
     """
     work = collection.n * collection.c * pat.size
-    if work > max_work:
+    if work > NAIVE_WORK_GUARD:
         raise ValueError(
-            f"naive enumeration guard: n*c*(p+q) = {work} exceeds {max_work}"
+            f"naive enumeration guard: n*c*(p+q) = {work} exceeds {NAIVE_WORK_GUARD}"
         )
     p, q = pat.p, pat.q
     vertices = range(1, collection.n + 1)

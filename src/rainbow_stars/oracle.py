@@ -15,7 +15,8 @@ structures instead of edge sets: a collection is free of rainbow (0, q)
 stars exactly when each vertex's (target, color) incidence graph has a
 vertex cover of size at most q-1, and maximal realizations of covers
 dominate everything else, so the search space collapses to per-vertex cover
-shapes.
+shapes.  The cover structure, and the cyclic dealer of the sum witness, live
+in `constructions`, which builds its out-star families from them too.
 
 For the min objective the cover oracle walks the vertex-type multiplicities
 depth first, cutting subtrees by an averaging bound that is linear in them,
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import check_objective
+from .constructions import CoverStructure, _cyclic_cover, _smallest_targets
 from .detector import find_rainbow_star
 from .model import DigraphCollection, StarPattern, edge_counts
 
@@ -53,47 +55,6 @@ class SearchOutcome:
     proved_optimal: bool
     nodes_explored: int
     elapsed: float
-
-
-@dataclass(frozen=True)
-class CoverStructure:
-    """Per-vertex covers: colors in a_sets saturate, targets in b_sets catch
-    the rest.  Valid when |a_sets[v]| + |b_sets[v]| <= q-1 for every v."""
-
-    n: int
-    c: int
-    q: int
-    a_sets: tuple[frozenset[int], ...]
-    b_sets: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if len(self.a_sets) != self.n or len(self.b_sets) != self.n:
-            raise ValueError("cover structure needs one (A_v, B_v) pair per vertex")
-        colors = frozenset(range(1, self.c + 1))
-        vertices = frozenset(range(1, self.n + 1))
-        for v in range(1, self.n + 1):
-            a_v, b_v = self.a_sets[v - 1], self.b_sets[v - 1]
-            if len(a_v) + len(b_v) > self.q - 1:
-                raise ValueError(
-                    f"vertex {v}: cover size {len(a_v)} + {len(b_v)} exceeds q-1 = {self.q - 1}"
-                )
-            if not a_v <= colors:
-                raise ValueError(f"vertex {v}: colors outside 1..{self.c}")
-            if v in b_v or not b_v <= vertices:
-                raise ValueError(f"vertex {v}: bad target set {sorted(b_v)}")
-
-    def realize(self) -> DigraphCollection:
-        """Maximal realization: v->u in color i iff i in A_v or u in B_v."""
-        rows = [[0] * self.n for _ in range(self.c)]
-        full = (1 << self.n) - 1
-        for v in range(1, self.n + 1):
-            bmask = 0
-            for u in self.b_sets[v - 1]:
-                bmask |= 1 << (u - 1)
-            own = full & ~(1 << (v - 1))
-            for i in range(1, self.c + 1):
-                rows[i - 1][v - 1] = own if i in self.a_sets[v - 1] else bmask
-        return DigraphCollection.from_out_rows(self.n, self.c, rows)
 
 
 class _BudgetExpired(Exception):
@@ -381,34 +342,12 @@ def _type_value(a: int, n: int, c: int, q: int) -> int:
     return a * (n - 1) + (c - a) * (q - 1 - a)
 
 
-def _smallest_targets(v: int, n: int, b: int) -> frozenset[int]:
-    targets: list[int] = []
-    u = 1
-    while len(targets) < b:
-        if u != v:
-            targets.append(u)
-        u += 1
-    return frozenset(targets)
-
-
 def _cover_sum(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
     values = [_type_value(a, n, c, q) for a in range(q)]
     best_a = max(range(q), key=lambda a: (values[a], -a))
-    total = n * values[best_a]
     # token spread is irrelevant to the total; deal consecutive colors
     # cyclically so the witness is balanced anyway
-    color_sets: list[frozenset[int]] = []
-    offset = 0
-    for _ in range(n):
-        color_sets.append(frozenset((offset + k) % c + 1 for k in range(best_a)))
-        offset += best_a
-    b = q - 1 - best_a
-    structure = CoverStructure(
-        n, c, q,
-        tuple(color_sets),
-        tuple(_smallest_targets(v, n, b) for v in range(1, n + 1)),
-    )
-    return total, structure, q
+    return n * values[best_a], _cyclic_cover(n, c, q, best_a, n * best_a), q
 
 
 def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:

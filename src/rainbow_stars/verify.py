@@ -46,14 +46,6 @@ DEFAULT_SEED = 20260814
 # floor(n(q-1)/c)(n-1) + r target, whose remainder 1 is not divisible by q-1
 FROZEN_COVER_853_MIN = 21
 
-SUITE_NAMES = (
-    "detector-equivalence",
-    "constructions-free",
-    "exact-small",
-    "thresholds",
-    "cover-adjudication",
-)
-
 
 @dataclass(frozen=True)
 class VerificationCase:
@@ -605,6 +597,7 @@ _SUITES: dict[str, Callable[[int], list[VerificationCase]]] = {
     "thresholds": suite_thresholds,
     "cover-adjudication": suite_cover_adjudication,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def combine_suites(seed: int, cases_by_suite: dict[str, list[VerificationCase]]) -> VerificationReport:

@@ -11,6 +11,8 @@ from rainbow_stars.bounds import coefficient_min, coefficient_sum
 from rainbow_stars.constructions import (
     ApplicabilityError,
     ConstructionFamily,
+    CoverStructure,
+    _smallest_targets,
     applicability_error,
     build,
     colex_subsets,
@@ -188,6 +190,35 @@ def test_random_domain_points_build_or_refuse(c, p, q, n):
         else:
             with pytest.raises(ApplicabilityError):
                 build(family, n, c, p, q)
+
+
+@st.composite
+def cover_structures(draw):
+    """A valid cover structure with n <= 8, c <= 5 and q <= 4."""
+    n, c, q = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    a_sets, b_sets = [], []
+    for v in range(1, n + 1):
+        a_v = draw(st.frozensets(st.integers(1, c), max_size=q - 1))
+        others = [u for u in range(1, n + 1) if u != v]
+        room = min(q - 1 - len(a_v), len(others))
+        b_v = draw(st.frozensets(st.sampled_from(others), max_size=room)) if room else frozenset()
+        a_sets.append(a_v)
+        b_sets.append(b_v)
+    return CoverStructure(n, c, q, tuple(a_sets), tuple(b_sets))
+
+
+@given(cover_structures())
+@settings(max_examples=100, deadline=None)
+def test_cover_structure_agrees_with_itself(cover):
+    # the counts and the rows describe one realization, and it is free
+    collection = cover.realize()
+    assert edge_counts(collection).per_color == tuple(cover.counts())
+    assert find_rainbow_star(collection, StarPattern(0, cover.q)) is None
+    n = cover.n
+    for v in range(1, n + 1):
+        others = [u for u in range(1, n + 1) if u != v]
+        for b in range(n):
+            assert _smallest_targets(v, n, b) == frozenset(others[:b])
 
 
 def _claim(family, n, c, p, q, objective):
