@@ -338,10 +338,14 @@ def test_min_oracle_strict_exactly_when_remainder_indivisible():
 # points, c then q then n ascending); fixed before the pruned walk and the
 # decision search replaced the exhaustive composition loop
 COVER_MIN_GRID_DIGEST = "d5c06b694bc8f9e57043f600d7e96acb83a5e43fc252fa04abea442a29f516f5"
+# sha256 over "n c q nodes_explored" lines for the same 539 points (16,637
+# nodes in total)
+COVER_MIN_GRID_NODES_DIGEST = "6255fece9077e8f930b3b7bc5eff34f029a673f2a15a17cbe50e7b8c866fd060"
 
 
 def test_cover_min_grid_optima_and_witnesses_pinned():
     digest = hashlib.sha256()
+    nodes_digest = hashlib.sha256()
     points = 0
     for c in range(1, 7):
         for q in range(1, c + 1):
@@ -350,9 +354,11 @@ def test_cover_min_grid_optima_and_witnesses_pinned():
                 assert outcome.proved_optimal
                 digest.update(f"{n} {c} {q} {outcome.optimum}\n".encode())
                 digest.update(serialize_edge_list(outcome.witness).encode())
+                nodes_digest.update(f"{n} {c} {q} {outcome.nodes_explored}\n".encode())
                 points += 1
     assert points == 539
     assert digest.hexdigest() == COVER_MIN_GRID_DIGEST
+    assert nodes_digest.hexdigest() == COVER_MIN_GRID_NODES_DIGEST
 
 
 def test_cover_min_at_the_guard_corner():
@@ -360,12 +366,14 @@ def test_cover_min_at_the_guard_corner():
     outcome = cover_oracle_s0q(64, 8, 6, "min")
     assert outcome.proved_optimal
     assert outcome.optimum == formula_min(64, 8, 6)
+    assert outcome.nodes_explored == 92
     # (64, 6, 6): r = 320 mod 6 = 2 is not a multiple of 5, so the optimum
     # lies between the CYCLIC_REMAINDER construction and the formula
     outcome = cover_oracle_s0q(64, 6, 6, "min")
     assert outcome.proved_optimal
     low = build(ConstructionFamily.CYCLIC_REMAINDER, 64, 6, 0, 6).predicted_counts.minimum
     assert low <= outcome.optimum <= formula_min(64, 6, 6)
+    assert outcome.nodes_explored == 74
 
 
 @pytest.mark.parametrize(
