@@ -265,17 +265,15 @@ def matching_fastpath_p0(collection: DigraphCollection, q: int):
     """Decide (0, q) patterns via maximum bipartite matching per center."""
     if q < 1:
         raise ValueError(f"pattern (0, q) needs q >= 1, got q={q}")
+    out_masks = collection.color_masks()[1]
     for v in range(1, collection.n + 1):
-        matching = _center_out_matching(collection, v)
+        # maximum matching {out-leaf: color}; q or more pairs iff a (0, q)
+        # star sits at v
+        matching = _match_leaves(_leaf_colors(collection.out_neighbors, v, out_masks[v]))
         if len(matching) >= q:
             pairs = tuple(sorted(matching.items())[:q])
             return StarEmbedding(v, (), pairs)
     return None
-
-
-def _center_out_matching(collection: DigraphCollection, v: int) -> dict[int, int]:
-    """Maximum matching {out-leaf: color} at v; q or more pairs iff a (0, q) star sits at v."""
-    return _match_leaves(_leaf_colors(collection.out_neighbors, v, collection.color_masks()[1][v]))
 
 
 def hopcroft_karp(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:

@@ -617,8 +617,8 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
     if "\r" in text:
         at = text.index("\r")
         raise ParseError(text.count("\n", 0, at) + 1, "carriage return; format v1 uses LF endings")
-    if not text.endswith("\n"):
-        raise ParseError(max(1, text.count("\n") + 1), "missing trailing newline")
+    if text and not text.endswith("\n"):
+        raise ParseError(text.count("\n") + 1, "missing trailing newline")
     head_end = text.find("\n")
     if text[:head_end] != _HEADER:
         raise ParseError(1, f"bad header {text[:head_end]!r}, expected {_HEADER!r}")

@@ -301,8 +301,11 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
     minimal vectors (no token removable while still reaching t) are tried.
     It is asked first at the smallest t that beats the incumbent, so a
     losing multiplicity costs one infeasibility proof; otherwise the exact
-    value is found by bisection up to the averaging bound.  The layout commits, color by color, the first vector in
-    ascending order whose rest stays feasible.
+    value is found by bisection up to the averaging bound.  The memo keeps,
+    for each (colors left, tokens left), the first vector in ascending
+    order whose rest stays feasible, so the layout is read back from it
+    color by color.  Each type's tokens, listed color by color, are then
+    dealt to its vertices in turn.
 
     nodes_explored counts walk visits plus feasibility nodes (memo misses
     whose vectors were enumerated); it is 1 for q = 1 and q for the sum.
@@ -351,10 +354,6 @@ def _cover_sum(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
 
 
 def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
-    if q == 1:
-        structure = CoverStructure(n, c, q, (frozenset(),) * n, (frozenset(),) * n)
-        return 0, structure, 1
-
     # A type-a vertex covers a colors (its count contribution there is n-1)
     # and b = q-1-a targets (contributing b to every other color), so with
     # b_total fixed a token of type a is worth w_a = (n-1) - b = n-q+a.
@@ -410,7 +409,10 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
 
         gen(0, 0, (), 0)
         options.sort()
-        memos: dict[int, dict[tuple[int, tuple[int, ...]], bool]] = {}
+        # per target: (colors left, supply left) -> the first (vector, rest)
+        # whose rest stays feasible, or None when there is none
+        Choice = Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+        memos: dict[int, dict[tuple[int, tuple[int, ...]], Choice]] = {}
         minimal: dict[int, list[tuple[int, ...]]] = {}
 
         def candidates(target: int, rem: tuple[int, ...]):
@@ -438,13 +440,13 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
                 return True
             memo = memos.setdefault(target, {})
             key = (k, rem)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            nodes += 1
-            found = any(feasible(target, k - 1, rest) for _, rest in candidates(target, rem))
-            memo[key] = found
-            return found
+            if key not in memo:
+                nodes += 1
+                memo[key] = next(
+                    (pick for pick in candidates(target, rem) if feasible(target, k - 1, pick[1])),
+                    None,
+                )
+            return memo[key] is not None
 
         if not feasible(lo, c, supply):
             return None
@@ -457,20 +459,17 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
             else:
                 bad = mid
 
-        # walk colors again, committing the lexicographically least
-        # allocation that still attains the value
+        # the memo holds each color's choice; one color left is decided by
+        # the averaging cut alone, unmemoised, so it takes the first vector
+        # that fits
+        memo = memos[value]
         layout = [[0] * c for _ in range(q)]
         rem = supply
         for color in range(c):
             k = c - color
-            for alloc, rest in candidates(value, rem):
-                if k == 1 or feasible(value, k - 1, rest):
-                    for t in range(t_count):
-                        layout[type_as[t]][color] = alloc[t]
-                    rem = rest
-                    break
-            else:
-                raise RuntimeError("internal error: layout reconstruction failed")
+            alloc, rem = memo[(k, rem)] if k > 1 else next(candidates(value, rem))
+            for t, a in enumerate(type_as):
+                layout[a][color] = alloc[t]
         return b_total + value, layout
 
     def consider(mult: tuple[int, ...]) -> None:
@@ -515,48 +514,14 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
 
     assert best_plan is not None
     mult, layout = best_plan
-    # vertices grouped by type in ascending type order; deal each type's
-    # per-color counts to its vertices by largest remaining capacity
-    color_sets: list[set[int]] = [set() for _ in range(n)]
-    types_of_vertex: list[int] = []
-    at = 0
-    for a in range(q):
-        group = list(range(at, at + mult[a]))
-        at += mult[a]
-        types_of_vertex.extend([a] * mult[a])
-        if not group or a == 0:
-            continue
-        dealt = _assign_tokens([layout[a][i] for i in range(c)], [a] * len(group))
-        for j, s in zip(group, dealt):
-            color_sets[j] = s
-    a_sets = tuple(frozenset(s) for s in color_sets)
-    b_sets = tuple(
-        _smallest_targets(v, n, q - 1 - types_of_vertex[v - 1])
-        for v in range(1, n + 1)
-    )
-    structure = CoverStructure(n, c, q, a_sets, b_sets)
+    # vertices grouped by type in ascending type order; each type's tokens,
+    # listed color by color, are dealt to its vertices in turn, so no vertex
+    # gets a color twice (at most mult[a] tokens per color)
+    a_sets: list[frozenset[int]] = []
+    for a, m in enumerate(mult):
+        tokens = [color for color, count in enumerate(layout[a], start=1) for _ in range(count)]
+        a_sets.extend(frozenset(tokens[j::m]) for j in range(m))
+    types = [a for a, m in enumerate(mult) for _ in range(m)]
+    b_sets = tuple(_smallest_targets(v, n, q - 1 - types[v - 1]) for v in range(1, n + 1))
+    structure = CoverStructure(n, c, q, tuple(a_sets), b_sets)
     return best_value, structure, nodes
-
-
-def _assign_tokens(counts_by_color: list[int], capacities: list[int]) -> list[set[int]]:
-    """Concrete color sets from per-color token counts.
-
-    counts_by_color[i-1] tokens of color i go to distinct vertices; vertex j
-    accepts at most capacities[j] colors.  Greedy by largest remaining
-    capacity (ties to the lower index) succeeds whenever the counts respect
-    the caps, the standard realization argument for bipartite degree
-    sequences with one semi-regular side.
-    """
-    remaining = list(capacities)
-    sets: list[set[int]] = [set() for _ in capacities]
-    for i, need in enumerate(counts_by_color, start=1):
-        if need == 0:
-            continue
-        order = sorted(range(len(remaining)), key=lambda j: (-remaining[j], j))
-        picked = [j for j in order if remaining[j] > 0][:need]
-        if len(picked) < need:
-            raise RuntimeError("internal error: token counts not realizable")
-        for j in picked:
-            remaining[j] -= 1
-            sets[j].add(i)
-    return sets

@@ -132,6 +132,17 @@ def test_check_parse_error(tmp_path, capsys):
         assert payload["error"]["type"] == "ParseError"
 
 
+def test_check_empty_file_names_the_header(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, payload = run(capsys, "check", "--in", str(empty), "--p", "0", "--q", "1")
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ParseError",
+        "message": "line 1: bad header '', expected 'rainbow-digraph v1'",
+    }
+
+
 def test_check_long_chain_reports_star(tmp_path, capsys):
     # one center with a 1500-long augmenting chain: leaf j+1 in colors j and
     # j+1, and leaf 1502 in color 1 only; its one rainbow (0, 1501) star

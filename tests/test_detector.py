@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import (
-    _center_out_matching,
     _colors_suffice,
+    _leaf_colors,
+    _match_leaves,
     classify_vertices,
     find_rainbow_star,
     find_rainbow_star_naive,
@@ -138,7 +139,11 @@ def test_prefilter_alone_is_not_decisive():
     col = out.collection
     assert classify_vertices(col, StarPattern(0, 8)).violators == tuple(range(1, 9))
     assert find_rainbow_star(col, StarPattern(0, 8)) is None
-    assert all(len(_center_out_matching(col, v)) == 7 for v in range(1, 9))
+    out_masks = col.color_masks()[1]
+    assert all(
+        len(_match_leaves(_leaf_colors(col.out_neighbors, v, out_masks[v]))) == 7
+        for v in range(1, 9)
+    )
 
 
 def _brute_matching_size(adjacency) -> int:

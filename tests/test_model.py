@@ -310,6 +310,7 @@ def test_from_out_rows_matches_from_edges():
 @pytest.mark.parametrize(
     "text,bad_line",
     [
+        ("", 1),
         ("wrong header\n3 2\n", 1),
         ("rainbow-digraph v1\n", 2),
         ("rainbow-digraph v1\n3\n", 2),
@@ -339,9 +340,9 @@ def reference_parse(text):
     (line_number, message)."""
     if "\r" in text:
         return text.count("\n", 0, text.index("\r")) + 1, "carriage return; format v1 uses LF endings"
-    if not text.endswith("\n"):
-        return max(1, text.count("\n") + 1), "missing trailing newline"
-    lines = text.split("\n")[:-1]
+    if text and not text.endswith("\n"):
+        return text.count("\n") + 1, "missing trailing newline"
+    lines = text[:-1].split("\n")
     if lines[0] != "rainbow-digraph v1":
         return 1, f"bad header {lines[0]!r}, expected 'rainbow-digraph v1'"
     if len(lines) < 2:
