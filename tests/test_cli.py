@@ -51,12 +51,22 @@ def test_bound_out_star_coefficient(capsys):
     assert "thresholds" not in payload
 
 
-def test_bound_domain_error_is_structured(capsys):
+def test_bound_fraction_value(capsys):
+    # an asymptotic value at a given n is a coefficient, printed as a fraction
     code, payload = run(capsys, "bound", "--p", "1", "--q", "2",
-                        "--c", "2", "--objective", "min")
-    assert code == 1
-    assert payload["error"]["type"] == "ValueError"
-    assert "c >= p+q" in payload["error"]["message"]
+                        "--n", "4", "--c", "3", "--objective", "min")
+    assert code == 0
+    assert (payload["kind"], payload["value"]) == ("ASYMPTOTIC", "4/9")
+
+
+def test_bound_domain_error_is_structured(capsys):
+    for p, q, objective, message in (("1", "2", "min", "c >= p+q"),
+                                     ("0", "3", "sum", "needs c >= q")):
+        code, payload = run(capsys, "bound", "--p", p, "--q", q,
+                            "--c", "2", "--objective", objective)
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert message in payload["error"]["message"]
 
 
 def test_usage_error_exits_2(capsys):
@@ -130,6 +140,13 @@ def test_check_parse_error(tmp_path, capsys):
         code, payload = run(capsys, "check", "--in", str(path), "--p", "0", "--q", "1")
         assert code == 1
         assert payload["error"]["type"] == "ParseError"
+
+
+def test_check_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, payload = run(capsys, "check", "--in", str(missing), "--p", "0", "--q", "1")
+    assert code == 1
+    assert "cannot read" in payload["error"]["message"]
 
 
 def test_check_empty_file_names_the_header(tmp_path, capsys):

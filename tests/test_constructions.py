@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbow_stars import constructions
 from rainbow_stars.bounds import coefficient_min, coefficient_sum
 from rainbow_stars.constructions import (
     ApplicabilityError,
@@ -132,6 +134,24 @@ def test_every_family_builds_free(family, n, c, p, q):
         assert sum(sizes) == n
         covered = sorted(v for g in out.parts.groups for v in g.vertices)
         assert covered == list(range(1, n + 1))
+
+
+def test_build_refuses_a_row_it_cannot_certify(monkeypatch):
+    spec = constructions._SPECS[F.COMPLETE_PREFIX]
+    rows, per_color, parts = spec.build(4, 3, 1, 1)
+
+    def patch(build_row):
+        monkeypatch.setitem(constructions._SPECS, F.COMPLETE_PREFIX, replace(spec, build=build_row))
+
+    # counts that disagree with the collection built from the rows
+    patch(lambda n, c, p, q: (rows, [count + 1 for count in per_color], parts))
+    with pytest.raises(RuntimeError, match="differ from partition arithmetic"):
+        build(F.COMPLETE_PREFIX, 4, 3, 1, 1)
+    # every color complete holds a rainbow (1, 1) star
+    full = [[0b1111 & ~(1 << u) for u in range(4)] for _ in range(3)]
+    patch(lambda n, c, p, q: (full, [12] * 3, parts))
+    with pytest.raises(RuntimeError, match="build contains a rainbow star"):
+        build(F.COMPLETE_PREFIX, 4, 3, 1, 1)
 
 
 def test_exact_families_predict_their_builds():

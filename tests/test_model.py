@@ -130,6 +130,9 @@ def test_backend_equivalence(col):
     assert {key: in_first.in_neighbors(*key) for key in ins} == ins
     assert dense.storage_kind == "dense" and sparse.storage_kind == "sparse"
     assert dense == sparse == in_first
+    assert hash(dense) == hash(sparse)
+    assert dense != edges
+    assert dense != DigraphCollection.from_edges(col.n, col.c + 1, edges, col.n)
     assert serialize_edge_list(dense) == serialize_edge_list(sparse)
     for i in range(1, col.c + 1):
         assert dense.color_edges(i) == sparse.color_edges(i)
@@ -289,6 +292,12 @@ def test_permute_identity():
     assert permute(col) == col
 
 
+def test_permute_rejects_a_non_permutation():
+    col = DigraphCollection.from_edges(3, 1, [(1, 1, 2)])
+    with pytest.raises(ValueError, match=r"vertex permutation must rearrange 1\.\.3"):
+        permute(col, [1, 1, 2])
+
+
 def test_edge_counts():
     col = DigraphCollection.from_edges(4, 3, [(1, 1, 2), (1, 2, 1), (3, 1, 4)])
     summary = edge_counts(col)
@@ -305,6 +314,21 @@ def test_from_out_rows_matches_from_edges():
         3, 2, [(1, 1, 2), (1, 1, 3), (1, 3, 1), (2, 2, 1), (2, 2, 3)]
     )
     assert built == expected
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0, 0], [0, 0]], "expected 1 row blocks, got 2"),
+        ([[0]], "color 1: expected 2 rows, got 1"),
+        ([[0b100, 0]], "color 1: row of vertex 1 has out-of-range bits"),
+        ([[-1, 0]], "color 1: row of vertex 1 has out-of-range bits"),
+        ([[0b01, 0]], "color 1: loop at vertex 1"),
+    ],
+)
+def test_from_out_rows_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        DigraphCollection.from_out_rows(2, 1, rows)
 
 
 @pytest.mark.parametrize(

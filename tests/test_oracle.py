@@ -22,6 +22,7 @@ from rainbow_stars.oracle import (
     FIRM_SLOT_GUARD,
     STRETCH_SLOT_GUARD,
     CoverStructure,
+    _certify,
     cover_oracle_s0q,
     max_exact,
 )
@@ -246,6 +247,31 @@ def test_slot_guards():
     assert FIRM_SLOT_GUARD < 4 * 4 * 3 <= STRETCH_SLOT_GUARD
 
 
+def test_forward_check_needs_at_most_one_leaf():
+    # a star takes p+q colors and p+q leaves, so one fits only when
+    # p+q <= min(c, n-1); inside the stretch guard that is at most 3, so a
+    # star through two slots lacks at most one leaf
+    n = 2
+    while n * (n - 1) <= STRETCH_SLOT_GUARD:
+        widest = STRETCH_SLOT_GUARD // (n * (n - 1))
+        assert min(widest, n - 1) <= 3, (n, widest)
+        n += 1
+    # no (2, 2) star fits on 4 vertices: no slot is blocked and every edge kept
+    for objective, value in (("sum", 48), ("min", 12)):
+        outcome = max_exact(4, 4, StarPattern(2, 2), objective, allow_large=True)
+        assert outcome.proved_optimal
+        assert (outcome.optimum, outcome.nodes_explored) == (value, 96)
+        assert exact_bound(StarPattern(2, 2), 4, 4, objective).value == value
+
+
+def test_certify_rejects_bad_witnesses():
+    star = DigraphCollection.from_edges(3, 2, [(1, 1, 2), (2, 1, 3)])
+    with pytest.raises(RuntimeError, match="contains a rainbow star"):
+        _certify(star, StarPattern(0, 2), "sum", 2)
+    with pytest.raises(RuntimeError, match="attains 2, oracle reported 3"):
+        _certify(star, StarPattern(1, 1), "sum", 3)
+
+
 def test_reversal_symmetry_of_optima():
     for n in (3, 4):
         for objective in ("sum", "min"):
@@ -276,10 +302,19 @@ def test_cover_structure_validation_and_realization():
     # vertex 1 fills color 1 completely; each other vertex sends its one
     # covered target in every color it leaves uncovered
     assert edge_counts(col).per_color == (3 + 3, 3, 3)
-    with pytest.raises(ValueError):
+    empty = (frozenset(),) * 4
+    with pytest.raises(ValueError, match="cover size"):
         CoverStructure(n=4, c=3, q=2,
-                       a_sets=(frozenset({1, 2}),) + (frozenset(),) * 3,
-                       b_sets=(frozenset({2}),) + (frozenset(),) * 3)
+                       a_sets=(frozenset({1, 2}),) + empty[1:],
+                       b_sets=(frozenset({2}),) + empty[1:])
+    with pytest.raises(ValueError, match="one .A_v, B_v. pair per vertex"):
+        CoverStructure(n=4, c=3, q=2, a_sets=empty[1:], b_sets=empty)
+    with pytest.raises(ValueError, match=r"vertex 1: colors outside 1\.\.3"):
+        CoverStructure(n=4, c=3, q=2, a_sets=(frozenset({4}),) + empty[1:], b_sets=empty)
+    for targets in ({1}, {5}):
+        with pytest.raises(ValueError, match="vertex 1: bad target set"):
+            CoverStructure(n=4, c=3, q=2, a_sets=empty,
+                           b_sets=(frozenset(targets),) + empty[1:])
 
 
 def test_cover_oracle_domain_and_guards():
