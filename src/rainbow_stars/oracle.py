@@ -3,12 +3,12 @@
 Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
 guarded).  Its per-node work is incremental: forward checking asks of each
-later slot that can share a star with a new edge only for the rest of that
-star, and the bound reads per-color counts of the alive slots left.  Both
-objectives search only collections with non-increasing per-color counts
-whose first slot is present, and an out-star pattern walks the slots in the
-mirror image of its in-star reversal's order, so the two orientations cost
-the same.
+later slot that can share a star with a new edge only for the one leaf
+that star can still lack, and the bound reads per-color counts of the
+alive slots left.  Both objectives search only collections with
+non-increasing per-color counts whose first slot is present, and an
+out-star pattern walks the slots in the mirror image of its in-star
+reversal's order, so the two orientations cost the same.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -84,18 +84,22 @@ def max_exact(
     before, so it is blocked now exactly when some star holds both it and
     the new edge.  Such a slot has another color and meets the new edge
     at the star's center, in roles the pattern allows, with distinct
-    leaves; it is killed when that center has the leaves the star still
-    needs, outside both colors and the three vertices (none for p+q = 2,
-    one for p+q = 3).  Each slot's list of those pairs is built once, before
-    the search.  The optimistic bound caps each color at its count plus its
-    alive slots from the current index on, kept per color as the walk
-    passes slots and forward checking kills them, so it costs O(c).  Two
-    symmetry breaks apply to both objectives: per-color counts must be
-    non-increasing, and the first slot is forced into every nonempty
-    candidate.  They are sound because color relabeling keeps the sum and
-    the minimum and can sort the counts, vertex relabeling then puts a
-    color-1 edge of any collection worth more than 0 on the first slot,
-    and the empty collection is the starting incumbent.
+    leaves.  A star takes p+q colors and p+q leaves, and the slot guard
+    keeps min(c, n-1) <= 3, so a star that fits needs at most one leaf
+    beyond the pair.  For p+q = 2 the pair kills the slot at once; for
+    p+q = 3 it is killed when the center has that last leaf, on its side,
+    in a third color and at a vertex outside the three.  When no star fits
+    (p+q > min(c, n-1)) no slot is ever blocked and no forward check runs.
+    Each slot's list of those pairs is built once, before the search.  The
+    optimistic bound caps each color at its count plus its alive slots from
+    the current index on, kept per color as the walk passes slots and
+    forward checking kills them, so it costs O(c).  Two symmetry breaks
+    apply to both objectives: per-color counts must be non-increasing, and
+    the first slot is forced into every nonempty candidate.  They are sound
+    because color relabeling keeps the sum and the minimum and can sort the
+    counts, vertex relabeling then puts a color-1 edge of any collection
+    worth more than 0 on the first slot, and the empty collection is the
+    starting incumbent.
 
     On budget expiry the best incumbent is returned with
     proved_optimal=False.
@@ -140,33 +144,14 @@ def max_exact(
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
 
-    def leaves(center: int, need_in: int, need_out: int, used_v: int, used_c: int) -> bool:
-        """need_in in-leaves and need_out out-leaves at center, at least one
-        in all, in distinct colors outside used_c and at distinct vertices
-        outside used_v."""
-        masks = in_masks if need_in else out_masks
-        after = (need_in - 1, need_out) if need_in else (need_in, need_out - 1)
-        last = after == (0, 0)
-        for i in range(1, c + 1):
-            bit_i = 1 << (i - 1)
-            if used_c & bit_i:
-                continue
-            cand = masks[i][center] & ~used_v
-            if last and cand:
-                return True
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                if leaves(center, *after, used_v | low, used_c | bit_i):
-                    return True
-        return False
-
-    def pair_checks(idx: int, i: int, u: int, v: int) -> list[tuple[int, int, int, int, int, int]]:
-        """(j, center, need_in, need_out, used_v, used_c) for each later
-        slot j = (k, x, y) that can join the new edge (i, u, v) in a star:
-        another color, and a center in common where both fit the pattern,
-        with distinct leaves.  The rest is the leaves that star still needs,
-        outside both colors and its three vertices."""
+    def pair_checks(idx: int, i: int, u: int, v: int) -> list[tuple[int, int, int, Optional[list]]]:
+        """(j, center, outside, rows) for each later slot j = (k, x, y) that
+        can join the new edge (i, u, v) in a star: another color, and a
+        center in common where both fit the pattern, with distinct leaves.
+        Such a star lacks at most one leaf: rows holds the mask rows, on its
+        side of the center, of the colors other than i and k (None when the
+        two edges are the whole star), and `outside` masks off its three
+        vertices."""
         used_uv = 1 << (u - 1) | 1 << (v - 1)
         found = []
         for j in range(idx + 1, total_slots):
@@ -174,23 +159,25 @@ def max_exact(
             if k == i:
                 continue
             if x == u and y != v and q >= 2:      # both out-leaves at u
-                center, leaf, need_in, need_out = u, y, p, q - 2
+                center, leaf, need_in = u, y, p
             elif y == u and x != v and p and q:   # j an in-leaf at u
-                center, leaf, need_in, need_out = u, x, p - 1, q - 1
+                center, leaf, need_in = u, x, p - 1
             elif x == v and y != u and p and q:   # j an out-leaf at v
-                center, leaf, need_in, need_out = v, y, p - 1, q - 1
+                center, leaf, need_in = v, y, p - 1
             elif y == v and x != u and p >= 2:    # both in-leaves at v
-                center, leaf, need_in, need_out = v, x, p - 2, q
+                center, leaf, need_in = v, x, p - 2
             else:
                 continue
-            found.append((j, center, need_in, need_out,
-                          used_uv | 1 << (leaf - 1), 1 << (i - 1) | 1 << (k - 1)))
+            side = in_masks if need_in else out_masks
+            rows = None if p + q == 2 else [side[h] for h in range(1, c + 1) if h not in (i, k)]
+            found.append((j, center, ~(used_uv | 1 << (leaf - 1)), rows))
         return found
 
-    # per slot, the later slots that can share a star with it, each with the
-    # rest of that star to look for
-    pairs = [pair_checks(idx, *slots[idx]) for idx in range(total_slots)]
-    whole = p + q == 2  # a pair is then a whole star, and needs no more leaves
+    # per slot, the later slots that can share a star with it; none when no
+    # star fits, as a star takes p+q colors and p+q leaves
+    fits = p + q <= min(c, n - 1)
+    assert not fits or p + q <= 3
+    pairs = [pair_checks(idx, *slots[idx]) if fits else [] for idx in range(total_slots)]
 
     def bound() -> int:
         if objective == "min":
@@ -227,8 +214,8 @@ def max_exact(
             in_masks[i][v] |= 1 << (u - 1)
             counts[i] += 1
             chosen.append((i, u, v))
-            killed = [j for j, center, need_in, need_out, used_v, used_c in pairs[idx]
-                      if alive[j] and (whole or leaves(center, need_in, need_out, used_v, used_c))]
+            killed = [j for j, center, outside, rows in pairs[idx]
+                      if alive[j] and (rows is None or any(row[center] & outside for row in rows))]
             for j in killed:
                 alive[j] = False
                 remaining[slots[j][0]] -= 1
@@ -483,7 +470,7 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
     # with r vertices shifted one type down
     seeds = [tuple(n if a == q - 1 else 0 for a in range(q))]
     shifted = n * (q - 1) % c
-    if 0 < shifted <= n:
+    if shifted:
         seeds.append(tuple(
             shifted if a == q - 2 else (n - shifted if a == q - 1 else 0)
             for a in range(q)

@@ -20,6 +20,7 @@ from typing import Callable
 from . import __version__
 from . import bounds
 from .constructions import (
+    _SPECS,
     ConstructionFamily,
     applicability_error,
     build,
@@ -273,8 +274,9 @@ def _grid_builds() -> list[tuple[ConstructionFamily, int, int, int, int]]:
 _ATTAINMENT_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
 
 
-def _regime_cs(p: int, q: int) -> dict[str, list[int]]:
-    """Up to three c values in each coefficient regime of a chain-SECOND pair."""
+def _regime_cs(p: int, q: int) -> dict[tuple[str, Callable], list[int]]:
+    """Up to three c values in each coefficient regime of a chain-SECOND
+    pair, keyed by (objective, regime function)."""
     ts = bounds.thresholds(p, q)
     assert ts.chain == bounds.CHAIN_SECOND
     lows, highs = [], []
@@ -292,25 +294,19 @@ def _regime_cs(p: int, q: int) -> dict[str, list[int]]:
     while bounds.compare_int_surd(top_start, ts.t3) < 0:
         top_start += 1
     top = list(range(max(top_start, p + q), max(top_start, p + q) + 3))
-    return {"sum-low": lows, "sum-high": highs, "min-base": base,
-            "min-mid": mid, "min-top": top}
-
-
-_REGIME_FAMILY = {
-    "sum-low": (ConstructionFamily.COMPLETE_PREFIX, "sum"),
-    "sum-high": (ConstructionFamily.AC_SPLIT_SUM, "sum"),
-    "min-base": (ConstructionFamily.B_ONLY, "min"),
-    "min-mid": (ConstructionFamily.AB_MIX, "min"),
-    "min-top": (ConstructionFamily.AC_MIN, "min"),
-}
+    return {("sum", bounds.sum_low): lows, ("sum", bounds.sum_high): highs,
+            ("min", bounds.min_base): base, ("min", bounds.min_mid): mid,
+            ("min", bounds.min_top): top}
 
 
 def attainment_instances() -> list[tuple[ConstructionFamily, str, int, int, int, int]]:
-    """(family, objective, n, c, p, q) tuples for coefficient attainment."""
+    """(family, objective, n, c, p, q) tuples for coefficient attainment;
+    each regime is built by the first family whose spec row claims it."""
     out = []
     for (p, q) in _ATTAINMENT_PAIRS:
-        for regime, cs in _regime_cs(p, q).items():
-            family, objective = _REGIME_FAMILY[regime]
+        for (objective, regime), cs in _regime_cs(p, q).items():
+            family = next(f for f in ConstructionFamily
+                          if _SPECS[f].regimes.get(objective) is regime)
             for c in cs:
                 parts = part_count(family, c, p, q)
                 n = 100 * parts
@@ -505,8 +501,6 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                         status="pass" if got == expected else "fail",
                     ))
                 # balanced assignment minimum vs the floor formula
-                if applicability_error(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q) is not None:
-                    continue
                 bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
                 target, divisible = bound.value, bound.kind == bounds.EXACT
                 got = build(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q).predicted_counts.minimum
