@@ -78,13 +78,34 @@ def test_outcomes_carry_certified_witnesses():
 
 def test_budget_expiry_returns_unproved_incumbent():
     # the clock is consulted every 4096 nodes, so the instance must be large
-    # enough to reach a checkpoint; full search here takes ~44k nodes
-    outcome = max_exact(4, 3, StarPattern(1, 2), "min", budget_secs=0.0)
-    assert not outcome.proved_optimal
-    assert outcome.optimum <= 8
-    assert find_rainbow_star(outcome.witness, StarPattern(1, 2)) is None
-    counts = edge_counts(outcome.witness)
-    assert counts.minimum == outcome.optimum
+    # enough to reach a checkpoint; full search here takes ~44k nodes.  A
+    # zero budget stops at the first checkpoint, so the node count, the
+    # incumbent and its witness pin where the clock is read
+    for n, c, pat, objective, incumbent, witness_sha in (
+        (4, 3, StarPattern(1, 2), "min", 5,
+         "606ae7b5057deb558b09515497e67a1fb2e12495c24cd0888270f98de244fb08"),
+        (4, 4, StarPattern(0, 2), "sum", 16,
+         "7bb54dd99d5e3fed0bb10e73158733be2c5ee66417b7fdad374cf84199e3f763"),
+    ):
+        outcome = max_exact(n, c, pat, objective, budget_secs=0.0, allow_large=True)
+        assert not outcome.proved_optimal
+        assert (outcome.optimum, outcome.nodes_explored) == (incumbent, 4096)
+        text = serialize_edge_list(outcome.witness)
+        assert hashlib.sha256(text.encode()).hexdigest() == witness_sha
+        assert find_rainbow_star(outcome.witness, pat) is None
+        counts = edge_counts(outcome.witness)
+        assert (counts.total if objective == "sum" else counts.minimum) == incumbent
+
+
+def test_one_vertex_has_no_slots():
+    # n = 1 has no edge slot: the root is the only leaf, and the empty
+    # collection is proved optimal
+    for objective in ("sum", "min"):
+        for pat in (StarPattern(0, 1), StarPattern(1, 2), StarPattern(3, 0)):
+            outcome = max_exact(1, 3, pat, objective)
+            assert outcome.proved_optimal
+            assert (outcome.optimum, outcome.nodes_explored) == (0, 1)
+            assert edge_counts(outcome.witness).total == 0
 
 
 def max_exact_domain():
