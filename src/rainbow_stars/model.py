@@ -159,10 +159,8 @@ class _DenseStore:
     def __init__(self, n: int, c: int, rows: list[list[int]]):
         self.n = n
         self.c = c
-        self.rows = rows  # rows[i-1][u] for u in 1..n; index 0 unused
-        self._counts = tuple(
-            sum(rows[i][u].bit_count() for u in range(1, n + 1)) for i in range(c)
-        )
+        self.rows = rows  # rows[i-1][u] for u in 1..n; index 0 stays 0
+        self._counts = tuple(sum(map(int.bit_count, row)) for row in rows)
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
         return bool(self.rows[i - 1][u] >> (v - 1) & 1)

@@ -4,8 +4,8 @@ Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
 guarded).  Its per-node work is incremental: forward checking asks of each
 later slot that can share a star with a new edge only for the one leaf
-that star can still lack, and the bound reads per-color counts of the
-alive slots left.  Both objectives search only collections with
+that star can still lack, and the bound is read off per-color caps only
+where one fell.  Both objectives search only collections with
 non-increasing per-color counts whose first slot is present, and an
 out-star pattern walks the slots in the mirror image of its in-star
 reversal's order, so the two orientations cost the same.
@@ -26,9 +26,11 @@ at the smallest t that beats the incumbent) instead of optimising it.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .bounds import check_objective
@@ -92,21 +94,27 @@ def max_exact(
     (p+q > min(c, n-1)) no slot is ever blocked and no forward check runs.
     Each slot's list of those pairs is built once, before the search.  The
     optimistic bound caps each color at its count plus its alive slots from
-    the current index on, kept per color as the walk passes slots and
-    forward checking kills them, so it costs O(c).  Two symmetry breaks
-    apply to both objectives: per-color counts must be non-increasing, and
-    the first slot is forced into every nonempty candidate.  They are sound
-    because color relabeling keeps the sum and the minimum and can sort the
-    counts, vertex relabeling then puts a color-1 edge of any collection
-    worth more than 0 on the first slot, and the empty collection is the
-    starting incumbent.
+    the current index on: the least cap for min, the sum of the caps' running
+    minima for sum.  An include keeps its color's cap, and excluding an
+    alive slot or killing one lowers a cap by 1, so the bound is evaluated
+    only where a cap fell since it last held; the child of a dead slot or of
+    an include that killed nothing is never cut.  Each call walks its chain
+    of exclude children in a loop, so the recursion takes one call per
+    include.  Two symmetry breaks apply to both objectives: per-color counts
+    must be non-increasing, and the first slot is forced into every nonempty
+    candidate.  They are sound because color relabeling keeps the sum and
+    the minimum and can sort the counts, vertex relabeling then puts a
+    color-1 edge of any collection worth more than 0 on the first slot, and
+    the empty collection is the starting incumbent.
 
-    On budget expiry the best incumbent is returned with
-    proved_optimal=False.
+    budget_secs must be finite and >= 0.  The clock is read every 4096
+    nodes; on expiry the best incumbent is returned, proved_optimal=False.
     """
     check_objective(objective)
     if n < 1 or c < 1:
         raise ValueError(f"requires n >= 1 and c >= 1, got n={n}, c={c}")
+    if not 0 <= budget_secs < math.inf:
+        raise ValueError(f"budget_secs must be a finite number of seconds >= 0, got {budget_secs}")
     slot_count = c * n * (n - 1)
     if slot_count > STRETCH_SLOT_GUARD:
         raise ValueError(
@@ -122,24 +130,18 @@ def max_exact(
     start = time.monotonic()
     deadline = start + budget_secs
 
-    # (color, target, source) for out-stars: their reversal's order, mirrored
-    slots = [
-        (i, a, b) if p else (i, b, a)
-        for i in range(1, c + 1)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    ]
+    # (color, target, source) for out-stars: their reversal's order,
+    # mirrored; colors run from 0 here
+    slots = [(i, a, b) if p else (i, b, a)
+             for i in range(c) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     total_slots = len(slots)
-    out_masks = [[0] * (n + 1) for _ in range(c + 1)]
-    in_masks = [[0] * (n + 1) for _ in range(c + 1)]
-    counts = [0] * (c + 1)
+    out_masks = [[0] * (n + 1) for _ in range(c)]
+    in_masks = [[0] * (n + 1) for _ in range(c)]
+    counts = [0] * c
+    # per color: its count plus its alive slots at or after the current index
+    caps = [n * (n - 1)] * c
     chosen: list[tuple[int, int, int]] = []
     alive = [True] * total_slots
-    # alive slots at or after the current index, per color
-    remaining = [0] * (c + 1)
-    for i, _, _ in slots:
-        remaining[i] += 1
     best_value = 0
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
@@ -169,7 +171,7 @@ def max_exact(
             else:
                 continue
             side = in_masks if need_in else out_masks
-            rows = None if p + q == 2 else [side[h] for h in range(1, c + 1) if h not in (i, k)]
+            rows = None if p + q == 2 else [side[h] for h in range(c) if h not in (i, k)]
             found.append((j, center, ~(used_uv | 1 << (leaf - 1)), rows))
         return found
 
@@ -179,64 +181,61 @@ def max_exact(
     assert not fits or p + q <= 3
     pairs = [pair_checks(idx, *slots[idx]) if fits else [] for idx in range(total_slots)]
 
-    def bound() -> int:
-        if objective == "min":
-            return min(counts[i] + remaining[i] for i in range(1, c + 1))
-        total = 0
-        ceiling = None
-        for i in range(1, c + 1):
-            cap = counts[i] + remaining[i]
-            ceiling = cap if ceiling is None else min(ceiling, cap)
-            total += ceiling
-        return total
-
-    def search(idx: int) -> None:
+    def search(idx: int, check: bool) -> None:
+        """The node at slot idx and its chain of exclude children, with a
+        call per include; check says a cap fell since the bound last held."""
         nonlocal nodes, best_value, best_edges
-        nodes += 1
-        if nodes & _BUDGET_CHECK_MASK == 0 and time.monotonic() > deadline:
-            raise _BudgetExpired
-        if idx == total_slots:
-            value = sum(counts[1:]) if objective == "sum" else min(counts[1:])
-            if value > best_value:
-                best_value = value
-                best_edges = list(chosen)
-            return
-        if bound() <= best_value:
-            return
-        i, u, v = slots[idx]
-        here = alive[idx]
-        if here:
-            remaining[i] -= 1
-        # an alive slot completes a star only for p+q = 1; per-color counts
-        # stay non-increasing
-        if here and p + q >= 2 and not (i > 1 and counts[i] >= counts[i - 1]):
-            out_masks[i][u] |= 1 << (v - 1)
-            in_masks[i][v] |= 1 << (u - 1)
-            counts[i] += 1
-            chosen.append((i, u, v))
-            killed = [j for j, center, outside, rows in pairs[idx]
-                      if alive[j] and (rows is None or any(row[center] & outside for row in rows))]
-            for j in killed:
-                alive[j] = False
-                remaining[slots[j][0]] -= 1
-            search(idx + 1)
-            for j in killed:
-                alive[j] = True
-                remaining[slots[j][0]] += 1
-            chosen.pop()
-            counts[i] -= 1
-            out_masks[i][u] &= ~(1 << (v - 1))
-            in_masks[i][v] &= ~(1 << (u - 1))
-        # a collection worth more than the empty starting incumbent has a
-        # color-1 edge once colors are sorted, and relabels so that edge is
-        # the first slot
-        if idx > 0:
-            search(idx + 1)
-        if here:
-            remaining[i] += 1
+        lowered = []
+        while True:
+            nodes += 1
+            if nodes & _BUDGET_CHECK_MASK == 0 and time.monotonic() > deadline:
+                raise _BudgetExpired
+            if idx == total_slots:
+                value = sum(counts) if objective == "sum" else min(counts)
+                if value > best_value:
+                    best_value = value
+                    best_edges = list(chosen)
+                break
+            if check and best_value >= (
+                    min(caps) if objective == "min" else sum(accumulate(caps, min))):
+                break
+            i, u, v = slots[idx]
+            # a dead slot's exclude child keeps every cap, so its bound holds
+            check = alive[idx]
+            if check:
+                # an alive slot completes a star only for p+q = 1; per-color
+                # counts stay non-increasing
+                if p + q >= 2 and not (i and counts[i] >= counts[i - 1]):
+                    out_masks[i][u] |= 1 << (v - 1)
+                    in_masks[i][v] |= 1 << (u - 1)
+                    counts[i] += 1
+                    chosen.append((i + 1, u, v))
+                    killed = [j for j, center, outside, rows in pairs[idx] if alive[j] and (
+                        rows is None or any(row[center] & outside for row in rows))]
+                    for j in killed:
+                        alive[j] = False
+                        caps[slots[j][0]] -= 1
+                    # the include keeps its own cap, so only a kill lowers one
+                    search(idx + 1, bool(killed))
+                    for j in killed:
+                        alive[j] = True
+                        caps[slots[j][0]] += 1
+                    chosen.pop()
+                    counts[i] -= 1
+                    out_masks[i][u] &= ~(1 << (v - 1))
+                    in_masks[i][v] &= ~(1 << (u - 1))
+                # a collection worth more than the empty incumbent relabels
+                # to hold the first slot (the symmetry breaks above)
+                if not idx:
+                    break
+                caps[i] -= 1
+                lowered.append(i)
+            idx += 1
+        for i in lowered:
+            caps[i] += 1
 
     try:
-        search(0)
+        search(0, True)
         proved = True
     except _BudgetExpired:
         proved = False

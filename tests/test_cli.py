@@ -217,6 +217,12 @@ def test_oracle_fractional_budget(capsys):
                         "--objective", "min", "--budget-secs", "nan")
     assert code == 1
     assert "finite" in payload["error"]["message"]
+    # a negative budget used to act as zero and still prove this small case
+    code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "3", "--c", "2",
+                        "--objective", "sum", "--budget-secs", "-1")
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert "got -1.0" in payload["error"]["message"]
 
 
 def test_oracle_cover_requires_out_star(capsys):

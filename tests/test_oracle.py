@@ -97,6 +97,14 @@ def test_budget_expiry_returns_unproved_incumbent():
         assert (counts.total if objective == "sum" else counts.minimum) == incumbent
 
 
+def test_budget_must_be_finite_and_nonnegative():
+    # NaN never expires and a negative budget acted as zero; 0.0 stays legal
+    for budget in (float("nan"), float("inf"), -1.0, -0.5):
+        with pytest.raises(ValueError, match="finite number of seconds >= 0"):
+            max_exact(3, 2, StarPattern(1, 1), "sum", budget_secs=budget)
+    assert max_exact(3, 2, StarPattern(1, 1), "sum", budget_secs=0.0).proved_optimal
+
+
 def test_one_vertex_has_no_slots():
     # n = 1 has no edge slot: the root is the only leaf, and the empty
     # collection is proved optimal
