@@ -9,7 +9,8 @@ there is exactly one graph syntax across files and reports.
 Exit codes: 0 on success and for verification runs with no fail entries,
 1 for domain errors (reported as structured JSON on stdout), 2 for usage
 errors (argparse text on stderr), 3 for any other exception raised by a
-subcommand (reported as the same structured JSON as a domain error).
+subcommand (reported as the same structured JSON as a domain error), and
+141 with nothing printed when stdout's reader has gone (a broken pipe).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -275,15 +277,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except Exception as exc:
-        _dump({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        if isinstance(exc, ValueError):
-            return 1
-        # anything else is internal: the same JSON on stdout, and the
-        # traceback on stderr
-        traceback.print_exc()
-        return 3
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except Exception as exc:
+            _dump({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            code = 1
+            if not isinstance(exc, ValueError):
+                # anything else is internal: the same JSON on stdout, and the
+                # traceback on stderr
+                traceback.print_exc()
+                code = 3
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly, with stdout on devnull so
+        # that the flush at interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

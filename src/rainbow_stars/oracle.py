@@ -2,13 +2,15 @@
 
 Two engines.  max_exact is a branch-and-bound over individual edge slots and
 works for any pattern, but only at toy sizes (the slot count c*n*(n-1) is
-guarded).  Its per-node work is incremental: forward checking asks of each
-later slot that can share a star with a new edge only for the one leaf
-that star can still lack, and the bound is read off per-color caps only
-where one fell.  Both objectives search only collections with
-non-increasing per-color counts whose first slot is present, and an
-out-star pattern walks the slots in the mirror image of its in-star
-reversal's order, so the two orientations cost the same.
+guarded).  Its state is bit sets and its per-node work is incremental:
+forward checking kills a new edge's partners (the later slots that can
+share a star with it) group by group with bit masks, asking only for the
+one leaf such a star can still lack, and the bound is read off per-color
+caps only where one fell.  Both objectives search only collections with
+non-increasing per-color counts whose first slot is present, and a slot
+with no alive later partner is always kept.  An out-star pattern walks the
+slots in the mirror image of its in-star reversal's order, so the two
+orientations cost the same.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -81,31 +83,48 @@ def max_exact(
     checks prune harder, and its witness is the reversal's reversed.  For
     p+q = 1 every edge is a star and nothing is included.  For
     p+q >= 2 no single edge is a star, and a slot stays alive while adding
-    it completes no star: after an include, forward checking kills the
-    later slots it blocks, by pairs.  An alive later slot completed no star
-    before, so it is blocked now exactly when some star holds both it and
-    the new edge.  Such a slot has another color and meets the new edge
-    at the star's center, in roles the pattern allows, with distinct
-    leaves.  A star takes p+q colors and p+q leaves, and the slot guard
-    keeps min(c, n-1) <= 3, so a star that fits needs at most one leaf
-    beyond the pair.  For p+q = 2 the pair kills the slot at once; for
-    p+q = 3 it is killed when the center has that last leaf, on its side,
-    in a third color and at a vertex outside the three.  When no star fits
-    (p+q > min(c, n-1)) no slot is ever blocked and no forward check runs.
-    Each slot's list of those pairs is built once, before the search.  The
-    optimistic bound caps each color at its count plus its alive slots from
-    the current index on: the least cap for min, the sum of the caps' running
-    minima for sum.  An include keeps its color's cap, and excluding an
-    alive slot or killing one lowers a cap by 1, so the bound is evaluated
+    it completes no star; the alive slots are the bits of one int.
+
+    After an include, forward checking kills the later slots it blocks.  An
+    alive later slot completed no star before, so it is blocked now exactly
+    when some star holds both it and the new edge: it is a partner of the
+    new edge's slot, with another color and meeting it at the star's
+    center, in roles the pattern allows, with distinct leaves.  A star takes
+    p+q colors and p+q leaves, and the slot guard keeps min(c, n-1) <= 3, so
+    a star that fits needs at most one leaf beyond the pair.  Before the
+    search, each slot's partners are grouped by (color, center, side of that
+    leaf), each group a bit mask, by index arithmetic.  For p+q = 2 the pair
+    is the star and the alive part of every group dies.  For p+q = 3, R is
+    the center's neighbours on the group's side in the third colors, less
+    the new edge's two vertices: when R is empty nothing dies, when it has
+    two or more vertices the whole group dies, and when it is one vertex b
+    all but the partner with leaf b die.  When no star fits
+    (p+q > min(c, n-1)) no slot has a partner.
+
+    The optimistic bound caps each color at its count plus its alive slots
+    from the current index on: the least cap for min, the sum of the caps'
+    running minima for sum.  An include keeps its color's cap, and excluding
+    an alive slot or killing some lowers caps, so the bound is evaluated
     only where a cap fell since it last held; the child of a dead slot or of
     an include that killed nothing is never cut.  Each call walks its chain
     of exclude children in a loop, so the recursion takes one call per
-    include.  Two symmetry breaks apply to both objectives: per-color counts
-    must be non-increasing, and the first slot is forced into every nonempty
-    candidate.  They are sound because color relabeling keeps the sum and
-    the minimum and can sort the counts, vertex relabeling then puts a
-    color-1 edge of any collection worth more than 0 on the first slot, and
-    the empty collection is the starting incumbent.
+    include.
+
+    Three rules cut the tree for both objectives: per-color counts must be
+    non-increasing, the first slot is forced into every nonempty candidate,
+    and a lone slot (alive, includable, with no alive later partner) gets
+    no exclude child.  The first two are sound because color relabeling
+    keeps the sum and the minimum and can sort the counts, vertex relabeling
+    then puts a color-1 edge of any collection worth more than 0 on the
+    first slot, and the empty collection is the starting incumbent.  For
+    the third, let T be an optimal collection with the most edges among the
+    optimal ones, relabeled into the searched space, and follow its path.
+    Every later slot of T is alive on it, as T is free.  At a lone slot T
+    plus that slot stays free: the slot completes no star with the edges
+    chosen so far, and no star holds it and a later edge of T, which would
+    be an alive partner.  That collection is worth at least T's value with
+    one edge more, and relabels into the searched space, so T holds every
+    lone slot on its path and the rule never cuts it.
 
     budget_secs must be finite and >= 0.  The clock is read every 4096
     nodes; on expiry the best incumbent is returned, proved_optimal=False.
@@ -135,57 +154,79 @@ def max_exact(
     slots = [(i, a, b) if p else (i, b, a)
              for i in range(c) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     total_slots = len(slots)
+    block = n * (n - 1)  # slots per color
     out_masks = [[0] * (n + 1) for _ in range(c)]
     in_masks = [[0] * (n + 1) for _ in range(c)]
     counts = [0] * c
     # per color: its count plus its alive slots at or after the current index
-    caps = [n * (n - 1)] * c
+    caps = [block] * c
     chosen: list[tuple[int, int, int]] = []
-    alive = [True] * total_slots
+    alive = (1 << total_slots) - 1  # bit j: slot j completes no star
     best_value = 0
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
 
-    def pair_checks(idx: int, i: int, u: int, v: int) -> list[tuple[int, int, int, Optional[list]]]:
-        """(j, center, outside, rows) for each later slot j = (k, x, y) that
-        can join the new edge (i, u, v) in a star: another color, and a
-        center in common where both fit the pattern, with distinct leaves.
-        Such a star lacks at most one leaf: rows holds the mask rows, on its
-        side of the center, of the colors other than i and k (None when the
-        two edges are the whole star), and `outside` masks off its three
-        vertices."""
-        used_uv = 1 << (u - 1) | 1 << (v - 1)
-        found = []
-        for j in range(idx + 1, total_slots):
-            k, x, y = slots[j]
-            if k == i:
-                continue
-            if x == u and y != v and q >= 2:      # both out-leaves at u
-                center, leaf, need_in = u, y, p
-            elif y == u and x != v and p and q:   # j an in-leaf at u
-                center, leaf, need_in = u, x, p - 1
-            elif x == v and y != u and p and q:   # j an out-leaf at v
-                center, leaf, need_in = v, y, p - 1
-            elif y == v and x != u and p >= 2:    # both in-leaves at v
-                center, leaf, need_in = v, x, p - 2
-            else:
-                continue
-            side = in_masks if need_in else out_masks
-            rows = None if p + q == 2 else [side[h] for h in range(c) if h not in (i, k)]
-            found.append((j, center, ~(used_uv | 1 << (leaf - 1)), rows))
-        return found
+    def offset(x: int, y: int) -> int:
+        """Position of the slot (x, y) within its color's block."""
+        a, b = (x, y) if p else (y, x)
+        return (a - 1) * (n - 1) + b - 1 - (b > a)
 
-    # per slot, the later slots that can share a star with it; none when no
-    # star fits, as a star takes p+q colors and p+q leaves
+    # how a partner meets the slot (u, v), per role: is the center v, does
+    # the partner leave the center, and is the missing leaf an in-leaf.  A
+    # star takes p+q colors and p+q leaves, so none fits past min(c, n-1)
     fits = p + q <= min(c, n - 1)
     assert not fits or p + q <= 3
-    pairs = [pair_checks(idx, *slots[idx]) if fits else [] for idx in range(total_slots)]
+    roles = [role for role, allowed in (
+        ((False, True, p), q >= 2),         # both out-leaves at u
+        ((False, False, p - 1), p and q),   # the partner an in-leaf at u
+        ((True, True, p - 1), p and q),     # the partner an out-leaf at v
+        ((True, False, p - 2), p >= 2),     # both in-leaves at v
+    ) if allowed and fits]
+
+    def shapes(u: int, v: int) -> list[tuple[int, int, list[int]]]:
+        """Per role, the center, the missing leaf's side, and the bit of the
+        partner with each leaf w, within color 0's block."""
+        found = []
+        for at_v, leaves, need_in in roles:
+            center = v if at_v else u
+            by_leaf = [0] * (n + 1)
+            for w in range(1, n + 1):
+                if w != u and w != v:
+                    by_leaf[w] = 1 << (offset(center, w) if leaves else offset(w, center))
+            found.append((center, need_in, by_leaf))
+        return found
+
+    # per slot (i, u, v): its partner groups (k, mask, center, rows, keep,
+    # by_leaf), of the later colors k > i, and their union.  For p+q = 2 a
+    # color's groups merge and rows is None; for p+q = 3 rows holds the
+    # third colors' mask rows on the missing leaf's side, keep masks off u
+    # and v, and by_leaf[w] is the partner with leaf w
+    block_shapes = [shapes(u, v) for _, u, v in slots[:block]] if roles else []
+    groups: list[list[tuple]] = [[]] * total_slots
+    partners = [0] * total_slots
+    for idx, (i, u, v) in enumerate(slots if roles else ()):
+        found = block_shapes[idx % block]
+        union = sum(sum(by_leaf) for _, _, by_leaf in found)
+        keep = ~(1 << (u - 1) | 1 << (v - 1))
+        slot_groups = []
+        for k in range(i + 1, c):
+            shift = k * block
+            if p + q == 2:
+                slot_groups.append((k, union << shift, 0, None, 0, None))
+                continue
+            for center, need_in, by_leaf in found:
+                side = in_masks if need_in else out_masks
+                slot_groups.append((k, sum(by_leaf) << shift, center,
+                                    [side[h] for h in range(c) if h not in (i, k)],
+                                    keep, [bit << shift for bit in by_leaf]))
+        groups[idx] = slot_groups
+        partners[idx] = sum(union << k * block for k in range(i + 1, c))
 
     def search(idx: int, check: bool) -> None:
         """The node at slot idx and its chain of exclude children, with a
         call per include; check says a cap fell since the bound last held."""
-        nonlocal nodes, best_value, best_edges
-        lowered = []
+        nonlocal nodes, best_value, best_edges, alive
+        entry = caps[:]
         while True:
             nodes += 1
             if nodes & _BUDGET_CHECK_MASK == 0 and time.monotonic() > deadline:
@@ -199,10 +240,11 @@ def max_exact(
             if check and best_value >= (
                     min(caps) if objective == "min" else sum(accumulate(caps, min))):
                 break
-            i, u, v = slots[idx]
             # a dead slot's exclude child keeps every cap, so its bound holds
-            check = alive[idx]
+            check = alive >> idx & 1
             if check:
+                i, u, v = slots[idx]
+                lone = False
                 # an alive slot completes a star only for p+q = 1; per-color
                 # counts stay non-increasing
                 if p + q >= 2 and not (i and counts[i] >= counts[i - 1]):
@@ -210,29 +252,41 @@ def max_exact(
                     in_masks[i][v] |= 1 << (u - 1)
                     counts[i] += 1
                     chosen.append((i + 1, u, v))
-                    killed = [j for j, center, outside, rows in pairs[idx] if alive[j] and (
-                        rows is None or any(row[center] & outside for row in rows))]
-                    for j in killed:
-                        alive[j] = False
-                        caps[slots[j][0]] -= 1
+                    before = alive
+                    held = caps[:]
+                    for k, mask, center, rows, keep, by_leaf in groups[idx]:
+                        hit = alive & mask
+                        if hit and rows is not None:
+                            # the vertices that can be the missing leaf
+                            last = 0
+                            for row in rows:
+                                last |= row[center]
+                            last &= keep
+                            if not last:
+                                continue
+                            if not last & (last - 1):
+                                # one: the partner whose leaf it is survives
+                                hit &= ~by_leaf[last.bit_length()]
+                        if hit:
+                            alive ^= hit
+                            caps[k] -= hit.bit_count()
                     # the include keeps its own cap, so only a kill lowers one
-                    search(idx + 1, bool(killed))
-                    for j in killed:
-                        alive[j] = True
-                        caps[slots[j][0]] += 1
+                    search(idx + 1, alive != before)
+                    alive = before
+                    caps[:] = held
                     chosen.pop()
                     counts[i] -= 1
                     out_masks[i][u] &= ~(1 << (v - 1))
                     in_masks[i][v] &= ~(1 << (u - 1))
+                    # a lone slot: no alive later partner, so no exclude child
+                    lone = not alive & partners[idx]
                 # a collection worth more than the empty incumbent relabels
                 # to hold the first slot (the symmetry breaks above)
-                if not idx:
+                if lone or not idx:
                     break
                 caps[i] -= 1
-                lowered.append(i)
             idx += 1
-        for i in lowered:
-            caps[i] += 1
+        caps[:] = entry
 
     try:
         search(0, True)

@@ -1,6 +1,10 @@
 """Command line front end: JSON shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,26 @@ def test_oracle_guard_feedback(capsys):
                         "--p", "1", "--q", "1", "--objective", "sum")
     assert code == 1
     assert payload["error"]["type"] == "ValueError"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before anything is written, as with `| head` on a
+    # long report: both the answer and a domain error's JSON meet a broken
+    # pipe, and neither may print a traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in (("--p", "0", "--q", "2"), ("--p", "1", "--q", "1")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rainbow_stars.cli", "oracle", *flags,
+                 "--n", "5", "--c", "3", "--objective", "min", "--cover"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, ""), flags
 
 
 def test_verify_report_shape_and_exit(tmp_path, capsys):

@@ -78,14 +78,14 @@ def test_outcomes_carry_certified_witnesses():
 
 def test_budget_expiry_returns_unproved_incumbent():
     # the clock is consulted every 4096 nodes, so the instance must be large
-    # enough to reach a checkpoint; full search here takes ~44k nodes.  A
-    # zero budget stops at the first checkpoint, so the node count, the
-    # incumbent and its witness pin where the clock is read
+    # enough to reach a checkpoint; full searches here take 43,787 and
+    # 84,147 nodes.  A zero budget stops at the first checkpoint, so the node
+    # count, the incumbent and its witness pin where the clock is read
     for n, c, pat, objective, incumbent, witness_sha in (
         (4, 3, StarPattern(1, 2), "min", 5,
          "606ae7b5057deb558b09515497e67a1fb2e12495c24cd0888270f98de244fb08"),
-        (4, 4, StarPattern(0, 2), "sum", 16,
-         "7bb54dd99d5e3fed0bb10e73158733be2c5ee66417b7fdad374cf84199e3f763"),
+        (4, 4, StarPattern(0, 3), "sum", 24,
+         "dab8c655a536f4f90cd3189cc07b531c02517064a09218a972d6aadda3a199ef"),
     ):
         outcome = max_exact(n, c, pat, objective, budget_secs=0.0, allow_large=True)
         assert not outcome.proved_optimal
@@ -156,6 +156,14 @@ def slow_solves():
     return solve_all(max_exact_slow_domain())
 
 
+@pytest.fixture(scope="module")
+def triple_solves():
+    """n = 4, c = 3, where a p+q = 3 star fits: every pattern for min, and
+    (0, 3) with its (3, 0) reversal for sum (about 0.5 s of CPU)."""
+    return solve_all([(4, 3, p, 3 - p, "min") for p in range(4)]
+                     + [(4, 3, 0, 3, "sum"), (4, 3, 3, 0, "sum")])
+
+
 def answer_digest(solves) -> tuple[str, int]:
     """sha256 over "n c p q objective optimum proved_optimal" lines, and the
     solve count: what a search change must keep, without nodes or
@@ -198,11 +206,14 @@ MAX_EXACT_SLOW_ANSWER_DIGEST = "3981c183ae9218b502f24be3fc6bd9766dc2addfec6e3c27
 # and the pair check each kept the search tree node for node.  Re-pinned when
 # out-star patterns took the mirror of their reversal's slot order and min
 # took the non-increasing color counts and the forced first slot: 151,790
-# nodes became 78,723, no solve took more, and every answer held.
-MAX_EXACT_DIGEST = "9df70da13f1e5cfdff3c064e5bcc7942d5d1d3f234ff0da504bae9f2c7376a35"
-# the same over max_exact_slow_domain, re-pinned with it: 1,376,904 nodes
-# became 976,336
-MAX_EXACT_SLOW_DIGEST = "754b4389ec911e6056e8604c351758bac535a2e1712e402acfee144b6adc2283"
+# nodes became 78,723, no solve took more, and every answer held.  Re-pinned
+# when a lone slot (includable, no alive later partner) lost its exclude
+# child: 78,723 nodes became 54,099, no solve took more, and every answer
+# and witness held.
+MAX_EXACT_DIGEST = "fa921cd6f35961d5c45c69a5f59f92fed66043de92a2223dd0812ac928989e4b"
+# the same over max_exact_slow_domain, re-pinned with both: 1,376,904 nodes
+# became 976,336, then 957,468
+MAX_EXACT_SLOW_DIGEST = "0c12cb0114c932a624dc5d5306a91ed973bde24ed5fdfbcec1ebb93878a5c2b1"
 
 
 def check_symmetries(solves) -> None:
@@ -221,6 +232,15 @@ def check_symmetries(solves) -> None:
 
 def test_out_star_mirror_and_sorted_min_counts(default_solves):
     check_symmetries(default_solves)
+
+
+def test_p_plus_q_three_mirror_and_optimum(triple_solves):
+    # the default domain holds no p+q = 3 search where a star fits; here one
+    # does, and every min pattern proves 8
+    check_symmetries(triple_solves)
+    for (n, c, p, q, objective), outcome in triple_solves.items():
+        if objective == "min":
+            assert outcome.proved_optimal and outcome.optimum == 8, (p, q)
 
 
 def test_max_exact_answers_pinned(default_solves):
@@ -285,11 +305,12 @@ def test_forward_check_needs_at_most_one_leaf():
         widest = STRETCH_SLOT_GUARD // (n * (n - 1))
         assert min(widest, n - 1) <= 3, (n, widest)
         n += 1
-    # no (2, 2) star fits on 4 vertices: no slot is blocked and every edge kept
+    # no (2, 2) star fits on 4 vertices: no slot has a partner, so each is
+    # lone and kept without an exclude child, one node per slot and the leaf
     for objective, value in (("sum", 48), ("min", 12)):
         outcome = max_exact(4, 4, StarPattern(2, 2), objective, allow_large=True)
         assert outcome.proved_optimal
-        assert (outcome.optimum, outcome.nodes_explored) == (value, 96)
+        assert (outcome.optimum, outcome.nodes_explored) == (value, 49)
         assert exact_bound(StarPattern(2, 2), 4, 4, objective).value == value
 
 
@@ -458,12 +479,19 @@ def test_cover_oracle_against_brute_force_large():
         brute_force_cover_optimum(6, 5, 3, "min")
 
 
-def test_engines_agree_on_common_domain():
+def test_engines_agree_on_common_domain(triple_solves):
     for (n, c) in ((3, 2), (4, 2), (4, 3)):
         for objective in ("sum", "min"):
             bb = max_exact(n, c, StarPattern(0, 2), objective).optimum
             cover = cover_oracle_s0q(n, c, 2, objective).optimum
             assert bb == cover, (n, c, objective, bb, cover)
+    # q = 3 at (4, 3), where the star lacks a leaf after a pair, and the
+    # (3, 0) reversal
+    for objective in ("sum", "min"):
+        cover = cover_oracle_s0q(4, 3, 3, objective).optimum
+        for p, q in ((0, 3), (3, 0)):
+            bb = triple_solves[4, 3, p, q, objective].optimum
+            assert bb == cover, (p, q, objective, bb, cover)
 
 
 def test_oracle_determinism():
