@@ -446,6 +446,31 @@ def test_cover_min_grid_optima_and_witnesses_pinned():
     assert nodes_digest.hexdigest() == COVER_MIN_GRID_NODES_DIGEST
 
 
+# sha256 over "n c q objective optimum proved_optimal" lines, each followed
+# by the serialized witness, for every solve in the COVER_GUARDS domain: c
+# <= 8, q <= min(c, 6), c < n <= 64, min then sum (3,862 solves, c then q
+# then n ascending); fixed before multiplicities with at most one token type
+# were solved directly
+COVER_GUARD_DOMAIN_DIGEST = "2943c255f844d50f03a36a096e8397c6c1779caab10bf52608f02b199e69681d"
+
+
+@pytest.mark.slow
+def test_cover_answers_pinned_over_the_guard_domain():
+    digest = hashlib.sha256()
+    solves = 0
+    for c in range(1, COVER_GUARDS["c"] + 1):
+        for q in range(1, min(c, COVER_GUARDS["q"]) + 1):
+            for n in range(c + 1, COVER_GUARDS["n"] + 1):
+                for objective in ("min", "sum"):
+                    outcome = cover_oracle_s0q(n, c, q, objective)
+                    digest.update(f"{n} {c} {q} {objective} {outcome.optimum} "
+                                  f"{outcome.proved_optimal}\n".encode())
+                    digest.update(serialize_edge_list(outcome.witness).encode())
+                    solves += 1
+    assert solves == 3862
+    assert digest.hexdigest() == COVER_GUARD_DOMAIN_DIGEST
+
+
 def test_cover_min_at_the_guard_corner():
     # (64, 8, 6): r = 320 mod 8 = 0, so the floor formula is attained
     outcome = cover_oracle_s0q(64, 8, 6, "min")
