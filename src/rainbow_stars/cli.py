@@ -185,9 +185,15 @@ def cmd_oracle(args) -> int:
     if args.cover:
         if args.p != 0:
             raise ValueError("--cover handles out-stars only; it needs p = 0")
+        if budget is not None or args.allow_large:
+            # the cover oracle has neither a budget nor a size guard to stretch
+            raise ValueError("--budget-secs and --allow-large apply to branch-and-bound "
+                             "only, not to --cover")
         outcome = cover_oracle_s0q(args.n, args.c, args.q, args.objective)
         engine = "cover"
     else:
+        if budget is None:
+            budget = DEFAULT_BUDGET_SECS
         try:
             outcome = max_exact(args.n, args.c, pat, args.objective,
                                 budget_secs=budget, allow_large=args.allow_large)
@@ -206,7 +212,7 @@ def cmd_oracle(args) -> int:
         "proved_optimal": outcome.proved_optimal,
         "nodes_explored": outcome.nodes_explored,
         "elapsed_secs": round(outcome.elapsed, 6),
-        "budget_secs": budget if engine == "branch-bound" else None,
+        "budget_secs": budget,
         "witness": serialize_edge_list(outcome.witness),
     })
     return 0
@@ -258,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact optimum by search")
     star_args(sp, require_n=True)
     sp.add_argument("--objective", choices=OBJECTIVES, required=True)
-    sp.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    sp.add_argument("--budget-secs", type=float,
+                    help=f"branch-and-bound time budget (default {DEFAULT_BUDGET_SECS:g})")
     sp.add_argument("--cover", action="store_true",
                     help="use the cover-structure engine (out-stars, p = 0)")
     sp.add_argument("--allow-large", action="store_true",

@@ -21,9 +21,11 @@ shapes.  The cover structure, and the cyclic dealer of the sum witness, live
 in `constructions`, which builds its out-star families from them too.
 
 For the min objective the cover oracle walks the vertex-type multiplicities
-depth first, cutting subtrees by an averaging bound that is linear in them,
-and decides each multiplicity left ("can every color reach load t?", first
-at the smallest t that beats the incumbent) instead of optimising it.
+depth first, cutting subtrees by an averaging bound that is linear in them.
+One with at most one token type a is solved directly: a*m tokens, at most m
+per color, a < c, so equal shares reach the lightest color's cap a*m // c.
+Any other is decided ("can every color reach load t?"), first at the least t
+beating the incumbent; nodes_explored adds the decision nodes to walk visits.
 """
 
 from __future__ import annotations
@@ -333,8 +335,11 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
     b_total + token_weight // c grows by a fixed coef[a] per type-a vertex,
     so a prefix whose remaining vertices all take the largest coefficient
     left bounds its whole subtree, and the subtree is cut when that bound
-    does not beat the incumbent.  Inner: for each multiplicity reached, the
-    color-cover tokens are dealt to colors as per-color allocation vectors
+    does not beat the incumbent.  Inner: a type-a vertex covers a colors,
+    one token each.  With at most one token type a, the a*mult[a] tokens go
+    at most mult[a] to a color and a <= q-1 < c, so averaging caps the
+    lightest color at a*mult[a] // c tokens, which equal shares reach.
+    Otherwise the tokens are dealt to colors as per-color allocation vectors
     (built once, ascending by load).  Whether every color can reach load t
     is a decision search over colors, memoised per t on (colors left,
     tokens left) and cut when the tokens left cannot average t; only
@@ -347,8 +352,9 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
     color by color.  Each type's tokens, listed color by color, are then
     dealt to its vertices in turn.
 
-    nodes_explored counts walk visits plus feasibility nodes (memo misses
-    whose vectors were enumerated); it is 1 for q = 1 and q for the sum.
+    nodes_explored counts walk visits plus the feasibility nodes (memo
+    misses whose vectors were enumerated) of multiplicities with two or more
+    token types; it is 1 for q = 1 and q for the sum.
     The witness is re-certified by the detector before it is returned.
     """
     check_objective(objective)
@@ -417,10 +423,14 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
         """
         b_total = sum(m * (q - 1 - a) for a, m in enumerate(mult))
         type_as = [a for a in range(1, q) if mult[a]]
-        if not type_as:
-            if b_total <= best_value:
+        if len(type_as) <= 1:
+            # a < c: equal shares reach the lightest color's cap a*mult[a] // c
+            a = type_as[0] if type_as else 0
+            share = a * mult[a] // c
+            value = b_total + weights[a] * share
+            if value <= best_value:
                 return None
-            return b_total, [[0] * c for _ in range(q)]
+            return value, [[share if t == a else 0] * c for t in range(q)]
         caps = [mult[a] for a in type_as]
         ws = [weights[a] for a in type_as]
         supply = tuple(a * mult[a] for a in type_as)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rainbow_stars.cli import main
+from rainbow_stars.oracle import DEFAULT_BUDGET_SECS
 
 
 def run(capsys, *argv):
@@ -239,6 +240,21 @@ def test_oracle_cover_requires_out_star(capsys):
     assert code == 0
     assert payload["engine"] == "cover"
     assert payload["optimum"] == 6
+
+
+def test_oracle_cover_rejects_branch_bound_flags(capsys):
+    # the cover oracle has no budget and no size guard; both flags used to be
+    # dropped silently, with "budget_secs": null in the answer
+    for flags in (("--budget-secs", "5"), ("--allow-large",)):
+        code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "5", "--c", "3",
+                            "--objective", "min", "--cover", *flags)
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert "not to --cover" in payload["error"]["message"]
+    # without a flag branch-and-bound still echoes the default budget
+    code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "3", "--c", "2",
+                        "--objective", "min")
+    assert (code, payload["budget_secs"]) == (0, DEFAULT_BUDGET_SECS)
 
 
 def test_oracle_guard_feedback(capsys):

@@ -423,9 +423,10 @@ def test_min_oracle_strict_exactly_when_remainder_indivisible():
 # points, c then q then n ascending); fixed before the pruned walk and the
 # decision search replaced the exhaustive composition loop
 COVER_MIN_GRID_DIGEST = "d5c06b694bc8f9e57043f600d7e96acb83a5e43fc252fa04abea442a29f516f5"
-# sha256 over "n c q nodes_explored" lines for the same 539 points (16,637
-# nodes in total)
-COVER_MIN_GRID_NODES_DIGEST = "6255fece9077e8f930b3b7bc5eff34f029a673f2a15a17cbe50e7b8c866fd060"
+# sha256 over "n c q nodes_explored" lines for the same 539 points (4,502
+# nodes in total, 16,637 before multiplicities with at most one token type
+# were solved directly)
+COVER_MIN_GRID_NODES_DIGEST = "aad24cf128553495d5f409ade01b4ae3410993501e4500d6582301822bfeda91"
 
 
 def test_cover_min_grid_optima_and_witnesses_pinned():
@@ -476,14 +477,20 @@ def test_cover_min_at_the_guard_corner():
     outcome = cover_oracle_s0q(64, 8, 6, "min")
     assert outcome.proved_optimal
     assert outcome.optimum == formula_min(64, 8, 6)
-    assert outcome.nodes_explored == 92
+    assert outcome.nodes_explored == 1
     # (64, 6, 6): r = 320 mod 6 = 2 is not a multiple of 5, so the optimum
     # lies between the CYCLIC_REMAINDER construction and the formula
     outcome = cover_oracle_s0q(64, 6, 6, "min")
     assert outcome.proved_optimal
     low = build(ConstructionFamily.CYCLIC_REMAINDER, 64, 6, 0, 6).predicted_counts.minimum
     assert low <= outcome.optimum <= formula_min(64, 6, 6)
-    assert outcome.nodes_explored == 74
+    assert outcome.nodes_explored == 13
+    # q = 2: every multiplicity has at most one token type, so the walk's
+    # one visit is the whole search and no feasibility node is explored
+    outcome = cover_oracle_s0q(64, 8, 2, "min")
+    assert outcome.proved_optimal
+    assert outcome.optimum == formula_min(64, 8, 2)
+    assert outcome.nodes_explored == 1
 
 
 @pytest.mark.parametrize(
