@@ -139,6 +139,19 @@ def max_exact_slow_domain():
                 yield 4, c, p, 3 - p, objective
 
 
+def max_exact_sweep_domain():
+    """Every (n, c, p, q, objective) with n <= 7, c*n*(n-1) <= 48 (c <= 6 at
+    n = 1) and 1 <= p+q <= 6, both objectives: 2,484 solves, about 3 s of
+    CPU.  It holds both domains above, and the patterns no star of which
+    fits."""
+    for n in range(1, 8):
+        for c in range(1, (48 // (n * (n - 1)) if n > 1 else 6) + 1):
+            for size in range(1, 7):
+                for p in range(size + 1):
+                    for objective in ("sum", "min"):
+                        yield n, c, p, size - p, objective
+
+
 def solve_all(domain) -> dict:
     """max_exact outcome per (n, c, p, q, objective) point of the domain."""
     return {(n, c, p, q, objective): max_exact(n, c, StarPattern(p, q), objective,
@@ -260,6 +273,23 @@ def test_max_exact_answers_pinned_past_the_default_domain(slow_solves):
 def test_max_exact_search_pinned_past_the_default_domain(slow_solves):
     assert max_exact_digest(slow_solves) == (MAX_EXACT_SLOW_DIGEST, 16)
     check_symmetries(slow_solves)
+
+
+# sha256 over "n c p q objective optimum proved_optimal" lines, each followed
+# by the serialized witness, over max_exact_sweep_domain (no node counts);
+# fixed before twin vertices had to enter each row in order
+MAX_EXACT_SWEEP_DIGEST = "74b829f04e1e84a02b3bb036d322a8e2a1c616d9dbf101ce536e5da210e0aac4"
+
+
+@pytest.mark.slow
+def test_max_exact_answers_and_witnesses_pinned_over_the_sweep():
+    digest = hashlib.sha256()
+    solves = solve_all(max_exact_sweep_domain())
+    for (n, c, p, q, objective), outcome in solves.items():
+        digest.update(f"{n} {c} {p} {q} {objective} {outcome.optimum} "
+                      f"{outcome.proved_optimal}\n".encode())
+        digest.update(serialize_edge_list(outcome.witness).encode())
+    assert (digest.hexdigest(), len(solves)) == (MAX_EXACT_SWEEP_DIGEST, 2484)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (4, 1)])
