@@ -7,9 +7,10 @@ forward checking kills a new edge's partners (the later slots that can
 share a star with it) group by group with bit masks, asking only for the
 one leaf such a star can still lack, and the bound is read off per-color
 caps only where one fell.  Both objectives search only collections with
-non-increasing per-color counts whose first slot is present, and a slot
-with no alive later partner is always kept.  An out-star pattern walks the
-slots in the mirror image of its in-star reversal's order, so the two
+non-increasing per-color counts whose first slot is present and whose twin
+vertices (ones no earlier slot tells apart) enter each row in order, and a
+slot with no alive later partner is always kept.  An out-star pattern walks
+the slots in the mirror image of its in-star reversal's order, so the two
 orientations cost the same.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
@@ -112,21 +113,38 @@ def max_exact(
     of exclude children in a loop, so the recursion takes one call per
     include.
 
-    Three rules cut the tree for both objectives: per-color counts must be
+    Four rules cut the tree for both objectives: per-color counts must be
     non-increasing, the first slot is forced into every nonempty candidate,
-    and a lone slot (alive, includable, with no alive later partner) gets
-    no exclude child.  The first two are sound because color relabeling
-    keeps the sum and the minimum and can sort the counts, vertex relabeling
-    then puts a color-1 edge of any collection worth more than 0 on the
-    first slot, and the empty collection is the starting incumbent.  For
-    the third, let T be an optimal collection with the most edges among the
-    optimal ones, relabeled into the searched space, and follow its path.
-    Every later slot of T is alive on it, as T is free.  At a lone slot T
-    plus that slot stays free: the slot completes no star with the edges
-    chosen so far, and no star holds it and a later edge of T, which would
-    be an alive partner.  That collection is worth at least T's value with
-    one edge more, and relabels into the searched space, so T holds every
-    lone slot on its path and the rule never cuts it.
+    twins enter each row in order, and a lone slot (alive, includable, with
+    no alive later partner) gets no exclude child.  The first two are sound
+    because color relabeling keeps the sum and the minimum and can sort the
+    counts, vertex relabeling then puts a color-1 edge of any collection
+    worth more than 0 on the first slot, and the empty collection is the
+    starting incumbent.
+
+    For the third, read a slot as (color block i, major a, minor b): the
+    major is the source for p >= 1 and the target for p = 0, as in the
+    slot order.  Minors x < y above a are twins at row a of block i when no
+    slot decided before that row tells them apart: in every earlier color
+    their rows and their columns agree once x and y swap, and in color i
+    the same majors below a chose them.  Twins form classes, and a minor y
+    with a smaller twin above a left out of row a is not included, so each
+    class enters each row as a prefix.  The test runs only at an include
+    with b > a + 1, on the masks the search keeps.  It is sound because
+    every collection relabels into the searched space: walk its rows in
+    slot order, and in each twin class above a move row a's chosen minors
+    to the front.  Each such permutation fixes every decided slot, so the
+    earlier rows, the counts and the forced first slot all hold (vertex 1
+    never moves, and vertex 2 is chosen in row 1 and leads its class).
+
+    For the fourth, let T be an optimal collection with the most edges
+    among the optimal ones, relabeled into the searched space, and follow
+    its path.  Every later slot of T is alive on it, as T is free.  At a
+    lone slot T plus that slot stays free: the slot completes no star with
+    the edges chosen so far, and no star holds it and a later edge of T,
+    which would be an alive partner.  That collection is worth at least T's
+    value with one edge more, and relabels into the searched space, so T
+    holds every lone slot on its path and the rule never cuts it.
 
     budget_secs must be finite and >= 0.  The clock is read every 4096
     nodes; on expiry the best incumbent is returned, proved_optimal=False.
@@ -224,6 +242,33 @@ def max_exact(
         groups[idx] = slot_groups
         partners[idx] = sum(union << k * block for k in range(i + 1, c))
 
+    # rows by major, columns by minor: the slot order's orientation
+    rows, cols = (out_masks, in_masks) if p else (in_masks, out_masks)
+
+    def twin_left_out(i: int, a: int, y: int) -> bool:
+        """Is a twin of minor y between a and y out of row a of color i?
+        Row a holds a prefix of each twin class, so this is the nearest
+        smaller twin's test."""
+        column = cols[i]
+        col_y = column[y]
+        bit_y = 1 << (y - 1)
+        left_out = (bit_y - (1 << a)) & ~rows[i][a]
+        while left_out:
+            bit_x = left_out & -left_out
+            left_out ^= bit_x
+            x = bit_x.bit_length()
+            if column[x] != col_y:
+                continue
+            swap = bit_x | bit_y
+            for h in range(i):
+                out_x, in_x = out_masks[h][x], in_masks[h][x]
+                if ((out_x ^ swap if out_x & bit_y else out_x) != out_masks[h][y]
+                        or (in_x ^ swap if in_x & bit_y else in_x) != in_masks[h][y]):
+                    break
+            else:
+                return True
+        return False
+
     def search(idx: int, check: bool) -> None:
         """The node at slot idx and its chain of exclude children, with a
         call per include; check says a cap fell since the bound last held."""
@@ -247,9 +292,11 @@ def max_exact(
             if check:
                 i, u, v = slots[idx]
                 lone = False
+                a, b = (u, v) if p else (v, u)
                 # an alive slot completes a star only for p+q = 1; per-color
-                # counts stay non-increasing
-                if p + q >= 2 and not (i and counts[i] >= counts[i - 1]):
+                # counts stay non-increasing, and twins enter a row in order
+                if p + q >= 2 and not (i and counts[i] >= counts[i - 1]) and not (
+                        b > a + 1 and twin_left_out(i, a, b)):
                     out_masks[i][u] |= 1 << (v - 1)
                     in_masks[i][v] |= 1 << (u - 1)
                     counts[i] += 1
