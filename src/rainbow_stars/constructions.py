@@ -302,6 +302,20 @@ def _cyclic_remainder_cover(n, c, q):
     return _cyclic_cover(n, c, q, q - 1, n * (q - 1) - n * (q - 1) % c)
 
 
+def _cyclic_remainder_sum(n, c, q):
+    """sum(_cyclic_remainder_cover(n, c, q).counts()) without building the
+    cover: the kept colors fill whole vertices but the last, and a vertex
+    holding x colors sends n-1 edges in each and q-1-x in each other color."""
+    if q == 1:
+        return 0
+    full, x = divmod(n * (q - 1) - n * (q - 1) % c, q - 1)
+
+    def value(x):
+        return x * (n - 1) + (c - x) * (q - 1 - x)
+
+    return full * value(q - 1) + value(x) + (n - full - 1) * value(0)
+
+
 def _build_cyclic_remainder(n, c, p, q):
     return _cover_build(_cyclic_remainder_cover(n, c, q))
 
@@ -528,7 +542,7 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_cyclic_remainder,
         _build_cyclic_remainder,
         {
-            "sum": lambda n, c, p, q: sum(_cyclic_remainder_cover(n, c, q).counts()),
+            "sum": lambda n, c, p, q: _cyclic_remainder_sum(n, c, q),
             "min": lambda n, c, p, q: min(_cyclic_remainder_cover(n, c, q).counts()),
         },
     ),
@@ -593,17 +607,40 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
 
 # -- public interface --------------------------------------------------------
 
+# the most (color, vertex) rows and edges one build may take.  Rows are
+# bit masks: a build of 9*10^8 edges (COMPLETE_PREFIX, n = 15000, c = 5,
+# q = 5) took 0.5 s and 133 MB.  The largest build asked for elsewhere has
+# 62,681,512 edges (AC_MIN, n = 4500, c = 9, in `verify`), whose estimate
+# (it has no sum claim, so every slot) is 182,209,500
+BUILD_ROW_CAP = 1_000_000
+BUILD_EDGE_CAP = 1_000_000_000
+
 
 def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> ConstructionOutput:
     """Materialize a family at (n, c, p, q), certify freeness, check counts.
 
-    Raises ApplicabilityError outside the family domain and RuntimeError if
-    the materialized collection contradicts the partition arithmetic or
+    Raises ApplicabilityError outside the family domain, ValueError past
+    BUILD_ROW_CAP rows (c*n) or BUILD_EDGE_CAP edges (the predicted sum; a
+    coefficient times n^2 where that is the claim, every slot where there
+    is none), checked before any row is built, and RuntimeError if the
+    materialized collection contradicts the partition arithmetic or
     contains a rainbow star (either would be a builder defect, not bad input).
     """
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
+    if c * n > BUILD_ROW_CAP:
+        raise ValueError(f"{family.value} at n={n}, c={c} takes {c * n} rows, "
+                         f"past the build cap of {BUILD_ROW_CAP}")
+    try:
+        edges = predicted_value(family, n, c, p, q, "sum")
+    except ValueError:  # no sum claim
+        edges = c * n * (n - 1)
+    if isinstance(edges, Fraction):
+        edges *= n * n
+    if edges > BUILD_EDGE_CAP:
+        raise ValueError(f"{family.value} at n={n}, c={c} takes about {math.ceil(edges)} "
+                         f"edges, past the build cap of {BUILD_EDGE_CAP}")
     spec = _SPECS[family]
     rows, per_color, parts = spec.build(n, c, p, q)
     collection = DigraphCollection.from_out_rows(n, c, rows)

@@ -123,6 +123,15 @@ def test_construct_inapplicable_parameters(capsys):
     assert payload["error"]["type"] == "ApplicabilityError"
 
 
+def test_construct_past_the_edge_cap_is_domain_error(capsys):
+    # about 10^10 edges: refused before any row is built
+    code, payload = run(capsys, "construct", "--family", "CYCLIC_REMAINDER",
+                        "--n", "100000", "--c", "3", "--p", "0", "--q", "2")
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert "past the build cap" in payload["error"]["message"]
+
+
 def test_check_reports_witness(tmp_path, capsys):
     source = tmp_path / "g.txt"
     source.write_text("rainbow-digraph v1\n3 2\n1 2 1\n2 1 3\n")

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from rainbow_stars import constructions
 from rainbow_stars.bounds import coefficient_min, coefficient_sum
 from rainbow_stars.constructions import (
+    BUILD_EDGE_CAP,
+    BUILD_ROW_CAP,
     ApplicabilityError,
     ConstructionFamily,
     CoverStructure,
@@ -152,6 +154,34 @@ def test_build_refuses_a_row_it_cannot_certify(monkeypatch):
     patch(lambda n, c, p, q: (full, [12] * 3, parts))
     with pytest.raises(RuntimeError, match="build contains a rainbow star"):
         build(F.COMPLETE_PREFIX, 4, 3, 1, 1)
+
+
+def test_build_refuses_past_the_edge_cap(monkeypatch):
+    # no row is built: every builder fails if it is reached
+    for family, spec in list(constructions._SPECS.items()):
+        monkeypatch.setitem(constructions._SPECS, family,
+                            replace(spec, build=lambda n, c, p, q: pytest.fail("built")))
+    for family, n, c, p, q in (
+        (F.CYCLIC_REMAINDER, 100_000, 3, 0, 2),  # about 10^10 edges, exact sum
+        (F.AC_SPLIT_SUM, 30_000, 5, 1, 2),  # a coefficient times n^2
+        (F.AB_MIX, 15_000, 5, 1, 3),  # no sum claim: every slot
+        (F.COMPLETE_PREFIX, BUILD_ROW_CAP, 2, 0, 1),  # no edges, but c*n rows
+    ):
+        with pytest.raises(ValueError, match="past the build cap"):
+            build(family, n, c, p, q)
+    # the largest build estimate elsewhere (AC_MIN in verify) stays well
+    # below the cap
+    assert 5 * 9 * 4500 * 4499 < BUILD_EDGE_CAP
+
+
+def test_cyclic_remainder_sum_counts_its_build():
+    # the sum is read off in closed form, without the cover
+    for c in range(1, 7):
+        for q in range(1, c + 1):
+            for n in range(c + 1, 17):
+                out = build(F.CYCLIC_REMAINDER, n, c, 0, q)
+                assert predicted_value(F.CYCLIC_REMAINDER, n, c, 0, q, "sum") == \
+                    out.predicted_counts.total, (n, c, q)
 
 
 def test_exact_families_predict_their_builds():
