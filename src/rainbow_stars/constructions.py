@@ -15,7 +15,9 @@ then the family's own conditions; then at least as many vertices as parts.
 A build returns the collection, the partition data actually used, per-color
 edge counts derived from the partition arithmetic (asserted against the
 materialized collection), and the row's coefficients.  Every build is
-certified rainbow-star-free by the detector before it is returned.
+certified rainbow-star-free by the detector before it is returned.  One
+past BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is refused before
+any row is built.
 
 Out-star shapes built vertex by vertex are `CoverStructure`s: a collection
 has no rainbow (0, q) star exactly when each vertex's (target, color) pairs
