@@ -245,10 +245,11 @@ def max_exact(
     # rows by major, columns by minor: the slot order's orientation
     rows, cols = (out_masks, in_masks) if p else (in_masks, out_masks)
 
-    def twin_left_out(i: int, a: int, y: int) -> bool:
-        """Is a twin of minor y between a and y out of row a of color i?
-        Row a holds a prefix of each twin class, so this is the nearest
-        smaller twin's test."""
+    def twin_left_out(i: int, u: int, v: int) -> bool:
+        """Is a twin of the slot's minor y, between its major a and y, out of
+        row a of color i?  Row a holds a prefix of each twin class, so this
+        is the nearest smaller twin's test."""
+        a, y = (u, v) if p else (v, u)
         column = cols[i]
         col_y = column[y]
         bit_y = 1 << (y - 1)
@@ -292,11 +293,11 @@ def max_exact(
             if check:
                 i, u, v = slots[idx]
                 lone = False
-                a, b = (u, v) if p else (v, u)
                 # an alive slot completes a star only for p+q = 1; per-color
                 # counts stay non-increasing, and twins enter a row in order
+                # (tested when the minor is past the major's successor)
                 if p + q >= 2 and not (i and counts[i] >= counts[i - 1]) and not (
-                        b > a + 1 and twin_left_out(i, a, b)):
+                        (v - u if p else u - v) > 1 and twin_left_out(i, u, v)):
                     out_masks[i][u] |= 1 << (v - 1)
                     in_masks[i][v] |= 1 << (u - 1)
                     counts[i] += 1
