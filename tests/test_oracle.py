@@ -244,6 +244,10 @@ def check_symmetries(solves) -> None:
             assert list(per_color) == sorted(per_color, reverse=True), (n, c, p, q)
 
 
+def test_out_star_mirror_and_sorted_min_counts(default_solves):
+    check_symmetries(default_solves)
+
+
 def twin_rows(witness: DigraphCollection, p: int):
     """Each (color, major, x, y, y in the row, x in the row) of the witness
     where minors x < y above the major are twins, walking max_exact's slot
