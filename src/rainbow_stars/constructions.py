@@ -310,12 +310,12 @@ def _cyclic_remainder_sum(n, c, q):
     holding x colors sends n-1 edges in each and q-1-x in each other color."""
     if q == 1:
         return 0
-    full, x = divmod(n * (q - 1) - n * (q - 1) % c, q - 1)
+    full, last = divmod(n * (q - 1) - n * (q - 1) % c, q - 1)
 
     def value(x):
         return x * (n - 1) + (c - x) * (q - 1 - x)
 
-    return full * value(q - 1) + value(x) + (n - full - 1) * value(0)
+    return full * value(q - 1) + value(last) + (n - full - 1) * value(0)
 
 
 def _build_cyclic_remainder(n, c, p, q):
@@ -611,9 +611,10 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
 
 # the most (color, vertex) rows and edges one build may take.  Rows are
 # bit masks: a build of 9*10^8 edges (COMPLETE_PREFIX, n = 15000, c = 5,
-# q = 5) took 0.5 s and 133 MB.  The largest build asked for elsewhere has
-# 62,681,512 edges (AC_MIN, n = 4500, c = 9, in `verify`), whose estimate
-# (it has no sum claim, so every slot) is 182,209,500
+# q = 5) took 0.5 s and 133 MB (Python 3.11, one core of a 2 vCPU host).
+# The largest build asked for elsewhere has 62,681,512 edges (AC_MIN,
+# n = 4500, c = 9, in `verify`), whose estimate (it has no sum claim, so
+# every slot) is 182,209,500
 BUILD_ROW_CAP = 1_000_000
 BUILD_EDGE_CAP = 1_000_000_000
 
