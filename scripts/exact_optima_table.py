@@ -11,7 +11,7 @@ triangle orientations reach 3.
 import argparse
 
 from rainbow_stars.model import StarPattern
-from rainbow_stars.oracle import STRETCH_SLOT_GUARD, max_exact
+from rainbow_stars.oracle import SLOT_GUARD, max_exact
 
 
 def main() -> None:
@@ -26,13 +26,11 @@ def main() -> None:
           f"{'sum nodes':>10} {'min nodes':>10}")
     for n in range(3, args.max_n + 1):
         for c in range(2, args.max_c + 1):
-            if c * n * (n - 1) > STRETCH_SLOT_GUARD:
+            if c * n * (n - 1) > SLOT_GUARD:
                 print(f"{n:>3} {c:>3}  past the slot guard, skipped")
                 continue
-            best_sum = max_exact(n, c, pat, "sum",
-                                 budget_secs=args.budget_secs, allow_large=True)
-            best_min = max_exact(n, c, pat, "min",
-                                 budget_secs=args.budget_secs, allow_large=True)
+            best_sum = max_exact(n, c, pat, "sum", budget_secs=args.budget_secs)
+            best_min = max_exact(n, c, pat, "min", budget_secs=args.budget_secs)
             marker = "" if best_sum.proved_optimal and best_min.proved_optimal \
                 else "  (budget hit)"
             print(f"{n:>3} {c:>3} {best_sum.optimum:>5} {best_min.optimum:>5} "

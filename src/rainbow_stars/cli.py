@@ -59,6 +59,13 @@ def _number(value) -> object:
     return int(value)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _by_color_json(groups) -> dict:
     return {str(i + 1): list(vs) for i, vs in enumerate(groups)}
 
@@ -138,7 +145,7 @@ def cmd_construct(args) -> int:
         ],
     }
     if args.out is not None:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         payload["edge_list_path"] = args.out
     else:
         payload["edge_list"] = text
@@ -185,21 +192,14 @@ def cmd_oracle(args) -> int:
     if args.cover:
         if args.p != 0:
             raise ValueError("--cover handles out-stars only; it needs p = 0")
-        if budget is not None or args.allow_large:
-            # the cover oracle has neither a budget nor a size guard to stretch
-            raise ValueError("--budget-secs and --allow-large apply to branch-and-bound "
-                             "only, not to --cover")
+        if budget is not None:
+            raise ValueError("--budget-secs applies to branch-and-bound only, not to --cover")
         outcome = cover_oracle_s0q(args.n, args.c, args.q, args.objective)
         engine = "cover"
     else:
         if budget is None:
             budget = DEFAULT_BUDGET_SECS
-        try:
-            outcome = max_exact(args.n, args.c, pat, args.objective,
-                                budget_secs=budget, allow_large=args.allow_large)
-        except ValueError as exc:
-            # the library names its keyword; the flag is what a CLI user can type
-            raise ValueError(str(exc).replace("pass allow_large=True", "pass --allow-large")) from exc
+        outcome = max_exact(args.n, args.c, pat, args.objective, budget_secs=budget)
         engine = "branch-bound"
     _dump({
         "engine": engine,
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     report = run_suite(args.suite, seed=args.seed)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
         _dump({"written": args.out, "suite": report.suite, "summary": report.summary})
     else:
         print(text)
@@ -268,8 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"branch-and-bound time budget (default {DEFAULT_BUDGET_SECS:g})")
     sp.add_argument("--cover", action="store_true",
                     help="use the cover-structure engine (out-stars, p = 0)")
-    sp.add_argument("--allow-large", action="store_true",
-                    help="permit instances past the default search-size guard")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("verify", help="run a verification suite")

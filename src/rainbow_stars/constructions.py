@@ -304,18 +304,18 @@ def _cyclic_remainder_cover(n, c, q):
     return _cyclic_cover(n, c, q, q - 1, n * (q - 1) - n * (q - 1) % c)
 
 
-def _cyclic_remainder_sum(n, c, q):
-    """sum(_cyclic_remainder_cover(n, c, q).counts()) without building the
-    cover: the kept colors fill whole vertices but the last, and a vertex
-    holding x colors sends n-1 edges in each and q-1-x in each other color."""
+def _cyclic_remainder_value(n, c, q, objective):
+    """The objective over _cyclic_remainder_cover(n, c, q).counts(), without
+    the cover.  With whole, r = divmod(n(q-1), c) every color keeps `whole`
+    tokens of n-1 edges.  The r lost entries empty r // (q-1) vertices,
+    which send q-1 edges in every color, and one more loses x = r mod (q-1)
+    and sends x in each of the c-(q-1-x) colors it does not hold."""
     if q == 1:
         return 0
-    full, last = divmod(n * (q - 1) - n * (q - 1) % c, q - 1)
-
-    def value(x):
-        return x * (n - 1) + (c - x) * (q - 1 - x)
-
-    return full * value(q - 1) + value(last) + (n - full - 1) * value(0)
+    whole, r = divmod(n * (q - 1), c)
+    if objective == "min":
+        return whole * (n - 1) + (q - 1) * (r // (q - 1))
+    return c * (whole * (n - 1) + r) - (-r % (q - 1)) * (r % (q - 1))
 
 
 def _build_cyclic_remainder(n, c, p, q):
@@ -544,8 +544,8 @@ _SPECS: dict[ConstructionFamily, _FamilySpec] = {
         _domain_cyclic_remainder,
         _build_cyclic_remainder,
         {
-            "sum": lambda n, c, p, q: _cyclic_remainder_sum(n, c, q),
-            "min": lambda n, c, p, q: min(_cyclic_remainder_cover(n, c, q).counts()),
+            "sum": lambda n, c, p, q: _cyclic_remainder_value(n, c, q, "sum"),
+            "min": lambda n, c, p, q: _cyclic_remainder_value(n, c, q, "min"),
         },
     ),
     ConstructionFamily.AC_SPLIT_SUM: _FamilySpec(

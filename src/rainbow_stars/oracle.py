@@ -9,9 +9,8 @@ one leaf such a star can still lack, and the bound is read off per-color
 caps only where one fell.  Both objectives search only collections with
 non-increasing per-color counts whose first slot is present and whose twin
 vertices (ones no earlier slot tells apart) enter each row in order, and a
-slot with no alive later partner is always kept.  An out-star pattern walks
-the slots in the mirror image of its in-star reversal's order, so the two
-orientations cost the same.
+slot with no alive later partner is always kept.  An out-star pattern is
+solved as its in-star reversal, so the two orientations cost the same.
 
 cover_oracle_s0q handles out-star patterns at moderate n by searching cover
 structures instead of edge sets: a collection is free of rainbow (0, q)
@@ -43,8 +42,7 @@ from .constructions import CoverStructure, _cyclic_cover, _smallest_targets
 from .detector import find_rainbow_star
 from .model import DigraphCollection, StarPattern, edge_counts
 
-FIRM_SLOT_GUARD = 36
-STRETCH_SLOT_GUARD = 48
+SLOT_GUARD = 48
 COVER_GUARDS = {"n": 64, "c": 8, "q": 6}
 DEFAULT_BUDGET_SECS = 60.0
 _BUDGET_CHECK_MASK = 0xFFF  # test the clock every 4096 nodes
@@ -80,10 +78,9 @@ def max_exact(
 
     Branch-and-bound over edge slots with include/exclude branching; the
     collection is free at every node.  Slots come in lexicographic (color,
-    source, target) order, or (color, target, source) for out-star patterns
-    (p = 0): that is the mirror image of the in-star reversal's order, so a
-    (0, q) solve runs node for node as its (q, 0) reversal, whose forward
-    checks prune harder, and its witness is the reversal's reversed.  For
+    source, target) order.  An out-star pattern (0, q) is solved as its
+    (q, 0) reversal, whose forward checks prune harder, and the reversal's
+    witness is reversed back, so the two run node for node.  For
     p+q = 1 every edge is a star and nothing is included.  For
     p+q >= 2 no single edge is a star, and a slot stays alive while adding
     it completes no star; the alive slots are the bits of one int.
@@ -122,20 +119,19 @@ def max_exact(
     worth more than 0 on the first slot, and the empty collection is the
     starting incumbent.
 
-    For the third, read a slot as (color block i, major a, minor b): the
-    major is the source for p >= 1 and the target for p = 0, as in the
-    slot order.  Minors x < y above a are twins at row a of block i when no
-    slot decided before that row tells them apart: in every earlier color
-    their rows and their columns agree once x and y swap, and in color i
-    the same majors below a chose them.  Twins form classes, and a minor y
-    with a smaller twin above a left out of row a is not included, so each
-    class enters each row as a prefix.  The test runs only at an include
-    with b > a + 1, on the masks the search keeps.  It is sound because
-    every collection relabels into the searched space: walk its rows in
-    slot order, and in each twin class above a move row a's chosen minors
-    to the front.  Each such permutation fixes every decided slot, so the
-    earlier rows, the counts and the forced first slot all hold (vertex 1
-    never moves, and vertex 2 is chosen in row 1 and leads its class).
+    For the third, read a slot as (color i, source a, target b).  Targets
+    x < y above a are twins at row a of color i when no slot decided before
+    that row tells them apart: in every earlier color their rows and their
+    columns agree once x and y swap, and in color i the same sources below
+    a chose them.  Twins form classes, and a target y with a smaller twin
+    above a left out of row a is not included, so each class enters each
+    row as a prefix.  The test runs only at an include with b > a + 1, on
+    the masks the search keeps.  It is sound because every collection
+    relabels into the searched space: walk its rows in slot order, and in
+    each twin class above a move row a's chosen targets to the front.
+    Each such permutation fixes every decided slot, so the earlier rows,
+    the counts and the forced first slot all hold (vertex 1 never moves,
+    and vertex 2 is chosen in row 1 and leads its class).
 
     For the fourth, let T be an optimal collection with the most edges
     among the optimal ones, relabeled into the searched space, and follow
@@ -148,6 +144,8 @@ def max_exact(
 
     budget_secs must be finite and >= 0.  The clock is read every 4096
     nodes; on expiry the best incumbent is returned, proved_optimal=False.
+    Every instance within SLOT_GUARD slots runs under the budget alone, so
+    allow_large does nothing; it is kept for callers that still pass it.
     """
     check_objective(objective)
     if n < 1 or c < 1:
@@ -155,24 +153,19 @@ def max_exact(
     if not 0 <= budget_secs < math.inf:
         raise ValueError(f"budget_secs must be a finite number of seconds >= 0, got {budget_secs}")
     slot_count = c * n * (n - 1)
-    if slot_count > STRETCH_SLOT_GUARD:
+    if slot_count > SLOT_GUARD:
         raise ValueError(
             f"instance has c*n*(n-1) = {slot_count} slots, beyond the "
-            f"stretch guard {STRETCH_SLOT_GUARD}"
+            f"slot guard {SLOT_GUARD}"
         )
-    if slot_count > FIRM_SLOT_GUARD and not allow_large:
-        raise ValueError(
-            f"instance has c*n*(n-1) = {slot_count} slots, beyond the firm "
-            f"guard {FIRM_SLOT_GUARD}; pass allow_large=True to run anyway"
-        )
-    p, q = pat.p, pat.q
+    # an out-star pattern runs as its reversal, so p >= 1 below
+    flip = not pat.p
+    p, q = (pat.q, 0) if flip else (pat.p, pat.q)
     start = time.monotonic()
     deadline = start + budget_secs
 
-    # (color, target, source) for out-stars: their reversal's order,
-    # mirrored; colors run from 0 here
-    slots = [(i, a, b) if p else (i, b, a)
-             for i in range(c) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    # colors run from 0 here
+    slots = [(i, a, b) for i in range(c) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     total_slots = len(slots)
     block = n * (n - 1)  # slots per color
     out_masks = [[0] * (n + 1) for _ in range(c)]
@@ -186,9 +179,8 @@ def max_exact(
     best_edges: list[tuple[int, int, int]] = []
     nodes = 0
 
-    def offset(x: int, y: int) -> int:
-        """Position of the slot (x, y) within its color's block."""
-        a, b = (x, y) if p else (y, x)
+    def offset(a: int, b: int) -> int:
+        """Position of the slot (a, b) within its color's block."""
         return (a - 1) * (n - 1) + b - 1 - (b > a)
 
     # how a partner meets the slot (u, v), per role: is the center v, does
@@ -197,9 +189,9 @@ def max_exact(
     fits = p + q <= min(c, n - 1)
     assert not fits or p + q <= 3
     roles = [role for role, allowed in (
-        ((False, True, p), q >= 2),         # both out-leaves at u
-        ((False, False, p - 1), p and q),   # the partner an in-leaf at u
-        ((True, True, p - 1), p and q),     # the partner an out-leaf at v
+        ((False, True, True), q >= 2),      # both out-leaves at u
+        ((False, False, p - 1), q),         # the partner an in-leaf at u
+        ((True, True, p - 1), q),           # the partner an out-leaf at v
         ((True, False, p - 2), p >= 2),     # both in-leaves at v
     ) if allowed and fits]
 
@@ -240,20 +232,16 @@ def max_exact(
                                     [side[h] for h in range(c) if h not in (i, k)],
                                     keep, [bit << shift for bit in by_leaf]))
         groups[idx] = slot_groups
-        partners[idx] = sum(union << k * block for k in range(i + 1, c))
+        partners[idx] = sum(mask for _, mask, *_ in slot_groups)
 
-    # rows by major, columns by minor: the slot order's orientation
-    rows, cols = (out_masks, in_masks) if p else (in_masks, out_masks)
-
-    def twin_left_out(i: int, u: int, v: int) -> bool:
-        """Is a twin of the slot's minor y, between its major a and y, out of
-        row a of color i?  Row a holds a prefix of each twin class, so this
-        is the nearest smaller twin's test."""
-        a, y = (u, v) if p else (v, u)
-        column = cols[i]
+    def twin_left_out(i: int, a: int, y: int) -> bool:
+        """Is a twin of the slot's target y, between its source a and y, out
+        of row a of color i?  Row a holds a prefix of each twin class, so
+        this is the nearest smaller twin's test."""
+        column = in_masks[i]
         col_y = column[y]
         bit_y = 1 << (y - 1)
-        left_out = (bit_y - (1 << a)) & ~rows[i][a]
+        left_out = (bit_y - (1 << a)) & ~out_masks[i][a]
         while left_out:
             bit_x = left_out & -left_out
             left_out ^= bit_x
@@ -295,9 +283,9 @@ def max_exact(
                 lone = False
                 # an alive slot completes a star only for p+q = 1; per-color
                 # counts stay non-increasing, and twins enter a row in order
-                # (tested when the minor is past the major's successor)
+                # (tested when the target is past the source's successor)
                 if p + q >= 2 and not (i and counts[i] >= counts[i - 1]) and not (
-                        (v - u if p else u - v) > 1 and twin_left_out(i, u, v)):
+                        v - u > 1 and twin_left_out(i, u, v)):
                     out_masks[i][u] |= 1 << (v - 1)
                     in_masks[i][v] |= 1 << (u - 1)
                     counts[i] += 1
@@ -344,6 +332,8 @@ def max_exact(
     except _BudgetExpired:
         proved = False
 
+    if flip:
+        best_edges = [(i, v, u) for i, u, v in best_edges]
     witness = DigraphCollection.from_edges(n, c, best_edges)
     _certify(witness, pat, objective, best_value)
     return SearchOutcome(

@@ -368,8 +368,7 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     cross-check, and reversal symmetry of optima."""
     cases = []
     for (n, c, p, q, objective, expected) in _EXACT_SMALL_TABLE:
-        outcome = max_exact(n, c, StarPattern(p, q), objective,
-                            budget_secs=120.0, allow_large=True)
+        outcome = max_exact(n, c, StarPattern(p, q), objective)
         good = outcome.optimum == expected and outcome.proved_optimal
         cases.append(VerificationCase(
             params={"check": "exact-table", "n": n, "c": c, "p": p, "q": q,
@@ -395,10 +394,8 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
             ))
     for (n, c, p, q, objective) in ((3, 2, 0, 2, "sum"), (3, 2, 1, 2, "sum"),
                                     (3, 2, 0, 2, "min"), (4, 2, 0, 2, "min")):
-        fwd = max_exact(n, c, StarPattern(p, q), objective,
-                        budget_secs=120.0, allow_large=True)
-        rev = max_exact(n, c, StarPattern(q, p), objective,
-                        budget_secs=120.0, allow_large=True)
+        fwd = max_exact(n, c, StarPattern(p, q), objective)
+        rev = max_exact(n, c, StarPattern(q, p), objective)
         cases.append(VerificationCase(
             params={"check": "reversal", "n": n, "c": c, "p": p, "q": q,
                     "objective": objective},

@@ -132,6 +132,15 @@ def test_construct_past_the_edge_cap_is_domain_error(capsys):
     assert "past the build cap" in payload["error"]["message"]
 
 
+def test_construct_unwritable_out_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, payload = run(capsys, "construct", "--family", "CYCLIC_REMAINDER",
+                        "--n", "4", "--c", "3", "--p", "0", "--q", "2", "--out", str(target))
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith(f"cannot write {target}: ")
+
+
 def test_check_reports_witness(tmp_path, capsys):
     source = tmp_path / "g.txt"
     source.write_text("rainbow-digraph v1\n3 2\n1 2 1\n2 1 3\n")
@@ -252,18 +261,25 @@ def test_oracle_cover_requires_out_star(capsys):
 
 
 def test_oracle_cover_rejects_branch_bound_flags(capsys):
-    # the cover oracle has no budget and no size guard; both flags used to be
-    # dropped silently, with "budget_secs": null in the answer
-    for flags in (("--budget-secs", "5"), ("--allow-large",)):
-        code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "5", "--c", "3",
-                            "--objective", "min", "--cover", *flags)
-        assert code == 1
-        assert payload["error"]["type"] == "ValueError"
-        assert "not to --cover" in payload["error"]["message"]
+    # the cover oracle has no budget; the flag used to be dropped silently,
+    # with "budget_secs": null in the answer
+    code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "5", "--c", "3",
+                        "--objective", "min", "--cover", "--budget-secs", "5")
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert "not to --cover" in payload["error"]["message"]
     # without a flag branch-and-bound still echoes the default budget
     code, payload = run(capsys, "oracle", "--p", "0", "--q", "2", "--n", "3", "--c", "2",
                         "--objective", "min")
     assert (code, payload["budget_secs"]) == (0, DEFAULT_BUDGET_SECS)
+
+
+def test_oracle_runs_to_the_slot_guard(capsys):
+    # 48 slots, the most branch-and-bound takes, needs no opt-in flag
+    code, payload = run(capsys, "oracle", "--n", "4", "--c", "4",
+                        "--p", "1", "--q", "1", "--objective", "sum")
+    assert code == 0
+    assert (payload["optimum"], payload["proved_optimal"]) == (16, True)
 
 
 def test_oracle_guard_feedback(capsys):
@@ -305,6 +321,14 @@ def test_verify_report_shape_and_exit(tmp_path, capsys):
         report["summary"]["discrepancy"]
     assert report["cases"][0]["expected_kind"] in {"theorem", "oracle", "construction"}
     assert summary["summary"]["fail"] == 0
+
+
+def test_verify_unwritable_out_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, payload = run(capsys, "verify", "--suite", "thresholds", "--out", str(target))
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith(f"cannot write {target}: ")
 
 
 def test_verify_unknown_suite(capsys):

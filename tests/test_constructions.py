@@ -175,13 +175,15 @@ def test_build_refuses_past_the_edge_cap(monkeypatch):
 
 
 def test_cyclic_remainder_sum_counts_its_build():
-    # the sum is read off in closed form, without the cover
+    # the sum and the minimum are read off in closed form, without the cover
     for c in range(1, 7):
         for q in range(1, c + 1):
             for n in range(c + 1, 17):
                 out = build(F.CYCLIC_REMAINDER, n, c, 0, q)
                 assert predicted_value(F.CYCLIC_REMAINDER, n, c, 0, q, "sum") == \
                     out.predicted_counts.total, (n, c, q)
+                assert predicted_value(F.CYCLIC_REMAINDER, n, c, 0, q, "min") == \
+                    out.predicted_counts.minimum, (n, c, q)
 
 
 def test_exact_families_predict_their_builds():

@@ -19,8 +19,7 @@ from rainbow_stars.model import (
 )
 from rainbow_stars.oracle import (
     COVER_GUARDS,
-    FIRM_SLOT_GUARD,
-    STRETCH_SLOT_GUARD,
+    SLOT_GUARD,
     CoverStructure,
     _certify,
     cover_oracle_s0q,
@@ -353,25 +352,22 @@ def test_max_exact_against_brute_force(n, c):
 
 
 def test_slot_guards():
-    # 4 colors on 5 vertices is 80 slots, past the stretch guard
-    with pytest.raises(ValueError):
-        max_exact(5, 4, StarPattern(1, 1), "sum", allow_large=True)
-    # 48 slots needs the explicit opt-in
-    with pytest.raises(ValueError):
-        max_exact(4, 4, StarPattern(1, 1), "sum")
-    outcome = max_exact(4, 4, StarPattern(1, 1), "sum",
-                        budget_secs=120.0, allow_large=True)
+    # 4 colors on 5 vertices is 80 slots, past the guard
+    with pytest.raises(ValueError, match="beyond the slot guard 48"):
+        max_exact(5, 4, StarPattern(1, 1), "sum")
+    # 48 slots, at the guard, runs with no opt-in under the default budget
+    assert 4 * 4 * 3 == SLOT_GUARD
+    outcome = max_exact(4, 4, StarPattern(1, 1), "sum")
     assert outcome.optimum == 16 and outcome.proved_optimal
-    assert FIRM_SLOT_GUARD < 4 * 4 * 3 <= STRETCH_SLOT_GUARD
 
 
 def test_forward_check_needs_at_most_one_leaf():
     # a star takes p+q colors and p+q leaves, so one fits only when
-    # p+q <= min(c, n-1); inside the stretch guard that is at most 3, so a
+    # p+q <= min(c, n-1); inside the slot guard that is at most 3, so a
     # star through two slots lacks at most one leaf
     n = 2
-    while n * (n - 1) <= STRETCH_SLOT_GUARD:
-        widest = STRETCH_SLOT_GUARD // (n * (n - 1))
+    while n * (n - 1) <= SLOT_GUARD:
+        widest = SLOT_GUARD // (n * (n - 1))
         assert min(widest, n - 1) <= 3, (n, widest)
         n += 1
     # no (2, 2) star fits on 4 vertices: no slot has a partner, so each is
