@@ -18,7 +18,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--max-c", type=int, default=4)
-    parser.add_argument("--budget-secs", type=float, default=120.0)
     args = parser.parse_args()
 
     pat = StarPattern(1, 1)
@@ -29,8 +28,8 @@ def main() -> None:
             if c * n * (n - 1) > SLOT_GUARD:
                 print(f"{n:>3} {c:>3}  past the slot guard, skipped")
                 continue
-            best_sum = max_exact(n, c, pat, "sum", budget_secs=args.budget_secs)
-            best_min = max_exact(n, c, pat, "min", budget_secs=args.budget_secs)
+            best_sum = max_exact(n, c, pat, "sum")
+            best_min = max_exact(n, c, pat, "min")
             marker = "" if best_sum.proved_optimal and best_min.proved_optimal \
                 else "  (budget hit)"
             print(f"{n:>3} {c:>3} {best_sum.optimum:>5} {best_min.optimum:>5} "

@@ -542,9 +542,7 @@ def edge_counts(collection: DigraphCollection) -> EdgeCountSummary:
 
 def reverse(collection: DigraphCollection) -> DigraphCollection:
     """Every edge u -> v becomes v -> u, in the same color."""
-    threshold = collection.n if collection.storage_kind == "dense" else 0
-    flipped = [(i, v, u) for (i, u, v) in collection.all_edges()]
-    return DigraphCollection.from_edges(collection.n, collection.c, flipped, threshold)
+    return _relabelled(collection, [(i, v, u) for (i, u, v) in collection.all_edges()])
 
 
 def permute(
@@ -568,8 +566,13 @@ def permute(
         )
         for (i, u, v) in collection.all_edges()
     ]
-    threshold = n if collection.storage_kind == "dense" else 0
-    return DigraphCollection.from_edges(n, c, mapped, threshold)
+    return _relabelled(collection, mapped)
+
+
+def _relabelled(collection: DigraphCollection, edges: list) -> DigraphCollection:
+    """A collection of the same n and c over `edges`, in the same storage layout."""
+    threshold = collection.n if collection.storage_kind == "dense" else 0
+    return DigraphCollection.from_edges(collection.n, collection.c, edges, threshold)
 
 
 def _check_perm(perm: Sequence[int], size: int, label: str) -> Sequence[int]:

@@ -214,51 +214,38 @@ _GRID_FAMILIES = (
 
 
 def _freeness_case(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> VerificationCase:
-    params = {"family": family.value, "n": n, "c": c, "p": p, "q": q}
     try:
         build(family, n, c, p, q)
+        actual, status = "rainbow-free, counts match", "pass"
     except Exception as exc:  # build certifies freeness and counts itself
-        return VerificationCase(
-            params=params,
-            expected="rainbow-free with predicted counts",
-            expected_kind="construction",
-            actual=f"{type(exc).__name__}: {exc}",
-            status="fail",
-        )
+        actual, status = f"{type(exc).__name__}: {exc}", "fail"
     return VerificationCase(
-        params=params,
+        params={"family": family.value, "n": n, "c": c, "p": p, "q": q},
         expected="rainbow-free with predicted counts",
         expected_kind="construction",
-        actual="rainbow-free, counts match",
-        status="pass",
+        actual=actual,
+        status=status,
     )
 
 
+# (families, p, q) of the freeness grid: c runs over p+q..12 and n over 30,
+# 60 and 120, raised to the family's part count
+_GRID_TABLE = (
+    *((_GRID_FAMILIES, p, q) for p in range(1, 4) for q in range(p, 4)),
+    *(((ConstructionFamily.ASSIGNED_OUT, ConstructionFamily.CYCLIC_REMAINDER), 0, q)
+      for q in range(1, 4)),
+)
+
+
 def _grid_builds() -> list[tuple[ConstructionFamily, int, int, int, int]]:
-    jobs = []
-    seen = set()
-    for p in range(1, 4):
-        for q in range(p, 4):
-            for c in range(p + q, 13):
-                for family in _GRID_FAMILIES:
-                    for target in (30, 60, 120):
-                        n = max(target, part_count(family, c, p, q))
-                        key = (family, n, c, p, q)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        if applicability_error(family, n, c, p, q) is None:
-                            jobs.append(key)
-    # out-star and path-pattern families on their own domains
-    for q in range(1, 4):
-        for c in range(q, 13):
-            for target in (30, 60, 120):
-                for family in (ConstructionFamily.ASSIGNED_OUT, ConstructionFamily.CYCLIC_REMAINDER):
-                    n = max(target, part_count(family, c, 0, q))
-                    key = (family, n, c, 0, q)
-                    if key not in seen and applicability_error(family, n, c, 0, q) is None:
-                        seen.add(key)
-                        jobs.append(key)
+    keys = dict.fromkeys(
+        (family, max(target, part_count(family, c, p, q)), c, p, q)
+        for families, p, q in _GRID_TABLE
+        for c in range(p + q, 13)
+        for family in families
+        for target in (30, 60, 120)
+    )
+    jobs = [key for key in keys if applicability_error(*key) is None]
     for (n, c, q) in [(5, 5, 3), (5, 8, 3), (8, 12, 5), (12, 12, 12), (6, 6, 2)]:
         jobs.append((ConstructionFamily.REMARK_CN, n, c, 0, q))
     for (n, c, q) in [(3, 4, 3), (2, 2, 2), (4, 9, 4)]:
@@ -501,6 +488,8 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                 bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
                 target, divisible = bound.value, bound.kind == bounds.EXACT
                 got = build(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q).predicted_counts.minimum
+                if (n, c, q) == (8, 5, 3):
+                    constructed = got
                 if got == target:
                     status = "pass"
                     note = ""
@@ -510,7 +499,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                             f"assignment reaches {got}, formula target {target}")
                 else:
                     status = "fail"
-                    note = f"below formula although (q-1) | r" if divisible else "above formula"
+                    note = "below formula although (q-1) | r" if got < target else "above formula"
                 cases.append(VerificationCase(
                     params={"check": "min-formula", "family": "CYCLIC_REMAINDER",
                             "n": n, "c": c, "q": q},
@@ -537,6 +526,8 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                 bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
                 target, divisible = bound.value, bound.kind == bounds.EXACT
                 got = cover_oracle_s0q(n, c, q, "min").optimum
+                if (n, c, q) == (8, 5, 3):
+                    oracle_value, target_853 = got, target
                 if divisible:
                     status = "pass" if got == target else "fail"
                     note = ""
@@ -555,8 +546,7 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                     status=status,
                     note=note,
                 ))
-    # frozen adjudication instance
-    oracle_value = cover_oracle_s0q(8, 5, 3, "min").optimum
+    # frozen adjudication instance, from the values both grids computed there
     cases.append(VerificationCase(
         params={"check": "frozen-853", "n": 8, "c": 5, "q": 3},
         expected=str(FROZEN_COVER_853_MIN),
@@ -565,13 +555,11 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
         status="pass" if oracle_value == FROZEN_COVER_853_MIN else "fail",
         note="regression constant for the adjudication instance",
     ))
-    constructed = build(ConstructionFamily.CYCLIC_REMAINDER, 8, 5, 0, 3).predicted_counts.minimum
-    target = bounds.out_star_min_formula(8, 5, 3)
-    sandwich_ok = constructed <= oracle_value <= target
-    strict = oracle_value < target
+    sandwich_ok = constructed <= oracle_value <= target_853
+    strict = oracle_value < target_853
     cases.append(VerificationCase(
         params={"check": "adjudication-853", "n": 8, "c": 5, "q": 3},
-        expected=f"construction {constructed} <= oracle <= {target}",
+        expected=f"construction {constructed} <= oracle <= {target_853}",
         expected_kind="oracle",
         actual=f"oracle {oracle_value}",
         status=("discrepancy" if strict else "pass") if sandwich_ok else "fail",

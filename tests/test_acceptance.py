@@ -131,6 +131,23 @@ def test_criterion_5_cover_oracle_grids(capsys, adjudication_cases):
     assert ok, (bad[:5], frozen, sandwich, oracle_853, constructed_853)
 
 
+def test_cover_adjudication_strict_points(adjudication_cases):
+    # the strict points are the cover-min discrepancies: at (5,3,3) the
+    # oracle and the balanced assignment reach 12 under the floor formula's
+    # 13, and q <= 4, c <= 6, n <= 16 holds 20 of them
+    def at_533(check):
+        [case] = [case for case in adjudication_cases if case.params["check"] == check
+                  and (case.params["n"], case.params["c"], case.params["q"]) == (5, 3, 3)]
+        return case.status, case.actual, case.expected
+
+    assert at_533("cover-min") == ("discrepancy", "12", "<= 13")
+    assert at_533("min-formula") == ("discrepancy", "12", "13")
+    strict = [case for case in adjudication_cases
+              if case.params["check"] == "cover-min" and case.status == "discrepancy"
+              and case.params["q"] <= 4 and case.params["c"] <= 6 and case.params["n"] <= 16]
+    assert len(strict) == 20
+
+
 def test_criterion_6_engine_cross_check(capsys, exact_small_cases):
     cross = [c for c in exact_small_cases if c.params.get("check") == "cross-check"]
     bad = [c for c in cross if c.status != "pass"]

@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from rainbow_stars import verify
+from rainbow_stars.bounds import exact_bound
 from rainbow_stars.cli import main
+from rainbow_stars.model import StarPattern
 from rainbow_stars.oracle import DEFAULT_BUDGET_SECS
 
 
@@ -321,6 +325,41 @@ def test_verify_report_shape_and_exit(tmp_path, capsys):
         report["summary"]["discrepancy"]
     assert report["cases"][0]["expected_kind"] in {"theorem", "oracle", "construction"}
     assert summary["summary"]["fail"] == 0
+
+
+def test_verify_cover_adjudication_fail_branches(capsys, monkeypatch):
+    # stand-ins answer every point with its closed form except four: the
+    # build's minimum one below an EXACT label at (5,3,2) and one above it
+    # at (6,3,2), the oracle one below an EXACT label at (4,3,2) and one
+    # above the UPPER_BOUND 13 at (5,3,3).  The frozen (8,5,3) case reads
+    # the oracle grid, so it fails too, on the formula's 22.
+    def formula(n, c, q, objective):
+        return exact_bound(StarPattern(0, q), n, c, objective).value
+
+    def fake_build(family, n, c, p, q):
+        minimum = formula(n, c, q, "min") + {(5, 3, 2): -1, (6, 3, 2): 1}.get((n, c, q), 0)
+        return SimpleNamespace(predicted_counts=SimpleNamespace(
+            total=formula(n, c, q, "sum"), minimum=minimum))
+
+    def fake_oracle(n, c, q, objective):
+        off = {(4, 3, 2): -1, (5, 3, 3): 1}.get((n, c, q), 0) if objective == "min" else 0
+        return SimpleNamespace(optimum=formula(n, c, q, objective) + off)
+
+    monkeypatch.setattr(verify, "build", fake_build)
+    monkeypatch.setattr(verify, "cover_oracle_s0q", fake_oracle)
+    fails = {
+        tuple(case.params[key] for key in ("check", "n", "c", "q")): case.note
+        for case in verify.suite_cover_adjudication() if case.status == "fail"
+    }
+    assert fails == {
+        ("min-formula", 5, 3, 2): "below formula although (q-1) | r",
+        ("min-formula", 6, 3, 2): "above formula",
+        ("cover-min", 4, 3, 2): "",
+        ("cover-min", 5, 3, 3): "oracle exceeds the proved upper bound",
+        ("frozen-853", 8, 5, 3): "regression constant for the adjudication instance",
+    }
+    code, report = run(capsys, "verify", "--suite", "cover-adjudication")
+    assert (code, report["summary"]["fail"]) == (1, 5)
 
 
 def test_verify_unwritable_out_is_domain_error(tmp_path, capsys):

@@ -250,8 +250,9 @@ def test_out_star_mirror_and_sorted_min_counts(default_solves):
 def twin_rows(witness: DigraphCollection, p: int):
     """Each (color, major, x, y, y in the row, x in the row) of the witness
     where minors x < y above the major are twins, walking max_exact's slot
-    order (color, major, minor; the major is the source for p >= 1 and the
-    target for p = 0).  Twins keep every slot decided before the row when
+    order (color, source, target).  For p = 0 the search runs on the
+    reversal, so a major here is a target of the witness and a minor one
+    of its sources.  Twins keep every slot decided before the row when
     they swap: all of the earlier colors, and the row's color at majors
     below it."""
     n, c = witness.n, witness.c
