@@ -10,8 +10,9 @@ and returning a Fraction: `sum_low` and `sum_high` for the total, and
 `min_base`, `min_mid`, `min_linear` and `min_top` for the minimum.  Each
 computes in integer arithmetic (c may also be a Fraction) and leaves the
 domain check to its callers.  `coefficient_sum` and `coefficient_min` choose
-among them; the constructions that reach each regime, the verification
-suites and the CLI read the same functions.
+among them, and `coefficient` is the one entry for any normalized pattern,
+the out-star included; the constructions that reach each regime, the
+verification suites and the CLI read the same functions.
 
 Every regime comparison against an irrational threshold is decided in exact
 integer arithmetic by squaring (each helper documents its reduction); floats
@@ -255,6 +256,16 @@ def coefficient_min(p: int, q: int, c: int) -> Fraction:
     return min_top(p, q, c)
 
 
+def coefficient(p: int, q: int, c: int, objective: str) -> Fraction:
+    """Coefficient of n^2 for a normalized pattern (p <= q), p = 0 included:
+    the out-star's q-1 for the total and (q-1)/c for the minimum."""
+    if p == 0:
+        if c < q:
+            raise ValueError(f"the out-star coefficient needs c >= q, got c={c} < q={q}")
+        return sum_low(0, q, c) if objective == "sum" else min_linear(0, q, c)
+    return coefficient_sum(p, q, c) if objective == "sum" else coefficient_min(p, q, c)
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Outcome of a bound query.
@@ -384,11 +395,8 @@ def exact_bound(pat: StarPattern, n: int, c: int, objective: str) -> BoundResult
             "valid for c >= 2, n >= 4",
         )
 
-    coefficient = (
-        coefficient_sum(p, q, c) if objective == "sum" else coefficient_min(p, q, c)
-    )
     return result(
-        ASYMPTOTIC, coefficient, f"asymptotic/{objective}",
+        ASYMPTOTIC, coefficient(p, q, c, objective), f"asymptotic/{objective}",
         "coefficient of n^2, exact up to o(n^2); valid for c >= p+q",
     )
 

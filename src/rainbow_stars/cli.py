@@ -27,12 +27,9 @@ from typing import Optional, Sequence
 
 from .bounds import (
     OBJECTIVES,
-    coefficient_min,
-    coefficient_sum,
+    coefficient,
     exact_bound,
     fraction_str,
-    min_linear,
-    sum_low,
     threshold_json,
     thresholds,
 )
@@ -90,35 +87,20 @@ def cmd_bound(args) -> int:
         return 0
     norm, swapped = pat.normalized()
     p, q, c = norm.p, norm.q, args.c
-    if p == 0:
-        if c < q:
-            raise ValueError(
-                f"the out-star coefficient needs c >= q, got c={c} < q={q}"
-            )
-        coefficient = sum_low(0, q, c) if args.objective == "sum" else min_linear(0, q, c)
-        regime = "out-star"
-        ts_entry = None
-    else:
-        coefficient = (
-            coefficient_sum(p, q, c)
-            if args.objective == "sum"
-            else coefficient_min(p, q, c)
-        )
-        regime = "two-sided"
-        ts_entry = threshold_json(thresholds(p, q))
+    value = coefficient(p, q, c, args.objective)
     payload = {
         "kind": "ASYMPTOTIC",
         "objective": args.objective,
-        "coefficient": fraction_str(coefficient),
-        "coefficient_float": float(coefficient),
-        "regime": regime,
+        "coefficient": fraction_str(value),
+        "coefficient_float": float(value),
+        "regime": "two-sided" if p else "out-star",
         "p": args.p,
         "q": args.q,
         "c": c,
         "normalized": swapped,
     }
-    if ts_entry is not None:
-        payload["thresholds"] = ts_entry
+    if p:
+        payload["thresholds"] = threshold_json(thresholds(p, q))
     _dump(payload)
     return 0
 

@@ -341,11 +341,8 @@ def _build_ac_split_sum(n, c, p, q):
         + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
         + [size_c * size_a] * (c - q + 1)
     )
-    parts = PartsInfo(
-        (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices)),
-        ((),) * n,
-    )
-    return rows, per_color, parts
+    return rows, per_color, _parts_info([PartGroup("A", (), a_vertices),
+                                         PartGroup("C", (), c_vertices)])
 
 
 def _build_b_only(n, c, p, q):
@@ -408,11 +405,8 @@ def _build_bipartite_s11(n, c, p, q):
     right = tuple(range(n // 2 + 1, n + 1))
     rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
     per_color = [len(left) * len(right)] * c
-    parts = PartsInfo(
-        (PartGroup("left", (), left), PartGroup("right", (), right)),
-        ((),) * n,
-    )
-    return rows, per_color, parts
+    return rows, per_color, _parts_info([PartGroup("left", (), left),
+                                         PartGroup("right", (), right)])
 
 
 def _build_remark_cn(n, c, p, q):

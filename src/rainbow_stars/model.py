@@ -394,7 +394,9 @@ class DigraphCollection:
         walked in input order instead, and ValueError names the first bad
         one (out-of-range index, loop or duplicate).  Dense bit rows for
         n <= dense_threshold, else the sparse CSR layout, built from the
-        sorted edge keys.
+        sorted edge keys.  An edge that is no sequence, or a value that is
+        no int (a str, a float), raises TypeError from the walk or the
+        store; a sequence of another length raises ValueError.
         """
         _check_dims(n, c)
         edges = list(edges)
@@ -733,7 +735,7 @@ def _edge_columns(n: int, c: int, edges: list) -> _Columns | None:
             ):
                 return colors, sources, targets
     except TypeError:
-        pass  # an edge that is no sequence, or a value that is no number: the walk names it
+        pass  # an edge that is no sequence, or no number in one: the walk raises TypeError
     return None
 
 

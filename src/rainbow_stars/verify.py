@@ -306,11 +306,7 @@ def attainment(family, objective, n, c, p, q) -> tuple[Fraction, Fraction, Fract
     """Build the family at (n, c, p, q); return the closed-form coefficient
     of the objective, how far objective/n^2 of the build lands from it, and
     the tolerance 5*parts/n."""
-    coefficient = (
-        bounds.coefficient_sum(p, q, c)
-        if objective == "sum"
-        else bounds.coefficient_min(p, q, c)
-    )
+    coefficient = bounds.coefficient(p, q, c, objective)
     counts = build(family, n, c, p, q).predicted_counts
     value = counts.total if objective == "sum" else counts.minimum
     deviation = abs(Fraction(value, n * n) - coefficient)
@@ -461,92 +457,67 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 
 # -- cover-adjudication --------------------------------------------------
 
+def _min_status(got: int, bound: bounds.BoundResult) -> str:
+    """An out-star minimum against the floor formula: pass at it,
+    discrepancy below an UPPER_BOUND, fail otherwise."""
+    if got == bound.value:
+        return "pass"
+    return "discrepancy" if bound.kind == bounds.UPPER_BOUND and got < bound.value else "fail"
+
+
 def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
-    """Out-star exact formulas: construction sums, the per-color minimum of
-    the balanced assignment, the cover oracle grids, and the frozen (8,5,3)
-    adjudication instance."""
+    """Out-star exact formulas in one pass over n > c >= q, n <= 30, with
+    `exact_bound` asked once per objective at each point.  Where q <= 4:
+    construction sums equal (q-1)(n^2-n), and the per-color minimum of the
+    balanced assignment meets the floor formula.  Where c <= 6: the cover
+    oracle's sum and min.  Then the frozen (8,5,3) adjudication instance."""
     cases = []
-    # on n > c >= q, q <= 4, n <= 30: construction sums equal (q-1)(n^2-n)
-    for q in range(1, 5):
-        for n in range(q + 1, 31):
-            for c in range(q, n):
-                expected = bounds.exact_bound(StarPattern(0, q), n, c, "sum").value
-                for family in (ConstructionFamily.COMPLETE_PREFIX,
-                               ConstructionFamily.ASSIGNED_OUT):
-                    if applicability_error(family, n, c, 0, q) is not None:
-                        continue
-                    got = build(family, n, c, 0, q).predicted_counts.total
-                    cases.append(VerificationCase(
-                        params={"check": "sum-formula", "family": family.value,
-                                "n": n, "c": c, "q": q},
-                        expected=str(expected),
-                        expected_kind="theorem",
-                        actual=str(got),
-                        status="pass" if got == expected else "fail",
-                    ))
-                # balanced assignment minimum vs the floor formula
+
+    def theorem(params, expected, got, status, note=""):
+        cases.append(VerificationCase(params, expected, "theorem", str(got), status, note))
+
+    for n in range(2, 31):
+        for c in range(1, n):
+            for q in range(1, c + 1 if c <= 6 else 5):  # q <= 4 or c <= 6
+                point = {"n": n, "c": c, "q": q}
+                total = bounds.exact_bound(StarPattern(0, q), n, c, "sum").value
                 bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
-                target, divisible = bound.value, bound.kind == bounds.EXACT
-                got = build(ConstructionFamily.CYCLIC_REMAINDER, n, c, 0, q).predicted_counts.minimum
+                target, r = bound.value, n * (q - 1) % c
+                if q <= 4:
+                    for family in (ConstructionFamily.COMPLETE_PREFIX,
+                                   ConstructionFamily.ASSIGNED_OUT):
+                        if applicability_error(family, n, c, 0, q) is None:
+                            got = build(family, n, c, 0, q).predicted_counts.total
+                            theorem({"check": "sum-formula", "family": family.value, **point},
+                                    str(total), got, "pass" if got == total else "fail")
+                    built = build(ConstructionFamily.CYCLIC_REMAINDER,
+                                  n, c, 0, q).predicted_counts.minimum
+                    status = _min_status(built, bound)
+                    theorem({"check": "min-formula", "family": "CYCLIC_REMAINDER", **point},
+                            str(target), built, status, {
+                                "pass": "",
+                                "discrepancy": f"(q-1) = {q-1} does not divide r = {r}: "
+                                               f"balanced assignment reaches {built}, "
+                                               f"formula target {target}",
+                                "fail": "below formula although (q-1) | r" if built < target
+                                        else "above formula",
+                            }[status])
+                if c <= 6:
+                    got = cover_oracle_s0q(n, c, q, "sum").optimum
+                    theorem({"check": "cover-sum", **point}, str(total), got,
+                            "pass" if got == total else "fail")
+                    optimum = cover_oracle_s0q(n, c, q, "min").optimum
+                    status, exact = _min_status(optimum, bound), bound.kind == bounds.EXACT
+                    theorem({"check": "cover-min", **point},
+                            str(target) if exact else f"<= {target}", optimum, status, {
+                                "pass": "",
+                                "discrepancy": f"exact optimum {optimum} below formula target "
+                                               f"{target}; (q-1) = {q-1} does not divide r = {r}",
+                                "fail": "" if exact else "oracle exceeds the proved upper bound",
+                            }[status])
                 if (n, c, q) == (8, 5, 3):
-                    constructed = got
-                if got == target:
-                    status = "pass"
-                    note = ""
-                elif not divisible and got < target:
-                    status = "discrepancy"
-                    note = (f"(q-1) = {q-1} does not divide r = {n * (q - 1) % c}: balanced "
-                            f"assignment reaches {got}, formula target {target}")
-                else:
-                    status = "fail"
-                    note = "below formula although (q-1) | r" if got < target else "above formula"
-                cases.append(VerificationCase(
-                    params={"check": "min-formula", "family": "CYCLIC_REMAINDER",
-                            "n": n, "c": c, "q": q},
-                    expected=str(target),
-                    expected_kind="theorem",
-                    actual=str(got),
-                    status=status,
-                    note=note,
-                ))
-    # cover oracle sum and min grids
-    for c in range(1, 7):
-        for q in range(1, c + 1):
-            for n in range(c + 1, 31):
-                expected = bounds.exact_bound(StarPattern(0, q), n, c, "sum").value
-                got = cover_oracle_s0q(n, c, q, "sum").optimum
-                cases.append(VerificationCase(
-                    params={"check": "cover-sum", "n": n, "c": c, "q": q},
-                    expected=str(expected),
-                    expected_kind="theorem",
-                    actual=str(got),
-                    status="pass" if got == expected else "fail",
-                ))
-                # min: formula equality where exact_bound labels it EXACT
-                bound = bounds.exact_bound(StarPattern(0, q), n, c, "min")
-                target, divisible = bound.value, bound.kind == bounds.EXACT
-                got = cover_oracle_s0q(n, c, q, "min").optimum
-                if (n, c, q) == (8, 5, 3):
-                    oracle_value, target_853 = got, target
-                if divisible:
-                    status = "pass" if got == target else "fail"
-                    note = ""
-                elif got <= target:
-                    status = "discrepancy" if got < target else "pass"
-                    note = (f"exact optimum {got} below formula target {target}; (q-1) = "
-                            f"{q-1} does not divide r = {n * (q - 1) % c}" if got < target else "")
-                else:
-                    status = "fail"
-                    note = "oracle exceeds the proved upper bound"
-                cases.append(VerificationCase(
-                    params={"check": "cover-min", "n": n, "c": c, "q": q},
-                    expected=str(target) if divisible else f"<= {target}",
-                    expected_kind="theorem",
-                    actual=str(got),
-                    status=status,
-                    note=note,
-                ))
-    # frozen adjudication instance, from the values both grids computed there
+                    constructed, oracle_value, target_853 = built, optimum, target
+    # frozen adjudication instance, from the values both checks computed there
     cases.append(VerificationCase(
         params={"check": "frozen-853", "n": 8, "c": 5, "q": 3},
         expected=str(FROZEN_COVER_853_MIN),

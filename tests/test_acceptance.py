@@ -12,10 +12,12 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rainbow_stars import verify
 from rainbow_stars.bounds import coefficient_min
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import find_rainbow_star
@@ -61,8 +63,27 @@ def exact_small_cases():
 
 
 @pytest.fixture(scope="module")
-def adjudication_cases():
-    return suite_cover_adjudication(DEFAULT_SEED)
+def adjudication_run():
+    """The cover-adjudication cases, with how often the suite asked each
+    exact_bound question and built each construction."""
+    asked, built = Counter(), Counter()
+
+    def counting(counter, function):
+        def wrapper(*args):
+            counter[args] += 1
+            return function(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify.bounds, "exact_bound", counting(asked, verify.bounds.exact_bound))
+        patch.setattr(verify, "build", counting(built, verify.build))
+        cases = suite_cover_adjudication(DEFAULT_SEED)
+    return cases, asked, built
+
+
+@pytest.fixture(scope="module")
+def adjudication_cases(adjudication_run):
+    return adjudication_run[0]
 
 
 def test_criterion_1_detector_equivalence(capsys, detector_cases):
@@ -146,6 +167,14 @@ def test_cover_adjudication_strict_points(adjudication_cases):
               if case.params["check"] == "cover-min" and case.status == "discrepancy"
               and case.params["q"] <= 4 and case.params["c"] <= 6 and case.params["n"] <= 16]
     assert len(strict) == 20
+
+
+def test_cover_adjudication_asks_each_question_once(adjudication_run):
+    # one pass over the (n, c, q) points: each (pattern, n, c, objective)
+    # goes to exact_bound once, and each (family, n, c, 0, q) is built once
+    _, asked, built = adjudication_run
+    assert (len(asked), set(asked.values())) == (3286, {1})
+    assert (len(built), set(built.values())) == (4141, {1})
 
 
 def test_criterion_6_engine_cross_check(capsys, exact_small_cases):

@@ -12,8 +12,10 @@ from rainbow_stars.bounds import (
     CHAIN_FIRST,
     CHAIN_SECOND,
     INFINITY,
+    OBJECTIVES,
     UPPER_BOUND,
     SurdValue,
+    coefficient,
     coefficient_min,
     coefficient_sum,
     compare_int_surd,
@@ -119,6 +121,15 @@ def test_coefficient_domain():
         coefficient_min(0, 2, 5)
     with pytest.raises(ValueError):
         coefficient_min(3, 2, 9)  # needs p <= q
+
+
+def test_coefficient_entry_covers_the_out_star():
+    # p = 0 gives q-1 and (q-1)/c; p >= 1 is the regime chooser's answer
+    assert [coefficient(0, 3, 6, objective) for objective in OBJECTIVES] == [2, Fraction(1, 3)]
+    assert coefficient(1, 2, 8, "sum") == coefficient_sum(1, 2, 8)
+    assert coefficient(1, 2, 3, "min") == coefficient_min(1, 2, 3)
+    with pytest.raises(ValueError, match="the out-star coefficient needs c >= q, got c=2 < q=3"):
+        coefficient(0, 3, 2, "sum")
 
 
 @given(st.integers(1, 6), st.integers(1, 6))

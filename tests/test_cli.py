@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from rainbow_stars import verify
+from rainbow_stars import bounds, verify
 from rainbow_stars.bounds import exact_bound
 from rainbow_stars.cli import main
-from rainbow_stars.model import StarPattern
+from rainbow_stars.constructions import ConstructionFamily
+from rainbow_stars.model import DigraphCollection, StarPattern
 from rainbow_stars.oracle import DEFAULT_BUDGET_SECS
 
 
@@ -360,6 +362,67 @@ def test_verify_cover_adjudication_fail_branches(capsys, monkeypatch):
     }
     code, report = run(capsys, "verify", "--suite", "cover-adjudication")
     assert (code, report["summary"]["fail"]) == (1, 5)
+
+
+@pytest.mark.parametrize("broken", ["permute", "reverse"])
+def test_verify_invariance_violation_fails(monkeypatch, broken):
+    # an empty stand-in for the permuted or the reversed copy changes the
+    # verdict of every instance that holds a star; the naive detector is
+    # swapped for the fast one only to keep the equivalence battery quick
+    monkeypatch.setattr(verify, broken,
+                        lambda col, *_: DigraphCollection.from_edges(col.n, col.c, []))
+    monkeypatch.setattr(verify, "find_rainbow_star_naive", verify.find_rainbow_star)
+    [case] = [case for case in verify.suite_detector_equivalence()
+              if case.params["check"] == "verdict-invariance"]
+    violations, rest = case.actual.split(" ", 1)
+    assert (case.status, rest) == ("fail", "violations in 200 instances")
+    assert int(violations) > 0
+    assert case.note == "vertex and color permutation, and reversal with swapped pattern"
+
+
+def test_verify_freeness_case_reports_a_build_that_raises(monkeypatch):
+    def broken_build(family, n, c, p, q):
+        raise RuntimeError("certificate refused")
+
+    monkeypatch.setattr(verify, "build", broken_build)
+    case = verify._freeness_case(ConstructionFamily.B_ONLY, 30, 4, 1, 2)
+    assert (case.status, case.actual) == ("fail", "RuntimeError: certificate refused")
+    assert case.params == {"family": "B_ONLY", "n": 30, "c": 4, "p": 1, "q": 2}
+
+
+def test_verify_thresholds_fail_branches(monkeypatch):
+    real = bounds.thresholds
+
+    def fails():
+        return {(case.params["p"], case.params["q"]): (case.actual, case.note)
+                for case in verify.suite_thresholds() if case.status == "fail"}
+
+    # a chain label flipped where t2 is finite breaks the orderings it claims
+    flipped = {bounds.CHAIN_FIRST: bounds.CHAIN_SECOND, bounds.CHAIN_SECOND: bounds.CHAIN_FIRST}
+    monkeypatch.setattr(bounds, "thresholds", lambda p, q: replace(
+        real(p, q), chain=flipped[real(p, q).chain]) if q >= p + 2 else real(p, q))
+    got = fails()
+    assert len(got) == 55
+    assert got[(1, 3)] == ("FIRST but t2 > t3; FIRST but t3 > t4; chain/sign mismatch", "")
+    assert got[(1, 5)] == ("SECOND but t4 > t3; SECOND but t3 > t2; chain/sign mismatch", "")
+    # t1 moved far up passes t3 (and t2 where finite), and min_base meets
+    # min_mid off t1; the (1, 1) sign note stays
+    monkeypatch.setattr(bounds, "thresholds",
+                        lambda p, q: replace(real(p, q), t1=real(p, q).t1 + 100))
+    got = fails()
+    assert len(got) == 78
+    assert got[(1, 1)] == ("t1 > t3; min discontinuity at t1",
+                           "sign >= 0 but q <= p+1 forces the SECOND chain (t2 infinite)")
+    assert got[(1, 5)] == ("t1 > t2; t1 > t3; min discontinuity at t1", "")
+    # one regime formula shifted breaks continuity at each breakpoint it meets
+    monkeypatch.setattr(bounds, "thresholds", real)
+    min_mid, sum_high = bounds.min_mid, bounds.sum_high
+    monkeypatch.setattr(bounds, "min_mid", lambda p, q, c: min_mid(p, q, c) + 1)
+    monkeypatch.setattr(bounds, "sum_high", lambda p, q, c: sum_high(p, q, c) + 1)
+    got = fails()
+    assert len(got) == 78
+    assert got[(1, 1)][0] == "sum discontinuity; min discontinuity at t1; min discontinuity at t3"
+    assert got[(1, 5)][0] == "sum discontinuity; min discontinuity at t1; min discontinuity at t2"
 
 
 def test_verify_unwritable_out_is_domain_error(tmp_path, capsys):

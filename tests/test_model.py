@@ -69,6 +69,11 @@ def test_constructor_rejects_bad_edges(threshold):
         DigraphCollection.from_edges(0, 2, [], threshold)
     with pytest.raises(ValueError):
         DigraphCollection.from_edges(3, 0, [], threshold)
+    # a str fails the bulk check's comparisons and then the walk's, a float
+    # passes both and fails in the store, and a bare int cannot be unpacked
+    for edge in ((1, "a", 2), (1, 2.0, 3), 5):
+        with pytest.raises(TypeError):
+            DigraphCollection.from_edges(3, 2, [(1, 1, 2), edge], threshold)
 
 
 
