@@ -21,12 +21,14 @@ targets start, and the ascending targets.  Which colors a vertex has in-
 or out-edges in is read off per-vertex color masks, which each collection
 computes once, in one pass over each color's edges (`color_masks`).
 
-Edges are checked in bulk, a column at a time: loops by one pairwise
-comparison, repeats by counting, and ranges by min and max, except in a
-parsed column whose every token is found in a table of the spellings of
-1..n (or 1..c), which is in range by construction.  Only when a bulk check
-declines are the edges walked one by one, in input order, so that the error
-names the first bad edge (or, in the parser, its line).
+Edges are checked in bulk: ranges by min and max, a column at a time,
+except in a parsed column whose every token is found in a table of the
+spellings of 1..n (or 1..c), which is in range by construction; repeats by
+counting; loops in the sparse layout by one pairwise comparison of the
+source and target columns, and in the dense layout once per row, after the
+build, by one AND of the row with its own vertex's bit.  Only when a bulk
+check declines are the edges walked one by one, in input order, so that
+the error names the first bad edge (or, in the parser, its line).
 
 Text interchange format, version 1 (LF line endings, trailing newline):
 
@@ -39,9 +41,13 @@ The parser takes edge lines in any order.  It reads the body in chunks of
 whole lines.  A plain chunk (lines of three ASCII digit tokens with single
 spaces) is split at once; in any other chunk the comment and blank lines
 are dropped and the rest is split line by line.  Either way each of the
-chunk's three columns is read at once, through a table or with `int`, and
-gets the same bulk checks.  Edges that arrive in canonical order, as every
-serialized file does, become the sparse layout without a sort.
+chunk's three columns is read at once, through a table or with `int`,
+straight into the values the store holds: the color table maps i to its
+row base i*m (m = n + 1), so a row id is one addition of the source, and in
+the dense layout the target table maps v to its bit 1 << (v-1).  The
+tables are built once per size and kept, a few sizes' worth, for later
+parses.  Edges that arrive in canonical order, as every serialized file
+does, become the sparse layout without a sort.
 Serialization is canonical: edges sorted by (color, source, target), no
 comments, so equal collections serialize to byte-identical strings.
 """
@@ -51,9 +57,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, floordiv, lt, mod, mul, ne, sub
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import accumulate, chain, compress, count, cycle, islice, repeat
+from operator import add, and_, eq, floordiv, lshift, lt, mod, mul, ne, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_DENSE_THRESHOLD = 512
 
@@ -61,10 +68,13 @@ _HEADER = "rainbow-digraph v1"
 _IN_SCANS = 8  # a sparse store's in-queries scan up to this many times its edges
 _CHUNK_CHARS = 1 << 16  # the body is read in chunks of about this many characters
 _SPELLED_MAX = 1 << 14  # largest table of decimal spellings; past it int reads faster
+_TABLES = 8  # sizes' tables kept for reuse, per kind; a parse reads up to three
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-_Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]  # colors, sources, targets
+# the edges as the store takes them: row ids i*m + u (m = n + 1) and targets,
+# v itself, or in the dense layout its bit 1 << (v-1)
+_Chunk = tuple[Sequence[int], Sequence[int]]
 
 
 class ParseError(ValueError):
@@ -389,19 +399,20 @@ class DigraphCollection:
 
         Checks n and c, then the triples in bulk: each column against its
         range with min and max, loops with one pairwise comparison of
-        sources and targets, and duplicates by counting (see
-        `_bulk_store`).  Where a bulk check declines, the triples are
-        walked in input order instead, and ValueError names the first bad
-        one (out-of-range index, loop or duplicate).  Dense bit rows for
-        n <= dense_threshold, else the sparse CSR layout, built from the
-        sorted edge keys.  An edge that is no sequence, or a value that is
-        no int (a str, a float), raises TypeError from the walk or the
-        store; a sequence of another length raises ValueError.
+        sources and targets (in the dense layout, once per row), and
+        duplicates by counting (see `_bulk_store`).  Where a bulk check
+        declines, the triples are walked in input order instead, and
+        ValueError names the first bad one (out-of-range index, loop or
+        duplicate).  Dense bit rows for n <= dense_threshold, else the
+        sparse CSR layout, built from the sorted edge keys.  An edge that
+        is no sequence, or a value that is no int (a str, a float), raises
+        TypeError from the walk or the store; a sequence of another length
+        raises ValueError.
         """
         _check_dims(n, c)
-        edges = list(edges)
+        edges, dense = list(edges), n <= dense_threshold
         return DigraphCollection(_build_store(
-            n, c, [_edge_columns(n, c, edges)], _walk_edges(n, c, edges), dense_threshold))
+            n, c, [_edge_columns(n, c, edges, dense)], lambda: _walk_edges(n, c, edges), dense))
 
     @staticmethod
     def from_out_rows(n: int, c: int, rows: Sequence[Sequence[int]]) -> "DigraphCollection":
@@ -613,9 +624,10 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
     """Parse format v1; raises ParseError with a 1-based line number.
 
     The header and the dimension line are found with `find`; the body is
-    read in chunks of whole lines, each converted and checked at once (see
-    `_body_chunks`).  Only where a bulk check declines does the
-    line-by-line walk read the body again, to name the first bad line.
+    read in chunks of whole lines, each converted at once into the row ids
+    and targets the store takes, and checked (see `_body_chunks` and
+    `_bulk_store`).  Only where a bulk check declines is the line-by-line
+    walk made, to read the body again and name the first bad line.
     """
     if "\r" in text:
         at = text.index("\r")
@@ -654,28 +666,34 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
 
     # the walk raises on the triple it has just read, before it asks for the
     # next one, so lineno is the line of the first bad edge
+    dense = n <= dense_threshold
     try:
-        store = _build_store(n, c, _body_chunks(text, dims_end + 1, n, c),
-                             _walk_edges(n, c, triples()), dense_threshold)
+        store = _build_store(n, c, _body_chunks(text, dims_end + 1, n, c, dense),
+                             lambda: _walk_edges(n, c, triples()), dense)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
     return DigraphCollection(store)
 
 
-def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | None]:
-    """Checked columns of the body from `start` on, one chunk of whole lines
-    at a time; None for a chunk whose edge lines are not all three integers
-    in range, or that has a loop.
+def _body_chunks(text: str, start: int, n: int, c: int, dense: bool) -> Iterator[_Chunk | None]:
+    """The body from `start` on as the store takes it, one chunk of whole
+    lines at a time; None for a chunk whose edge lines are not all three
+    integers in range, or, in the sparse layout, that has a loop.
 
     A plain chunk, whose lines are three ASCII digit tokens separated by
     single spaces (one `translate` and one `split` check that), is split
     at once.  In any other chunk the comment and blank lines are dropped
     and each other line is split on its own.  Each column is then read at
-    once (`_column`), colors through a table of the spellings of 1..c and
-    vertices through one of 1..n, so only a column that falls back to
-    `int` needs a range check.
+    once (`_column`) through a table of spellings (`_spelled`): the colors
+    to their row bases i*m, so a row id is one addition of the source, and
+    the targets, in the dense layout, to their bits.  Only a column that
+    falls back to `int` needs a range check.  Dense loops are left to the
+    store, which checks each row once.
     """
-    color_of, vertex_of = _values(c, len(text) - start), _values(n, len(text) - start)
+    m, chars = n + 1, len(text) - start
+    color_of, vertex_of = _table(c, m, chars), _table(n, 1, chars)
+    step = 0 if dense else 1  # how a target is held: its bit, or itself
+    target_of = _table(n, step, chars)
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or text.index("\n", start) + 1
         chunk = text[start:end]
@@ -686,28 +704,55 @@ def _body_chunks(text: str, start: int, n: int, c: int) -> Iterator[_Columns | N
                 yield None
                 return
             tokens = list(chain.from_iterable(rows))
-        colors = _column(tokens[0::3], color_of, c)
-        sources = _column(tokens[1::3], vertex_of, n)
-        targets = _column(tokens[2::3], vertex_of, n)
-        if colors is None or sources is None or targets is None or any(map(eq, sources, targets)):
+        bases = _column(tokens[0::3], color_of, c, m)
+        sources = _column(tokens[1::3], vertex_of, n, 1)
+        targets = _column(tokens[2::3], target_of, n, step)
+        if bases is None or sources is None or targets is None or (
+                not dense and any(map(eq, sources, targets))):
             yield None
             return
-        yield colors, sources, targets
+        yield list(map(add, bases, sources)), targets
         start = end
 
 
-def _values(top: int, chars: int) -> dict[str, int] | None:
-    """The value of each spelling of 1..top, or None where the table costs
-    more than `int`: past _SPELLED_MAX entries or one entry per character."""
-    if top > min(_SPELLED_MAX, chars):
-        return None
-    return dict(zip(map(str, range(1, top + 1)), range(1, top + 1)))
+def _table(top: int, step: int, chars: int) -> dict[str, int] | None:
+    """The table `_spelled(top, step)`, or None where it costs more than
+    `int`: past _SPELLED_MAX entries or one entry per character."""
+    return _spelled(top, step) if top <= min(_SPELLED_MAX, chars) else None
 
 
-def _column(tokens: list[str], table: dict[str, int] | None, top: int) -> list[int] | None:
-    """The tokens as ints in 1..top, or None.  Table hits are in range; a
-    token the table lacks (0, "007", "+1", past top) sends the column to
-    `int`, as the walk reads it, and to a min and max check."""
+@lru_cache(maxsize=_TABLES)
+def _spelled(top: int, step: int) -> dict[str, int]:
+    """The value (`_scaled`) of each spelling of 1..top, built once per
+    size and shared by later parses of that size, which only read it.  A
+    dense target's bits are the ints of `_bits`, not copies."""
+    values = islice(_bits(top), 1, None) if step == 0 else _scaled(range(1, top + 1), step)
+    return dict(zip(map(str, range(1, top + 1)), values))
+
+
+def _bits(n: int) -> list[int]:
+    """bits[v] = 1 << (v-1), the bit of v in a dense row, for v in 1..n,
+    and bits[0] = 0; only read.  Kept per size up to _SPELLED_MAX, as the
+    tables are; a larger list (of about n*n/16 bytes) is built per call."""
+    return _kept_bits(n) if n <= _SPELLED_MAX else _kept_bits.__wrapped__(n)
+
+
+@lru_cache(maxsize=_TABLES)
+def _kept_bits(n: int) -> list[int]:
+    return [0, *_scaled(range(1, n + 1), 0)]
+
+
+def _scaled(values: Iterable[int], step: int) -> Iterator[int]:
+    """Each value k as the store holds it: k*step, or for step 0 the bit
+    1 << (k-1) of a dense target."""
+    return map(mul, values, repeat(step)) if step else map(lshift, repeat(1), map(sub, values, repeat(1)))
+
+
+def _column(tokens: list[str], table: dict[str, int] | None, top: int, step: int) -> list[int] | None:
+    """The tokens, ints in 1..top, as the store holds them (`_scaled`), or
+    None.  Table hits are in range; a token the table lacks (0, "007",
+    "+1", past top) sends the column to `int`, as the walk reads it, and to
+    a min and max check."""
     if table is not None:
         try:
             return list(map(table.__getitem__, tokens))
@@ -717,72 +762,79 @@ def _column(tokens: list[str], table: dict[str, int] | None, top: int) -> list[i
         values = list(map(int, tokens))
     except ValueError:  # not an integer, or too many digits for int
         return None
-    return values if not values or 1 <= min(values) and max(values) <= top else None
+    if values and not (1 <= min(values) and max(values) <= top):
+        return None
+    return values if step == 1 else list(_scaled(values, step))
 
 
-def _edge_columns(n: int, c: int, edges: list) -> _Columns | None:
-    """Checked columns of a list of triples, or None if one is no triple or
-    fails `_check_edge`: ranges by min and max per column, loops by one
-    pairwise comparison."""
+def _edge_columns(n: int, c: int, edges: list, dense: bool) -> _Chunk | None:
+    """A list of triples as the store takes them, or None if one is no
+    triple or fails `_check_edge`: ranges by min and max per column, and
+    in the sparse layout loops by one pairwise comparison."""
     try:
-        if set(map(len, edges)) <= {3}:
-            colors, sources, targets = zip(*edges) if edges else ((), (), ())
-            if not targets or (
-                1 <= min(colors) and max(colors) <= c
-                and 1 <= min(sources) and max(sources) <= n
-                and 1 <= min(targets) and max(targets) <= n
-                and not any(map(eq, sources, targets))
-            ):
-                return colors, sources, targets
+        if not set(map(len, edges)) <= {3}:
+            return None
+        colors, sources, targets = zip(*edges) if edges else ((), (), ())
+        if targets and not (
+            1 <= min(colors) and max(colors) <= c
+            and 1 <= min(sources) and max(sources) <= n
+            and 1 <= min(targets) and max(targets) <= n
+            and (dense or not any(map(eq, sources, targets)))
+        ):
+            return None
     except TypeError:
-        pass  # an edge that is no sequence, or no number in one: the walk raises TypeError
-    return None
+        return None  # an edge that is no sequence, or no number in one: the walk raises TypeError
+    # a value that passed the checks but is no int (a float) raises TypeError here or in the store
+    rows = list(map(add, map(mul, colors, repeat(n + 1)), sources))
+    return rows, list(map(_bits(n).__getitem__, targets)) if dense else targets
 
 
-def _build_store(n: int, c: int, chunks: Iterable[_Columns | None],
-                 walk: Iterator[tuple[int, int, int]], dense_threshold: int):
-    """The store of the checked column chunks.  Where a bulk check
-    declines, `walk` reads the edges again in input order and raises
-    ValueError at the first bad one."""
-    store = _bulk_store(n, c, chunks, dense_threshold)
+def _build_store(n: int, c: int, chunks: Iterable[_Chunk | None],
+                 walk: Callable[[], Iterator[tuple[int, int, int]]], dense: bool):
+    """The store of the checked chunks.  Where a bulk check declines,
+    `walk()` reads the edges again in input order and raises ValueError at
+    the first bad one."""
+    store = _bulk_store(n, c, chunks, dense)
     if store is None:
-        for _ in walk:
+        for _ in walk():
             pass
         raise AssertionError("a bulk check declined edges that the walk accepts")
     return store
 
 
-def _bulk_store(n: int, c: int, chunks: Iterable[_Columns | None], dense_threshold: int):
-    """Dense or sparse store of the column chunks, or None if a chunk is
-    None or an edge repeats.  Repeats are counted, not looked up: dense
-    rows OR each edge's bit in, so a repeat leaves the popcount sum short
-    of the number of triples.  Sparse keys row*m + target that strictly
-    increase, checked a chunk at a time, have no repeat and are in CSR
-    order, so the row and target columns are the out side's as they are;
-    other keys are sorted, where a repeat sits next to itself, and split."""
+def _bulk_store(n: int, c: int, chunks: Iterable[_Chunk | None], dense: bool):
+    """Dense or sparse store of the chunks, or None if a chunk is None, an
+    edge repeats or a dense row has a loop.  Repeats are counted, not
+    looked up: dense rows OR each edge's bit in, so a repeat leaves the
+    popcount sum short of the number of edges, and a loop u -> u sets the
+    row's own bit u-1, found by one AND per row.  Sparse keys
+    row*m + target that strictly increase, checked a chunk at a time, have
+    no repeat and are in CSR order, so the row and target columns are the
+    out side's as they are; other keys are sorted, where a repeat sits
+    next to itself, and split."""
     m = n + 1
-    if n <= dense_threshold:
-        bits = [0] + [1 << k for k in range(n)]  # bits[v] = 1 << (v-1)
+    if dense:
         flat = [0] * ((c + 1) * m)  # row i*m + u; rows below m stay empty
         total = 0
-        for columns in chunks:
-            if columns is None:
+        for chunk in chunks:
+            if chunk is None:
                 return None
-            colors, sources, targets = columns
-            total += len(targets)
-            for r, bit in zip(map(add, map(mul, colors, repeat(m)), sources),
-                              map(bits.__getitem__, targets)):
+            row_ids, bits = chunk
+            total += len(row_ids)
+            for r, bit in zip(row_ids, bits):
                 flat[r] |= bit
+        # row i*m + u ANDed with u's own bit: nonzero where u -> u
+        if any(map(and_, flat, cycle(_bits(n)))):
+            return None
         store = _DenseStore(n, c, [flat[i * m:(i + 1) * m] for i in range(1, c + 1)])
         return store if sum(store._counts) == total else None
     rows: list[int] = []
     targets: list[int] = []
     last = -1  # the last key so far while they strictly increase, else None
-    for columns in chunks:
-        if columns is None:
+    for chunk in chunks:
+        if chunk is None:
             return None
-        colors, sources, column = columns
-        chunk_rows = list(map(add, map(mul, colors, repeat(m)), sources))
+        chunk_rows, column = chunk
         if last is not None and column:
             keys = list(_keys(chunk_rows, column, m))
             last = keys[-1] if last < keys[0] and all(map(lt, keys, islice(keys, 1, None))) else None

@@ -437,13 +437,14 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
                 problems.append("sum discontinuity")
             if _gap(bounds.min_base, bounds.min_mid, p, q, ts.t1) > 1e-9:
                 problems.append("min discontinuity at t1")
-            if ts.chain == bounds.CHAIN_FIRST:
+            if ts.chain != bounds.CHAIN_FIRST:
+                if _gap(bounds.min_mid, bounds.min_top, p, q, ts.t3.float_value()) > 1e-9:
+                    problems.append("min discontinuity at t3")
+            elif ts.t2 is not bounds.INFINITY:  # an infinite t2 is reported above
                 if _gap(bounds.min_mid, bounds.min_linear, p, q, float(ts.t2)) > 1e-9:
                     problems.append("min discontinuity at t2")
                 if _gap(bounds.min_linear, bounds.min_top, p, q, ts.t4.float_value()) > 1e-9:
                     problems.append("min discontinuity at t4")
-            elif _gap(bounds.min_mid, bounds.min_top, p, q, ts.t3.float_value()) > 1e-9:
-                problems.append("min discontinuity at t3")
             cases.append(VerificationCase(
                 params={"p": p, "q": q},
                 expected="orderings, chain rule, continuity",

@@ -425,6 +425,24 @@ def test_verify_thresholds_fail_branches(monkeypatch):
     assert got[(1, 5)][0] == "sum discontinuity; min discontinuity at t1; min discontinuity at t2"
 
 
+def test_verify_thresholds_reports_first_chain_with_infinite_t2(monkeypatch, capsys):
+    # every label flipped, so the 23 pairs with q <= p+1 (t2 infinite) claim
+    # FIRST; the suite reports them, not the continuity check at t2
+    real = bounds.thresholds
+    flipped = {bounds.CHAIN_FIRST: bounds.CHAIN_SECOND, bounds.CHAIN_SECOND: bounds.CHAIN_FIRST}
+    monkeypatch.setattr(bounds, "thresholds",
+                        lambda p, q: replace(real(p, q), chain=flipped[real(p, q).chain]))
+    cases = verify.suite_thresholds()
+    infinite = [case for case in cases if real(case.params["p"], case.params["q"]).t2 is bounds.INFINITY]
+    assert len(infinite) == 23
+    for case in infinite:
+        assert case.status == "fail"
+        assert case.actual == "chain FIRST with infinite t2; chain/sign mismatch"
+    assert all(case.status == "fail" for case in cases)
+    assert main(["verify", "--suite", "thresholds"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 78
+
+
 def test_verify_unwritable_out_is_domain_error(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     code, payload = run(capsys, "verify", "--suite", "thresholds", "--out", str(target))

@@ -183,6 +183,71 @@ def test_canonical_and_shuffled_bodies_give_the_same_sparse_store():
     assert serialize_edge_list(presorted) == serialize_edge_list(sorted_) == canonical
 
 
+def random_edges(rng, n, c, density):
+    """A random edge set with about density * c*n*(n-1) edges."""
+    slots = c * n * (n - 1)
+    edges = set()
+    for s in rng.sample(range(slots), round(density * slots)):
+        i, rest = divmod(s, n * (n - 1))
+        u, v = divmod(rest, n - 1)
+        edges.add((i + 1, u + 1, v + 1 + (v >= u)))
+    return edges
+
+
+def test_canonical_bodies_never_reach_the_walk(monkeypatch):
+    # serialized text, in both layouts, and the edges themselves are all
+    # taken by the bulk checks: the line-by-line walk yields nothing
+    steps = []
+    walk = model._walk_edges
+
+    def counted(n, c, edges):
+        for triple in walk(n, c, edges):
+            steps.append(triple)
+            yield triple
+
+    monkeypatch.setattr(model, "_walk_edges", counted)
+    rng = random.Random(27)
+    cases = [(n, c, random_edges(rng, n, c, density))
+             for n in (8, 16, 24, 32, 40) for c in (2, 8) for density in (0.02, 0.3)]
+    cases += [(3, 7, random_edges(rng, 3, 7, 0.5)), (1, 2, set()), (2, 1, {(1, 2, 1)})]
+    # 512 is the last dense n and 513 the first sparse one by default;
+    # 8000 edges take more than one chunk
+    cases += [(n, 3, {(3, n, 1), (1, 1, n)}
+               | {(rng.randint(1, 3), *rng.sample(range(1, n + 1), 2)) for _ in range(8000)})
+              for n in (512, 513)]
+    for n, c, edges in cases:
+        for threshold in (0, DEFAULT_DENSE_THRESHOLD):
+            col = DigraphCollection.from_edges(n, c, edges, threshold)
+            text = serialize_edge_list(col)
+            parsed = parse_edge_list(text, threshold)
+            assert parsed.storage_kind == col.storage_kind
+            assert parsed == col and tuple(parsed.all_edges()) == tuple(sorted(edges))
+    assert steps == []
+    # a bad line still reaches the counted walk
+    with pytest.raises(ParseError):
+        parse_edge_list("rainbow-digraph v1\n3 2\n1 1 2\n1 2 2\n")
+    assert steps == [(1, 1, 2)]
+
+
+def test_spelling_tables_are_reused_and_the_limit_is_read_per_parse(monkeypatch):
+    # a second parse of a dense size finds its three tables (colors,
+    # sources, target bits) built
+    text = "rainbow-digraph v1\n5 3\n1 1 2\n3 5 4\n"
+    parse_edge_list(text)
+    before = model._spelled.cache_info()
+    expected = ((1, 1, 2), (3, 5, 4))
+    assert tuple(parse_edge_list(text).all_edges()) == expected
+    after = model._spelled.cache_info()
+    assert after.hits - before.hits == 3 and after.misses == before.misses
+    # a limit below every size sends each column to int, cache or no cache,
+    # and keeps no dense bit list
+    monkeypatch.setattr(model, "_SPELLED_MAX", 0)
+    bits = model._kept_bits.cache_info()
+    assert tuple(parse_edge_list(text).all_edges()) == expected
+    assert model._spelled.cache_info() == after and model._kept_bits.cache_info() == bits
+    assert model._spelled.cache_info().maxsize == model._kept_bits.cache_info().maxsize == model._TABLES
+
+
 def test_serialize_dense_rows_of_every_weight():
     # dense rows are read bit by bit when light and through bin() when
     # heavy; rows on both sides of that choice, at both ends of the bit
@@ -453,6 +518,19 @@ def mutated_texts(draw):
 @example("rainbow-digraph v1\n3 2\n1 1 2\n1 " + "1" * 5000 + " 2\n", 1 << 16)
 @example("rainbow-digraph v1\n70000 2\n1 1 2\n1 " + "1" * 5000 + " 2\n", 1 << 16)
 @example("rainbow-digraph v1\n3 2\n1 1 2\n2 1 2\n# 1 2\n\n1 2 1\n1 1 2\n", 12)
+# a loop on the last line of an otherwise canonical body, which the dense
+# store finds in its row check after the build
+@example("rainbow-digraph v1\n4 2\n1 1 2\n1 2 3\n2 4 1\n2 4 4\n", 1 << 16)
+# the two copies of a repeated edge in different chunks of 12 characters
+@example("rainbow-digraph v1\n3 2\n1 1 2\n1 1 3\n2 3 1\n1 1 2\n", 12)
+# a target spelled 007 sends its column to int, whose values must be the
+# table's (dense bits, or vertices)
+@example("rainbow-digraph v1\n9 2\n1 1 2\n1 3 007\n2 9 1\n", 1 << 16)
+# the last dense size by default, with a loop at its top bit, and the first
+# sparse one, with a repeat
+@example("rainbow-digraph v1\n512 2\n1 1 512\n2 512 1\n1 512 512\n", 1 << 16)
+@example("rainbow-digraph v1\n513 2\n1 1 513\n2 513 1\n1 1 513\n", 1 << 16)
+@example("rainbow-digraph v1\n513 2\n1 1 513\n2 513 1\n2 513 2\n", 1 << 16)
 def test_parse_matches_line_by_line_reference(text, chunk):
     expected = reference_parse(text)
     # chunks of a few characters put repeats and bad lines on either side
