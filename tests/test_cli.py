@@ -1,5 +1,6 @@
 """Command line front end: JSON shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,31 @@ def test_construct_embeds_edge_list_without_out(capsys):
     assert code == 0
     assert payload["edge_list"].startswith("rainbow-digraph v1\n4 3\n")
     assert "edge_list_path" not in payload
+
+
+# one applicable point per family and side: p = 0 where the family allows
+# it, and p >= 1 where it allows that
+_CONSTRUCT_POINTS = (
+    ("COMPLETE_PREFIX", 6, 3, 0, 2), ("COMPLETE_PREFIX", 6, 4, 1, 2),
+    ("ASSIGNED_OUT", 6, 3, 0, 2), ("CYCLIC_REMAINDER", 7, 5, 0, 3),
+    ("AC_SPLIT_SUM", 8, 4, 1, 2), ("B_ONLY", 12, 4, 1, 2), ("AB_MIX", 24, 3, 1, 2),
+    ("A_ONLY", 12, 4, 1, 2), ("AC_MIN", 24, 4, 1, 2), ("S11_COMPLETE1", 6, 3, 1, 1),
+    ("BIPARTITE_S11", 7, 3, 1, 1), ("REMARK_CN", 6, 8, 0, 3), ("REMARK_NQ", 3, 5, 0, 4),
+    ("TRIANGLE_N3", 3, 2, 1, 1),
+)
+
+
+def test_construct_output_pinned(capsys):
+    # one sha256 over the whole JSON stdout of `construct` at every point:
+    # edge list, predicted counts and coefficients, and parts
+    digest = hashlib.sha256()
+    for family, n, c, p, q in _CONSTRUCT_POINTS:
+        assert main(["construct", "--family", family, "--n", str(n), "--c", str(c),
+                     "--p", str(p), "--q", str(q)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "03e113940bfba99e88d4dd59d126025375b8593b81179fa52bff131864d6c6b2"
+    )
 
 
 def test_construct_unknown_family_is_domain_error(capsys):
@@ -378,6 +404,88 @@ def test_verify_invariance_violation_fails(monkeypatch, broken):
     assert (case.status, rest) == ("fail", "violations in 200 instances")
     assert int(violations) > 0
     assert case.note == "vertex and color permutation, and reversal with swapped pattern"
+
+
+def test_verify_equivalence_disagreement_fails(monkeypatch):
+    # a naive enumerator that never finds a star disagrees with the fast
+    # detector on every instance that holds one
+    monkeypatch.setattr(verify, "find_rainbow_star_naive", lambda col, pat: None)
+    cases = {(case.params["p"], case.params["q"], case.params["density"]): case
+             for case in verify.suite_detector_equivalence()
+             if case.params["check"] == "equivalence"}
+    assert sum(case.status == "fail" for case in cases.values()) == 51
+    case = cases[(1, 1, 0.8)]
+    assert (case.status, case.actual, case.note) == (
+        "fail", "15 disagreements in 23 instances", "")
+    case = cases[(2, 2, 0.1)]
+    assert (case.status, case.actual, case.note) == (
+        "pass", "0 disagreements in 10 instances", "")
+
+
+def test_verify_equivalence_runtime_overrun_fails(monkeypatch):
+    # a clock that reads 61 s between the start and the end of the battery
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=iter([0.0, 61.0]).__next__))
+    monkeypatch.setattr(verify, "find_rainbow_star_naive", verify.find_rainbow_star)
+    [case] = [case for case in verify.suite_detector_equivalence()
+              if case.params["check"] == "equivalence-runtime"]
+    assert (case.status, case.actual, case.note) == ("fail", "1000 instances in 61.0 s", "")
+
+
+def test_verify_exact_small_fail_branches(monkeypatch):
+    real = verify.max_exact
+
+    def cases():
+        return {tuple(case.params.values()): case for case in verify.suite_exact_small()}
+
+    # an engine that stops proving its optima fails every exact-table row
+    monkeypatch.setattr(verify, "max_exact",
+                        lambda *args: replace(real(*args), proved_optimal=False))
+    got = cases()
+    table = [case for key, case in got.items() if key[0] == "exact-table"]
+    assert len(table) == 10 and all(case.status == "fail" for case in table)
+    case = got[("exact-table", 3, 2, 1, 1, "sum")]
+    assert (case.actual, case.note) == ("6, proved=False, nodes=27", "")
+    assert all(case.status == "pass" for key, case in got.items() if key[0] != "exact-table")
+    # optima shifted by p separate (p, q) from (q, p) at every reversal row
+    monkeypatch.setattr(verify, "max_exact", lambda n, c, pat, objective: replace(
+        real(n, c, pat, objective), optimum=real(n, c, pat, objective).optimum + pat.p))
+    got = cases()
+    reversal = [case for key, case in got.items() if key[0] == "reversal"]
+    assert len(reversal) == 4 and all(case.status == "fail" for case in reversal)
+    case = got[("reversal", 3, 2, 1, 2, "sum")]
+    assert (case.actual, case.note) == ("13 vs 14", "")
+    # a cover oracle one above branch-and-bound
+    monkeypatch.setattr(verify, "max_exact", real)
+    cover = verify.cover_oracle_s0q
+    monkeypatch.setattr(verify, "cover_oracle_s0q", lambda n, c, q, objective: replace(
+        cover(n, c, q, objective), optimum=cover(n, c, q, objective).optimum + 1))
+    got = cases()
+    cross = [case for key, case in got.items() if key[0] == "cross-check"]
+    assert len(cross) == 6 and all(case.status == "fail" for case in cross)
+    case = got[("cross-check", 4, 3, 2, "min")]
+    assert (case.actual, case.note) == (
+        "branch_bound=4, cover=5", "correctness failure: exact engines disagree")
+
+
+def test_verify_attainment_overrun_fails(monkeypatch):
+    # a deviation pushed past its tolerance fails every attainment case; the
+    # freeness grid is left out to keep the suite quick
+    real = verify.attainment
+
+    def pushed(*instance):
+        coefficient, deviation, tolerance = real(*instance)
+        return coefficient, deviation + 2 * tolerance, tolerance
+
+    monkeypatch.setattr(verify, "_grid_builds", list)
+    monkeypatch.setattr(verify, "attainment", pushed)
+    cases = verify.suite_constructions_free()
+    assert len(cases) == len(verify.attainment_instances())
+    assert all(case.status == "fail" for case in cases)
+    case = cases[0]
+    assert case.params == {"family": "COMPLETE_PREFIX", "objective": "sum",
+                           "n": 100, "c": 2, "p": 1, "q": 1}
+    assert (case.expected, case.actual, case.note) == (
+        "|sum/n^2 - 1| <= 1/20", "deviation 0.110000", "")
 
 
 def test_verify_freeness_case_reports_a_build_that_raises(monkeypatch):

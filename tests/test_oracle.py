@@ -86,7 +86,7 @@ def test_budget_expiry_returns_unproved_incumbent():
         (4, 4, StarPattern(0, 3), "sum", 26,
          "a42d684fb3c8b4332b6b0e4843cca21fd98b87aba837a6952f9c17fdb4765206"),
     ):
-        outcome = max_exact(n, c, pat, objective, budget_secs=0.0, allow_large=True)
+        outcome = max_exact(n, c, pat, objective, budget_secs=0.0)
         assert not outcome.proved_optimal
         assert (outcome.optimum, outcome.nodes_explored) == (incumbent, 4096)
         text = serialize_edge_list(outcome.witness)
@@ -153,8 +153,7 @@ def max_exact_sweep_domain():
 
 def solve_all(domain) -> dict:
     """max_exact outcome per (n, c, p, q, objective) point of the domain."""
-    return {(n, c, p, q, objective): max_exact(n, c, StarPattern(p, q), objective,
-                                               allow_large=True)
+    return {(n, c, p, q, objective): max_exact(n, c, StarPattern(p, q), objective)
             for n, c, p, q, objective in domain}
 
 
@@ -374,7 +373,7 @@ def test_forward_check_needs_at_most_one_leaf():
     # no (2, 2) star fits on 4 vertices: no slot has a partner, so each is
     # lone and kept without an exclude child, one node per slot and the leaf
     for objective, value in (("sum", 48), ("min", 12)):
-        outcome = max_exact(4, 4, StarPattern(2, 2), objective, allow_large=True)
+        outcome = max_exact(4, 4, StarPattern(2, 2), objective)
         assert outcome.proved_optimal
         assert (outcome.optimum, outcome.nodes_explored) == (value, 49)
         assert exact_bound(StarPattern(2, 2), 4, 4, objective).value == value
