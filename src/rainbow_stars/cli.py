@@ -123,7 +123,7 @@ def cmd_construct(args) -> int:
         },
         "parts": [
             {"label": g.label, "colors": list(g.colors), "size": len(g.vertices)}
-            for g in out.parts.groups
+            for g in out.parts
         ],
     }
     if args.out is not None:

@@ -12,10 +12,11 @@ A domain is checked in three steps, and the first failure is reported as a
 message prefixed with the family name: n, c >= 1 and p, q >= 0 with p+q >= 1;
 then the family's own conditions; then at least as many vertices as parts.
 
-A build returns the collection, the partition data actually used, per-color
-edge counts derived from the partition arithmetic (asserted against the
-materialized collection), and the row's coefficients.  Every build is
-certified rainbow-star-free by the detector before it is returned.  One
+A build returns the collection, its part groups (none for a family without
+parts), the per-color edge counts of the materialized collection (asserted
+equal to the builder's partition arithmetic), and the row's coefficients.
+Every build is certified rainbow-star-free by the detector before it is
+returned.  One
 past BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is refused before
 any row is built.
 
@@ -80,18 +81,6 @@ class PartGroup:
 
 
 @dataclass(frozen=True)
-class PartsInfo:
-    """Partition data of a build.
-
-    vertex_colors[v-1] is the color subset assigned to vertex v (empty for
-    families without per-vertex color assignment).
-    """
-
-    groups: tuple[PartGroup, ...]
-    vertex_colors: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class ConstructionOutput:
     family: ConstructionFamily
     n: int
@@ -101,7 +90,7 @@ class ConstructionOutput:
     collection: DigraphCollection
     predicted_counts: EdgeCountSummary
     predicted_coefficients: dict[str, Fraction]
-    parts: PartsInfo
+    parts: tuple[PartGroup, ...]  # empty for a family without parts
     certified_free: bool
 
 
@@ -146,10 +135,6 @@ def _require(condition: bool, message: str) -> None:
         raise ApplicabilityError(message)
 
 
-def _summary(per_color: list[int]) -> EdgeCountSummary:
-    return EdgeCountSummary(tuple(per_color), sum(per_color), min(per_color))
-
-
 def _subset_parts(n: int, c: int, k: int, label: str, start: int = 1):
     """Split n vertices, numbered from `start`, into equal consecutive parts,
     one per k-subset of colors in colex order, labelled label1, label2, ...
@@ -171,12 +156,7 @@ def _subset_parts(n: int, c: int, k: int, label: str, start: int = 1):
         for i in subset:
             masks[i] |= part_mask
             owners[i] += size
-    return groups, masks, owners
-
-
-def _parts_info(groups: list[PartGroup]) -> PartsInfo:
-    """Partition data of groups that fill vertices 1..n in order."""
-    return PartsInfo(tuple(groups), tuple(g.colors for g in groups for _ in g.vertices))
+    return tuple(groups), masks, owners
 
 
 def _rows_between(n: int, c: int, sources: list[int], targets: list[int]) -> list[list[int]]:
@@ -263,13 +243,12 @@ def _cyclic_cover(n: int, c: int, q: int, per: int, kept: int) -> CoverStructure
 
 
 # -- family builders ---------------------------------------------------------
-# Each returns (rows, predicted per-color counts, parts info), the parts info
-# None for a family without parts.
+# Each returns (rows, predicted per-color counts, part groups), the groups a
+# tuple that fills vertices 1..n in order, or () for a family without parts.
 
 
 def _cover_build(cover: CoverStructure):
-    vertex_colors = tuple(tuple(sorted(a_v)) for a_v in cover.a_sets)
-    return cover.rows(), cover.counts(), PartsInfo((), vertex_colors)
+    return cover.rows(), cover.counts(), ()
 
 
 def _complete_rows(n, c, k):
@@ -277,7 +256,7 @@ def _complete_rows(n, c, k):
     full = (1 << n) - 1
     sources = [0] + [full] * k + [0] * (c - k)
     rows = _rows_between(n, c, sources, [full] * (c + 1))
-    return rows, [n * (n - 1)] * k + [0] * (c - k), None
+    return rows, [n * (n - 1)] * k + [0] * (c - k), ()
 
 
 def _build_complete_prefix(n, c, p, q):
@@ -290,7 +269,7 @@ def _build_assigned_out(n, c, p, q):
     groups, masks, assigned = _subset_parts(n, c, q - 1, "A")
     rows = _rows_between(n, c, masks, [(1 << n) - 1] * (c + 1))
     per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
-    return rows, per_color, _parts_info(groups)
+    return rows, per_color, groups
 
 
 def _assigned_out_min(n, c, p, q):
@@ -341,8 +320,7 @@ def _build_ac_split_sum(n, c, p, q):
         + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
         + [size_c * size_a] * (c - q + 1)
     )
-    return rows, per_color, _parts_info([PartGroup("A", (), a_vertices),
-                                         PartGroup("C", (), c_vertices)])
+    return rows, per_color, (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices))
 
 
 def _build_b_only(n, c, p, q):
@@ -350,7 +328,7 @@ def _build_b_only(n, c, p, q):
     groups, masks, sizes = _subset_parts(n, c, k, "B")
     rows = _rows_between(n, c, masks, masks)
     per_color = [sizes[i] * (sizes[i] - 1) for i in range(1, c + 1)]
-    return rows, per_color, _parts_info(groups)
+    return rows, per_color, groups
 
 
 def _b_only_claim(n, c, p, q, copies):
@@ -378,7 +356,7 @@ def _build_ab_mix(n, c, p, q):
     for i in range(1, c + 1):
         src = a_sizes[i] + b_sizes[i]
         per_color.append(src * (n_a + b_sizes[i]) - src)
-    return rows, per_color, _parts_info(a_groups + b_groups)
+    return rows, per_color, a_groups + b_groups
 
 
 def _build_ac_min(n, c, p, q):
@@ -397,7 +375,7 @@ def _build_ac_min(n, c, p, q):
     for i in range(1, c + 1):
         alpha_i, gamma_i = a_sizes[i], c_sizes[i]
         per_color.append((alpha_i + n_c) * (n_a + gamma_i) - alpha_i - gamma_i)
-    return rows, per_color, _parts_info(a_groups + c_groups)
+    return rows, per_color, a_groups + c_groups
 
 
 def _build_bipartite_s11(n, c, p, q):
@@ -405,8 +383,7 @@ def _build_bipartite_s11(n, c, p, q):
     right = tuple(range(n // 2 + 1, n + 1))
     rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
     per_color = [len(left) * len(right)] * c
-    return rows, per_color, _parts_info([PartGroup("left", (), left),
-                                         PartGroup("right", (), right)])
+    return rows, per_color, (PartGroup("left", (), left), PartGroup("right", (), right))
 
 
 def _build_remark_cn(n, c, p, q):
@@ -426,7 +403,7 @@ def _build_triangle_n3(n, c, p, q):
     for (u, v) in forward:
         rows[0][u - 1] |= 1 << (v - 1)
         rows[1][v - 1] |= 1 << (u - 1)
-    return rows, [3, 3], None
+    return rows, [3, 3], ()
 
 
 # -- family domains ----------------------------------------------------------
@@ -613,9 +590,22 @@ BUILD_ROW_CAP = 1_000_000
 BUILD_EDGE_CAP = 1_000_000_000
 
 
+def _claim(spec: _FamilySpec, n: int, c: int, p: int, q: int,
+           objective: str) -> Union[int, Fraction, None]:
+    """The row's exact value at (n, c, p, q) where it has one, else its
+    regime's n^2 coefficient, else None (no claim for the objective)."""
+    predict = spec.predict.get(objective)
+    value = None if predict is None else predict(n, c, p, q)
+    if value is None and objective in spec.regimes:
+        value = spec.regimes[objective](p, q, c)
+    return value
+
+
 def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> ConstructionOutput:
     """Materialize a family at (n, c, p, q), certify freeness, check counts.
 
+    The predicted counts are those of the collection, once they equal the
+    builder's partition arithmetic; the size cap reads the row's sum claim.
     Raises ApplicabilityError outside the family domain, ValueError past
     BUILD_ROW_CAP rows (c*n) or BUILD_EDGE_CAP edges (the predicted sum; a
     coefficient times n^2 where that is the claim, every slot where there
@@ -629,24 +619,22 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
     if c * n > BUILD_ROW_CAP:
         raise ValueError(f"{family.value} at n={n}, c={c} takes {c * n} rows, "
                          f"past the build cap of {BUILD_ROW_CAP}")
-    try:
-        edges = predicted_value(family, n, c, p, q, "sum")
-    except ValueError:  # no sum claim
+    spec = _SPECS[family]
+    edges = _claim(spec, n, c, p, q, "sum")
+    if edges is None:  # no sum claim: every slot
         edges = c * n * (n - 1)
-    if isinstance(edges, Fraction):
+    elif isinstance(edges, Fraction):
         edges *= n * n
     if edges > BUILD_EDGE_CAP:
         raise ValueError(f"{family.value} at n={n}, c={c} takes about {math.ceil(edges)} "
                          f"edges, past the build cap of {BUILD_EDGE_CAP}")
-    spec = _SPECS[family]
     rows, per_color, parts = spec.build(n, c, p, q)
     collection = DigraphCollection.from_out_rows(n, c, rows)
-    predicted = _summary(per_color)
-    actual = edge_counts(collection)
-    if actual != predicted:
+    counts = edge_counts(collection)
+    if counts.per_color != tuple(per_color):
         raise RuntimeError(
-            f"internal error: {family.value} counts {actual.per_color} "
-            f"differ from partition arithmetic {predicted.per_color}"
+            f"internal error: {family.value} counts {counts.per_color} "
+            f"differ from partition arithmetic {tuple(per_color)}"
         )
     witness = find_rainbow_star(collection, StarPattern(p, q))
     if witness is not None:
@@ -655,10 +643,8 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
             f"center {witness.center}"
         )
     coefficients = {objective: regime(p, q, c) for objective, regime in spec.regimes.items()}
-    if parts is None:
-        parts = PartsInfo((), ((),) * n)
     return ConstructionOutput(
-        family, n, c, p, q, collection, predicted, coefficients, parts, True
+        family, n, c, p, q, collection, counts, coefficients, parts, True
     )
 
 
@@ -702,12 +688,8 @@ def predicted_value(
     reason = applicability_error(family, n, c, p, q)
     if reason is not None:
         raise ApplicabilityError(reason)
-    spec = _SPECS[family]
-    predict = spec.predict.get(objective)
-    value = None if predict is None else predict(n, c, p, q)
-    if value is not None:
-        return value
-    regime = spec.regimes.get(objective)
-    if regime is None:
+    value = _claim(_SPECS[family], n, c, p, q, objective)
+    if value is None:
         raise ValueError(f"{family.value} makes no {objective} prediction")
-    return regime(p, q, c)
+    return value
+

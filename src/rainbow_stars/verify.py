@@ -86,6 +86,12 @@ class VerificationReport:
         }
 
 
+def _case(kind: str, params: dict, expected: str, actual: str, passed: bool,
+          note: str = "") -> VerificationCase:
+    """A two-way check's case: pass if it passed, fail otherwise."""
+    return VerificationCase(params, expected, kind, actual, "pass" if passed else "fail", note)
+
+
 def _sort_key(case: VerificationCase):
     return tuple(sorted((k, repr(v)) for k, v in case.params.items()))
 
@@ -154,22 +160,13 @@ def suite_detector_equivalence(seed: int = DEFAULT_SEED) -> list[VerificationCas
         total += 1
     elapsed = time.monotonic() - start
     for ((p, q), density), (count, bad) in sorted(buckets.items()):
-        cases.append(VerificationCase(
-            params={"check": "equivalence", "p": p, "q": q, "density": density},
-            expected="0 disagreements",
-            expected_kind="oracle",
-            actual=f"{bad} disagreements in {count} instances",
-            status="pass" if bad == 0 else "fail",
-        ))
+        cases.append(_case("oracle", {"check": "equivalence", "p": p, "q": q, "density": density},
+                           "0 disagreements", f"{bad} disagreements in {count} instances",
+                           bad == 0))
     on_time = total >= 1000 and elapsed <= 60
-    cases.append(VerificationCase(
-        params={"check": "equivalence-runtime"},
-        expected="1000 instances within 60 s",
-        expected_kind="oracle",
-        actual=f"{total} instances within budget" if on_time
-               else f"{total} instances in {elapsed:.1f} s",
-        status="pass" if on_time else "fail",
-    ))
+    cases.append(_case("oracle", {"check": "equivalence-runtime"}, "1000 instances within 60 s",
+                       f"{total} instances within budget" if on_time
+                       else f"{total} instances in {elapsed:.1f} s", on_time))
 
     bad_invariance = 0
     count_invariance = 200
@@ -190,14 +187,10 @@ def suite_detector_equivalence(seed: int = DEFAULT_SEED) -> list[VerificationCas
             continue
         if (find_rainbow_star(reverse(col), pat.reversed()) is None) != verdict:
             bad_invariance += 1
-    cases.append(VerificationCase(
-        params={"check": "verdict-invariance"},
-        expected="0 violations",
-        expected_kind="theorem",
-        actual=f"{bad_invariance} violations in {count_invariance} instances",
-        status="pass" if bad_invariance == 0 else "fail",
-        note="vertex and color permutation, and reversal with swapped pattern",
-    ))
+    cases.append(_case("theorem", {"check": "verdict-invariance"}, "0 violations",
+                       f"{bad_invariance} violations in {count_invariance} instances",
+                       bad_invariance == 0,
+                       "vertex and color permutation, and reversal with swapped pattern"))
     return cases
 
 
@@ -216,16 +209,12 @@ _GRID_FAMILIES = (
 def _freeness_case(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> VerificationCase:
     try:
         build(family, n, c, p, q)
-        actual, status = "rainbow-free, counts match", "pass"
+        error = None
     except Exception as exc:  # build certifies freeness and counts itself
-        actual, status = f"{type(exc).__name__}: {exc}", "fail"
-    return VerificationCase(
-        params={"family": family.value, "n": n, "c": c, "p": p, "q": q},
-        expected="rainbow-free with predicted counts",
-        expected_kind="construction",
-        actual=actual,
-        status=status,
-    )
+        error = f"{type(exc).__name__}: {exc}"
+    return _case("construction", {"family": family.value, "n": n, "c": c, "p": p, "q": q},
+                 "rainbow-free with predicted counts", error or "rainbow-free, counts match",
+                 error is None)
 
 
 # (families, p, q) of the freeness grid: c runs over p+q..12 and n over 30,
@@ -318,14 +307,10 @@ def suite_constructions_free(seed: int = DEFAULT_SEED) -> list[VerificationCase]
     cases = [_freeness_case(*job) for job in _grid_builds()]
     for (family, objective, n, c, p, q) in attainment_instances():
         coefficient, deviation, tolerance = attainment(family, objective, n, c, p, q)
-        cases.append(VerificationCase(
-            params={"family": family.value, "objective": objective,
-                    "n": n, "c": c, "p": p, "q": q},
-            expected=f"|{objective}/n^2 - {coefficient}| <= {tolerance}",
-            expected_kind="theorem",
-            actual=f"deviation {float(deviation):.6f}",
-            status="pass" if deviation <= tolerance else "fail",
-        ))
+        cases.append(_case("theorem", {"family": family.value, "objective": objective,
+                                       "n": n, "c": c, "p": p, "q": q},
+                           f"|{objective}/n^2 - {coefficient}| <= {tolerance}",
+                           f"deviation {float(deviation):.6f}", deviation <= tolerance))
     return cases
 
 
@@ -352,41 +337,28 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     cases = []
     for (n, c, p, q, objective, expected) in _EXACT_SMALL_TABLE:
         outcome = max_exact(n, c, StarPattern(p, q), objective)
-        good = outcome.optimum == expected and outcome.proved_optimal
-        cases.append(VerificationCase(
-            params={"check": "exact-table", "n": n, "c": c, "p": p, "q": q,
-                    "objective": objective},
-            expected=f"{expected}, proved optimal",
-            expected_kind="theorem",
-            actual=f"{outcome.optimum}, proved={outcome.proved_optimal}, "
-                   f"nodes={outcome.nodes_explored}",
-            status="pass" if good else "fail",
-        ))
+        cases.append(_case("theorem", {"check": "exact-table", "n": n, "c": c, "p": p, "q": q,
+                                       "objective": objective},
+                           f"{expected}, proved optimal",
+                           f"{outcome.optimum}, proved={outcome.proved_optimal}, "
+                           f"nodes={outcome.nodes_explored}",
+                           outcome.optimum == expected and outcome.proved_optimal))
     for (n, c, q) in ((3, 2, 2), (4, 2, 2), (4, 3, 2)):
         for objective in bounds.OBJECTIVES:
             bb = max_exact(n, c, StarPattern(0, q), objective).optimum
             cover = cover_oracle_s0q(n, c, q, objective).optimum
-            cases.append(VerificationCase(
-                params={"check": "cross-check", "n": n, "c": c, "q": q,
-                        "objective": objective},
-                expected="engines agree",
-                expected_kind="oracle",
-                actual=f"branch_bound={bb}, cover={cover}",
-                status="pass" if bb == cover else "fail",
-                note="" if bb == cover else "correctness failure: exact engines disagree",
-            ))
+            cases.append(_case("oracle", {"check": "cross-check", "n": n, "c": c, "q": q,
+                                          "objective": objective},
+                               "engines agree", f"branch_bound={bb}, cover={cover}", bb == cover,
+                               "" if bb == cover else "correctness failure: exact engines disagree"))
     for (n, c, p, q, objective) in ((3, 2, 0, 2, "sum"), (3, 2, 1, 2, "sum"),
                                     (3, 2, 0, 2, "min"), (4, 2, 0, 2, "min")):
         fwd = max_exact(n, c, StarPattern(p, q), objective)
         rev = max_exact(n, c, StarPattern(q, p), objective)
-        cases.append(VerificationCase(
-            params={"check": "reversal", "n": n, "c": c, "p": p, "q": q,
-                    "objective": objective},
-            expected="equal optima for (p,q) and (q,p)",
-            expected_kind="theorem",
-            actual=f"{fwd.optimum} vs {rev.optimum}",
-            status="pass" if fwd.optimum == rev.optimum else "fail",
-        ))
+        cases.append(_case("theorem", {"check": "reversal", "n": n, "c": c, "p": p, "q": q,
+                                       "objective": objective},
+                           "equal optima for (p,q) and (q,p)", f"{fwd.optimum} vs {rev.optimum}",
+                           fwd.optimum == rev.optimum))
     return cases
 
 
@@ -445,14 +417,8 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
                     problems.append("min discontinuity at t2")
                 if _gap(bounds.min_linear, bounds.min_top, p, q, ts.t4.float_value()) > 1e-9:
                     problems.append("min discontinuity at t4")
-            cases.append(VerificationCase(
-                params={"p": p, "q": q},
-                expected="orderings, chain rule, continuity",
-                expected_kind="theorem",
-                actual="all identities hold" if not problems else "; ".join(problems),
-                status="pass" if not problems else "fail",
-                note=note,
-            ))
+            cases.append(_case("theorem", {"p": p, "q": q}, "orderings, chain rule, continuity",
+                               "; ".join(problems) or "all identities hold", not problems, note))
     return cases
 
 
@@ -474,8 +440,9 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
     oracle's sum and min.  Then the frozen (8,5,3) adjudication instance."""
     cases = []
 
-    def theorem(params, expected, got, status, note=""):
-        cases.append(VerificationCase(params, expected, "theorem", str(got), status, note))
+    def min_case(params, expected, got, bound, notes):
+        status = _min_status(got, bound)
+        cases.append(VerificationCase(params, expected, "theorem", str(got), status, notes[status]))
 
     for n in range(2, 31):
         for c in range(1, n):
@@ -489,44 +456,40 @@ def suite_cover_adjudication(seed: int = DEFAULT_SEED) -> list[VerificationCase]
                                    ConstructionFamily.ASSIGNED_OUT):
                         if applicability_error(family, n, c, 0, q) is None:
                             got = build(family, n, c, 0, q).predicted_counts.total
-                            theorem({"check": "sum-formula", "family": family.value, **point},
-                                    str(total), got, "pass" if got == total else "fail")
+                            cases.append(_case("theorem", {"check": "sum-formula",
+                                                           "family": family.value, **point},
+                                               str(total), str(got), got == total))
                     built = build(ConstructionFamily.CYCLIC_REMAINDER,
                                   n, c, 0, q).predicted_counts.minimum
-                    status = _min_status(built, bound)
-                    theorem({"check": "min-formula", "family": "CYCLIC_REMAINDER", **point},
-                            str(target), built, status, {
+                    min_case({"check": "min-formula", "family": "CYCLIC_REMAINDER", **point},
+                             str(target), built, bound, {
                                 "pass": "",
                                 "discrepancy": f"(q-1) = {q-1} does not divide r = {r}: "
                                                f"balanced assignment reaches {built}, "
                                                f"formula target {target}",
                                 "fail": "below formula although (q-1) | r" if built < target
                                         else "above formula",
-                            }[status])
+                            })
                 if c <= 6:
                     got = cover_oracle_s0q(n, c, q, "sum").optimum
-                    theorem({"check": "cover-sum", **point}, str(total), got,
-                            "pass" if got == total else "fail")
+                    cases.append(_case("theorem", {"check": "cover-sum", **point},
+                                       str(total), str(got), got == total))
                     optimum = cover_oracle_s0q(n, c, q, "min").optimum
-                    status, exact = _min_status(optimum, bound), bound.kind == bounds.EXACT
-                    theorem({"check": "cover-min", **point},
-                            str(target) if exact else f"<= {target}", optimum, status, {
+                    exact = bound.kind == bounds.EXACT
+                    min_case({"check": "cover-min", **point},
+                             str(target) if exact else f"<= {target}", optimum, bound, {
                                 "pass": "",
                                 "discrepancy": f"exact optimum {optimum} below formula target "
                                                f"{target}; (q-1) = {q-1} does not divide r = {r}",
                                 "fail": "" if exact else "oracle exceeds the proved upper bound",
-                            }[status])
+                            })
                 if (n, c, q) == (8, 5, 3):
                     constructed, oracle_value, target_853 = built, optimum, target
     # frozen adjudication instance, from the values both checks computed there
-    cases.append(VerificationCase(
-        params={"check": "frozen-853", "n": 8, "c": 5, "q": 3},
-        expected=str(FROZEN_COVER_853_MIN),
-        expected_kind="oracle",
-        actual=str(oracle_value),
-        status="pass" if oracle_value == FROZEN_COVER_853_MIN else "fail",
-        note="regression constant for the adjudication instance",
-    ))
+    cases.append(_case("oracle", {"check": "frozen-853", "n": 8, "c": 5, "q": 3},
+                       str(FROZEN_COVER_853_MIN), str(oracle_value),
+                       oracle_value == FROZEN_COVER_853_MIN,
+                       "regression constant for the adjudication instance"))
     sandwich_ok = constructed <= oracle_value <= target_853
     strict = oracle_value < target_853
     cases.append(VerificationCase(

@@ -131,10 +131,10 @@ def test_every_family_builds_free(family, n, c, p, q):
     assert out.certified_free
     assert find_rainbow_star(out.collection, StarPattern(p, q)) is None
     assert edge_counts(out.collection) == out.predicted_counts
-    sizes = [len(g.vertices) for g in out.parts.groups]
+    sizes = [len(g.vertices) for g in out.parts]
     if sizes:
         assert sum(sizes) == n
-        covered = sorted(v for g in out.parts.groups for v in g.vertices)
+        covered = sorted(v for g in out.parts for v in g.vertices)
         assert covered == list(range(1, n + 1))
 
 
@@ -306,7 +306,7 @@ def test_small_builds_pinned():
                         digest.update(_claim(family, n, c, p, q, "min").encode())
     assert builds == 3072
     assert digest.hexdigest() == (
-        "edf9513bd82a6dea2cce6d2f6a15b0ffab1bee7769a38ab1cdc36897ee9e5166"
+        "ced34680d9a07e37cf73270836284efffa9afb91568e0b0b83771f006c4b5fc0"
     )
 
 
