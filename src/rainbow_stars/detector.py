@@ -369,16 +369,18 @@ def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> Classi
         else:
             bad.append(v)
 
-    bits = [1 << i for i in range(collection.c)]
+    # each color's bit is tested in place: a list of the c bits would hold
+    # about c^2/16 bytes at once
+    colors = range(collection.c)
     return ClassificationReport(
         pattern=pat,
         a_vertices=tuple(a_set),
         b_vertices=tuple(b_set),
         c_vertices=tuple(c_set),
         violators=tuple(bad),
-        a_by_color=tuple(tuple(v for v in a_set if out_masks[v] & bit) for bit in bits),
+        a_by_color=tuple(tuple(v for v in a_set if out_masks[v] >> i & 1) for i in colors),
         b_by_color=tuple(
-            tuple(v for v in b_set if (in_masks[v] | out_masks[v]) & bit) for bit in bits
+            tuple(v for v in b_set if (in_masks[v] | out_masks[v]) >> i & 1) for i in colors
         ),
-        c_by_color=tuple(tuple(v for v in c_set if in_masks[v] & bit) for bit in bits),
+        c_by_color=tuple(tuple(v for v in c_set if in_masks[v] >> i & 1) for i in colors),
     )

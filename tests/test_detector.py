@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +246,23 @@ def test_classification_by_color_listings(n, c, seed):
         for v in report.b_by_color[i - 1]:
             assert v in report.b_vertices
             assert col.out_neighbors(i, v) or col.in_neighbors(i, v)
+
+
+def test_classification_memory_stays_linear_in_colors():
+    # the per-color listings test each color's bit in place; a list of the
+    # c color bits would hold about c^2/16 bytes, 27 MB at c = 20000
+    n, c = 3, 20_000
+    col = DigraphCollection.from_edges(n, c, [(c, 1, 2), (1, 2, 3)])
+    tracemalloc.start()
+    try:
+        report = classify_vertices(col, StarPattern(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.b_vertices, report.violators) == ((1, 3), (2,))
+    assert report.b_by_color[0] == (3,) and report.b_by_color[c - 1] == (1,)
+    assert sum(map(len, report.b_by_color)) == 2
+    assert peak < 4 * 2**20
 
 
 def clique_with_isolated_vertex(k: int, c: int) -> DigraphCollection:
