@@ -16,9 +16,8 @@ A build returns the collection, its part groups (none for a family without
 parts), the per-color edge counts of the materialized collection (asserted
 equal to the builder's partition arithmetic), and the row's coefficients.
 Every build is certified rainbow-star-free by the detector before it is
-returned.  One
-past BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is refused before
-any row is built.
+returned.  One past BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is
+refused before any row is built.
 
 Out-star shapes built vertex by vertex are `CoverStructure`s: a collection
 has no rainbow (0, q) star exactly when each vertex's (target, color) pairs
@@ -692,4 +691,3 @@ def predicted_value(
     if value is None:
         raise ValueError(f"{family.value} makes no {objective} prediction")
     return value
-
