@@ -8,14 +8,17 @@ at most once, but the same pair may appear in many colors.
 Collections are immutable values: every operation returns a fresh object and
 equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
-interface: dense bit rows (one Python int per source vertex per color) for
-n <= dense_threshold, and compressed sparse rows (CSR) above it: per side
-(out and in), flat int arrays of the sorted targets, of the ids of the
-nonempty rows and of where each row starts; in-neighbour queries scan the
-out side until they have read a few times its edges, and then the in side
-is built from it.  Both layouts are built straight from the edges; the
-sparse one never passes through a dense copy, so its memory grows with the
-edge count alone.  Edges are read back a color at a time through one
+interface, and n alone picks between them: dense bit rows (one Python int
+per source vertex per color) for n <= DEFAULT_DENSE_THRESHOLD, and
+compressed sparse rows (CSR) above it: per side (out and in), flat int
+arrays of the sorted targets, of the ids of the nonempty rows and of where
+each row starts; in-neighbour queries scan the out side until they have
+read a few times its edges, and then the in side is built from it.  Both
+layouts are built straight from the edges; the sparse one never passes
+through a dense copy, so its memory grows with the edge count alone.
+Bulk builders that assemble whole bit rows use `from_out_rows`, which is
+dense at any n; everything else, relabelled copies included, takes the
+layout of its n.  Edges are read back a color at a time through one
 reader per store, `color_rows`: the sources with edges, where each one's
 targets start, and the ascending targets.  Which colors a vertex has in-
 or out-edges in is read off per-vertex color masks, which each collection
@@ -389,12 +392,7 @@ class DigraphCollection:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_edges(
-        n: int,
-        c: int,
-        edges: Iterable[tuple[int, int, int]],
-        dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-    ) -> "DigraphCollection":
+    def from_edges(n: int, c: int, edges: Iterable[tuple[int, int, int]]) -> "DigraphCollection":
         """Build from (color, source, target) triples; the one edge validator.
 
         Checks n and c, then the triples in bulk: each column against its
@@ -403,14 +401,15 @@ class DigraphCollection:
         duplicates by counting (see `_bulk_store`).  Where a bulk check
         declines, the triples are walked in input order instead, and
         ValueError names the first bad one (out-of-range index, loop or
-        duplicate).  Dense bit rows for n <= dense_threshold, else the
-        sparse CSR layout, built from the sorted edge keys.  An edge that
+        duplicate).  n alone picks the layout: dense bit rows for
+        n <= DEFAULT_DENSE_THRESHOLD, else the sparse CSR layout, built
+        from the sorted edge keys.  An edge that
         is no sequence, or a value that is no int (a str, a float), raises
         TypeError from the walk or the store; a sequence of another length
         raises ValueError.
         """
         _check_dims(n, c)
-        edges, dense = list(edges), n <= dense_threshold
+        edges, dense = list(edges), n <= DEFAULT_DENSE_THRESHOLD
         return DigraphCollection(_build_store(
             n, c, [_edge_columns(n, c, edges, dense)], lambda: _walk_edges(n, c, edges), dense))
 
@@ -555,7 +554,8 @@ def edge_counts(collection: DigraphCollection) -> EdgeCountSummary:
 
 def reverse(collection: DigraphCollection) -> DigraphCollection:
     """Every edge u -> v becomes v -> u, in the same color."""
-    return _relabelled(collection, [(i, v, u) for (i, u, v) in collection.all_edges()])
+    return DigraphCollection.from_edges(
+        collection.n, collection.c, [(i, v, u) for (i, u, v) in collection.all_edges()])
 
 
 def permute(
@@ -579,13 +579,7 @@ def permute(
         )
         for (i, u, v) in collection.all_edges()
     ]
-    return _relabelled(collection, mapped)
-
-
-def _relabelled(collection: DigraphCollection, edges: list) -> DigraphCollection:
-    """A collection of the same n and c over `edges`, in the same storage layout."""
-    threshold = collection.n if collection.storage_kind == "dense" else 0
-    return DigraphCollection.from_edges(collection.n, collection.c, edges, threshold)
+    return DigraphCollection.from_edges(n, c, mapped)
 
 
 def _check_perm(perm: Sequence[int], size: int, label: str) -> Sequence[int]:
@@ -620,13 +614,13 @@ def _spellings(form: str, n: int, uses: int):
     return list(map(form.format, range(n + 1))).__getitem__ if n <= uses else form.format
 
 
-def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> DigraphCollection:
+def parse_edge_list(text: str) -> DigraphCollection:
     """Parse format v1; raises ParseError with a 1-based line number.
 
-    The header and the dimension line are found with `find`; the body is
-    read in chunks of whole lines, each converted at once into the row ids
-    and targets the store takes, and checked (see `_body_chunks` and
-    `_bulk_store`).  Only where a bulk check declines is the line-by-line
+    The header and the dimension line are found with `find`; n alone
+    picks the layout, as in `from_edges`.  The body is read in chunks of
+    whole lines, each converted at once into the row ids and targets the
+    store takes, and checked (see `_body_chunks` and `_bulk_store`).  Only where a bulk check declines is the line-by-line
     walk made, to read the body again and name the first bad line.
     """
     if "\r" in text:
@@ -666,7 +660,7 @@ def parse_edge_list(text: str, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -
 
     # the walk raises on the triple it has just read, before it asks for the
     # next one, so lineno is the line of the first bad edge
-    dense = n <= dense_threshold
+    dense = n <= DEFAULT_DENSE_THRESHOLD
     try:
         store = _build_store(n, c, _body_chunks(text, dims_end + 1, n, c, dense),
                              lambda: _walk_edges(n, c, triples()), dense)

@@ -22,6 +22,8 @@ from rainbow_stars.detector import (
 )
 from rainbow_stars.model import DigraphCollection, StarPattern, permute, reverse
 
+from layout import dense_up_to
+
 
 def complete_collection(n: int, c: int) -> DigraphCollection:
     edges = [
@@ -215,7 +217,8 @@ def test_color_screen_matches_enumeration_and_picks_the_violators():
     for _ in range(60):
         n, c = rng.randint(2, 10), rng.randint(1, 5)
         dense = random_collection(rng, n, c, rng.uniform(0.05, 0.6))
-        sparse = DigraphCollection.from_edges(n, c, dense.all_edges(), 0)
+        with dense_up_to(0):
+            sparse = DigraphCollection.from_edges(n, c, dense.all_edges())
         size = rng.randint(1, 4)
         p = rng.randint(0, size)
         pat = StarPattern(p, size - p)
@@ -233,7 +236,8 @@ def test_classification_by_color_listings(n, c, seed):
     col = random_collection(random.Random(seed), n, c, 0.5)
     pat = StarPattern(1, 1)
     report = classify_vertices(col, pat)
-    sparse = DigraphCollection.from_edges(n, c, col.all_edges(), 0)
+    with dense_up_to(0):
+        sparse = DigraphCollection.from_edges(n, c, col.all_edges())
     for other in (pat, StarPattern(0, 2), StarPattern(2, 1)):
         assert classify_vertices(sparse, other) == classify_vertices(col, other)
     for i in range(1, c + 1):
@@ -443,7 +447,8 @@ def test_out_star_search_leaves_the_sparse_in_side_unbuilt(q):
     # center is scanned
     rng = random.Random(q)
     edges = {(rng.randint(1, 3), *rng.sample(range(1, 201), 2)) for _ in range(600)}
-    col = DigraphCollection.from_edges(200, 3, sorted(edges), 0)
+    with dense_up_to(0):
+        col = DigraphCollection.from_edges(200, 3, sorted(edges))
     assert col.storage_kind == "sparse" and col._store._in is None
     emb = find_rainbow_star(col, StarPattern(0, q))
     assert (emb is None) == (q == 4)

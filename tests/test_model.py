@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rainbow_stars import model
+from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.model import (
     DEFAULT_DENSE_THRESHOLD,
     DigraphCollection,
@@ -19,6 +20,8 @@ from rainbow_stars.model import (
     reverse,
     serialize_edge_list,
 )
+
+from layout import dense_up_to
 
 
 @st.composite
@@ -34,8 +37,8 @@ def collections(draw, max_n: int = 7, max_c: int = 4):
     ]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     # threshold 0 forces the sparse backend, a large one the dense backend
-    threshold = draw(st.sampled_from([0, 512]))
-    return DigraphCollection.from_edges(n, c, edges, threshold)
+    with dense_up_to(draw(st.sampled_from([0, 512]))):
+        return DigraphCollection.from_edges(n, c, edges)
 
 
 def permutations(n: int):
@@ -55,25 +58,26 @@ def test_star_pattern_validation():
 
 @pytest.mark.parametrize("threshold", [DEFAULT_DENSE_THRESHOLD, 0], ids=["dense", "sparse"])
 def test_constructor_rejects_bad_edges(threshold):
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(1, 1, 1)], threshold)  # loop
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(3, 1, 2)], threshold)  # color out of range
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(1, 0, 2)], threshold)  # vertex out of range
-    with pytest.raises(ValueError, match=r"duplicate edge \(1, 1, 2\)"):
-        DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 1, 2)], threshold)
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 2, 3, 1)], threshold)  # not a triple
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(0, 2, [], threshold)
-    with pytest.raises(ValueError):
-        DigraphCollection.from_edges(3, 0, [], threshold)
-    # a str fails the bulk check's comparisons and then the walk's, a float
-    # passes both and fails in the store, and a bare int cannot be unpacked
-    for edge in ((1, "a", 2), (1, 2.0, 3), 5):
-        with pytest.raises(TypeError):
-            DigraphCollection.from_edges(3, 2, [(1, 1, 2), edge], threshold)
+    with dense_up_to(threshold):
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(3, 2, [(1, 1, 1)])  # loop
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(3, 2, [(3, 1, 2)])  # color out of range
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(3, 2, [(1, 0, 2)])  # vertex out of range
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 1, 2\)"):
+            DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 1, 2)])
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(3, 2, [(1, 1, 2), (1, 2, 3, 1)])  # not a triple
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(0, 2, [])
+        with pytest.raises(ValueError):
+            DigraphCollection.from_edges(3, 0, [])
+        # a str fails the bulk check's comparisons and then the walk's, a float
+        # passes both and fails in the store, and a bare int cannot be unpacked
+        for edge in ((1, "a", 2), (1, 2.0, 3), 5):
+            with pytest.raises(TypeError):
+                DigraphCollection.from_edges(3, 2, [(1, 1, 2), edge])
 
 
 
@@ -81,7 +85,9 @@ def test_constructor_rejects_bad_edges(threshold):
 def test_per_vertex_queries_reject_out_of_range_indices(threshold):
     # one edge 3 -> 1 in color 2; -1 must not read vertex 3 from the end,
     # nor color 0 read color 2, and n+1 must not raise IndexError
-    col = DigraphCollection.from_edges(3, 2, [(2, 3, 1)], threshold)
+    with dense_up_to(threshold):
+        col = DigraphCollection.from_edges(3, 2, [(2, 3, 1)])
+    assert col.storage_kind == ("dense" if threshold else "sparse")
     assert col.out_neighbors(2, 3) == (1,) and col.in_neighbors(2, 1) == (3,)
     assert col.edge_count(2) == 1 and col.color_edges(2) == ((3, 1),)
     for bad in (-1, 0, 4):
@@ -116,7 +122,8 @@ def test_parse_accepts_any_order_comments_and_blanks(data, col):
         body.insert(k, data.draw(filler))
     text = "\n".join(head + body) + "\n"
     for threshold in (0, 512):
-        parsed = parse_edge_list(text, threshold)
+        with dense_up_to(threshold):
+            parsed = parse_edge_list(text)
         assert parsed == col
         assert serialize_edge_list(parsed) == canonical
 
@@ -124,12 +131,15 @@ def test_parse_accepts_any_order_comments_and_blanks(data, col):
 @given(collections())
 def test_backend_equivalence(col):
     edges = list(col.all_edges())
-    dense = DigraphCollection.from_edges(col.n, col.c, edges, col.n)
-    sparse = DigraphCollection.from_edges(col.n, col.c, edges, 0)
-    # sparse in-queries scan the out side until their budget is spent and
-    # then build the in side: one copy is asked for in-neighbours before
-    # any out-query, the other only after them
-    in_first = DigraphCollection.from_edges(col.n, col.c, edges, 0)
+    with dense_up_to(col.n):
+        dense = DigraphCollection.from_edges(col.n, col.c, edges)
+        wider = DigraphCollection.from_edges(col.n, col.c + 1, edges)
+    with dense_up_to(0):
+        sparse = DigraphCollection.from_edges(col.n, col.c, edges)
+        # sparse in-queries scan the out side until their budget is spent and
+        # then build the in side: one copy is asked for in-neighbours before
+        # any out-query, the other only after them
+        in_first = DigraphCollection.from_edges(col.n, col.c, edges)
     vertices = range(1, col.n + 1)
     ins = {(i, v): dense.in_neighbors(i, v) for i in range(1, col.c + 1) for v in vertices}
     assert {key: in_first.in_neighbors(*key) for key in ins} == ins
@@ -137,7 +147,7 @@ def test_backend_equivalence(col):
     assert dense == sparse == in_first
     assert hash(dense) == hash(sparse)
     assert dense != edges
-    assert dense != DigraphCollection.from_edges(col.n, col.c + 1, edges, col.n)
+    assert dense != wider
     assert serialize_edge_list(dense) == serialize_edge_list(sparse)
     for i in range(1, col.c + 1):
         assert dense.color_edges(i) == sparse.color_edges(i)
@@ -217,9 +227,9 @@ def test_canonical_bodies_never_reach_the_walk(monkeypatch):
               for n in (512, 513)]
     for n, c, edges in cases:
         for threshold in (0, DEFAULT_DENSE_THRESHOLD):
-            col = DigraphCollection.from_edges(n, c, edges, threshold)
-            text = serialize_edge_list(col)
-            parsed = parse_edge_list(text, threshold)
+            with dense_up_to(threshold):
+                col = DigraphCollection.from_edges(n, c, edges)
+                parsed = parse_edge_list(serialize_edge_list(col))
             assert parsed.storage_kind == col.storage_kind
             assert parsed == col and tuple(parsed.all_edges()) == tuple(sorted(edges))
     assert steps == []
@@ -295,6 +305,23 @@ def test_sparse_store_memory_grows_with_edges_alone():
     assert kept < 64 * len(edges)
 
 
+@pytest.mark.parametrize("relabel", [reverse, permute], ids=["reverse", "permute"])
+def test_relabelling_an_edgeless_build_stays_small(relabel):
+    # a build with no edges comes from bit rows, dense at any n; its
+    # relabelled copy takes the layout of its n, not a dense one of n*n/16
+    # bytes of bits
+    col = build(ConstructionFamily.CYCLIC_REMAINDER, 20_000, 3, 0, 1).collection
+    assert col.storage_kind == "dense" and not any(col.all_edges())
+    tracemalloc.start()
+    try:
+        moved = relabel(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert moved == col and moved.storage_kind == "sparse"
+
+
 def test_sparse_in_queries_scan_before_the_in_side_is_built():
     # in-neighbour queries read the out side's target runs until they have
     # scanned model._IN_SCANS times the edge count; the later ones build
@@ -305,7 +332,8 @@ def test_sparse_in_queries_scan_before_the_in_side_is_built():
     n, c = 600, 3
     edges = sorted({(rng.randint(1, c), *rng.sample(range(1, n + 1), 2)) for _ in range(1500)})
     sparse = DigraphCollection.from_edges(n, c, edges)
-    dense = DigraphCollection.from_edges(n, c, edges, n)
+    with dense_up_to(n):
+        dense = DigraphCollection.from_edges(n, c, edges)
     assert sparse.storage_kind == "sparse"
     for v in range(1, 4):
         assert sparse.color_masks()[0][v] == dense.color_masks()[0][v]
@@ -423,8 +451,8 @@ def test_from_out_rows_rejects_bad_rows(rows, message):
 def test_parse_errors_carry_line_numbers(text, bad_line):
     # the first bad line is reported, whichever layout the edges go into
     for threshold in (DEFAULT_DENSE_THRESHOLD, 0):
-        with pytest.raises(ParseError) as err:
-            parse_edge_list(text, threshold)
+        with dense_up_to(threshold), pytest.raises(ParseError) as err:
+            parse_edge_list(text)
         assert err.value.line_number == bad_line
 
 
@@ -543,7 +571,8 @@ def test_parse_matches_line_by_line_reference(text, chunk):
             patch.setattr(model, "_SPELLED_MAX", spelled_max)
             for threshold in (0, 512):
                 try:
-                    parsed = parse_edge_list(text, threshold)
+                    with dense_up_to(threshold):
+                        parsed = parse_edge_list(text)
                 except ParseError as err:
                     assert (err.line_number, str(err)) == (expected[0], f"line {expected[0]}: {expected[1]}")
                 else:
@@ -570,6 +599,12 @@ def test_embedding_validity():
     # missing edge
     ghost = StarEmbedding(center=1, in_leaves=((4, 1),), out_leaves=((3, 2), (4, 3)))
     assert not ghost.is_valid_in(col)
+    # the center as one of its own leaves, on either side
+    for looped in [
+        StarEmbedding(center=1, in_leaves=((1, 1),), out_leaves=((3, 2), (4, 3))),
+        StarEmbedding(center=1, in_leaves=((2, 1),), out_leaves=((1, 2), (4, 3))),
+    ]:
+        assert not looped.is_valid_in(col), looped
     # a color, leaf or center outside the collection
     for star in [
         StarEmbedding(center=1, in_leaves=((2, 1),), out_leaves=((3, 2), (4, 9))),
