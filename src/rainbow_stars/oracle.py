@@ -34,7 +34,8 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import mul
 from typing import Optional
 
 from .bounds import check_objective
@@ -334,19 +335,15 @@ def max_exact(
 
     if flip:
         best_edges = [(i, v, u) for i, u, v in best_edges]
-    witness = DigraphCollection.from_edges(n, c, best_edges)
-    _certify(witness, pat, objective, best_value)
-    return SearchOutcome(
-        optimum=best_value,
-        witness=witness,
-        objective=objective,
-        proved_optimal=proved,
-        nodes_explored=nodes,
-        elapsed=time.monotonic() - start,
-    )
+    return _certify(DigraphCollection.from_edges(n, c, best_edges), pat, objective,
+                    best_value, proved, nodes, start)
 
 
-def _certify(witness: DigraphCollection, pat: StarPattern, objective: str, value: int) -> None:
+def _certify(witness: DigraphCollection, pat: StarPattern, objective: str, value: int,
+             proved: bool, nodes: int, start: float) -> SearchOutcome:
+    """The outcome of an exact engine that found `witness` worth `value`,
+    once the detector and the edge counts confirm both; `start` is the
+    engine's clock reading when it began."""
     emb = find_rainbow_star(witness, pat)
     if emb is not None:
         raise RuntimeError(f"internal error: witness contains a rainbow star at {emb.center}")
@@ -356,6 +353,8 @@ def _certify(witness: DigraphCollection, pat: StarPattern, objective: str, value
         raise RuntimeError(
             f"internal error: witness attains {attained}, oracle reported {value}"
         )
+    return SearchOutcome(optimum=value, witness=witness, objective=objective, proved_optimal=proved,
+                         nodes_explored=nodes, elapsed=time.monotonic() - start)
 
 
 def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
@@ -411,16 +410,7 @@ def cover_oracle_s0q(n: int, c: int, q: int, objective: str) -> SearchOutcome:
         value, structure, nodes = _cover_sum(n, c, q)
     else:
         value, structure, nodes = _cover_min(n, c, q)
-    witness = structure.realize()
-    _certify(witness, StarPattern(0, q), objective, value)
-    return SearchOutcome(
-        optimum=value,
-        witness=witness,
-        objective=objective,
-        proved_optimal=True,
-        nodes_explored=nodes,
-        elapsed=time.monotonic() - start,
-    )
+    return _certify(structure.realize(), StarPattern(0, q), objective, value, True, nodes, start)
 
 
 def _type_value(a: int, n: int, c: int, q: int) -> int:
@@ -484,18 +474,14 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
 
         # every per-color token vector within the caps, ascending by
         # (load, alloc); `drop` is the load left after removing one token of
-        # the lightest type present, so a vector is minimal for target t
-        # (no token can go and still reach t) exactly when drop < t
+        # the lightest type present (types ascend by weight), so a vector is
+        # minimal for target t (no token can go and still reach t) exactly
+        # when drop < t
         options: list[tuple[int, tuple[int, ...], int]] = []
-
-        def gen(t: int, load: int, alloc: tuple[int, ...], lightest: int) -> None:
-            if t == t_count:
-                options.append((load, alloc, load - lightest if lightest else -1))
-                return
-            for x in range(caps[t] + 1):
-                gen(t + 1, load + ws[t] * x, alloc + (x,), lightest or (ws[t] if x else 0))
-
-        gen(0, 0, (), 0)
+        for alloc in product(*(range(cap + 1) for cap in caps)):
+            load = sum(map(mul, ws, alloc))
+            lightest = next((w for w, x in zip(ws, alloc) if x), 0)
+            options.append((load, alloc, load - lightest if lightest else -1))
         options.sort()
         # per target: (colors left, supply left) -> the first (vector, rest)
         # whose rest stays feasible, or None when there is none

@@ -4,6 +4,7 @@ independent cross-checks."""
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -382,9 +383,14 @@ def test_forward_check_needs_at_most_one_leaf():
 def test_certify_rejects_bad_witnesses():
     star = DigraphCollection.from_edges(3, 2, [(1, 1, 2), (2, 1, 3)])
     with pytest.raises(RuntimeError, match="contains a rainbow star"):
-        _certify(star, StarPattern(0, 2), "sum", 2)
+        _certify(star, StarPattern(0, 2), "sum", 2, True, 1, 0.0)
     with pytest.raises(RuntimeError, match="attains 2, oracle reported 3"):
-        _certify(star, StarPattern(1, 1), "sum", 3)
+        _certify(star, StarPattern(1, 1), "sum", 3, True, 1, 0.0)
+    # a sound witness becomes the outcome, with the engine's own fields
+    outcome = _certify(star, StarPattern(1, 1), "min", 1, False, 7, time.monotonic())
+    assert (outcome.optimum, outcome.witness, outcome.objective) == (1, star, "min")
+    assert (outcome.proved_optimal, outcome.nodes_explored) == (False, 7)
+    assert 0 <= outcome.elapsed < 60
 
 
 def test_reversal_symmetry_of_optima():
