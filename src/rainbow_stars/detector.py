@@ -369,18 +369,27 @@ def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> Classi
         else:
             bad.append(v)
 
-    # each color's bit is tested in place: a list of the c bits would hold
-    # about c^2/16 bytes at once
-    colors = range(collection.c)
+    c = collection.c
     return ClassificationReport(
         pattern=pat,
         a_vertices=tuple(a_set),
         b_vertices=tuple(b_set),
         c_vertices=tuple(c_set),
         violators=tuple(bad),
-        a_by_color=tuple(tuple(v for v in a_set if out_masks[v] >> i & 1) for i in colors),
-        b_by_color=tuple(
-            tuple(v for v in b_set if (in_masks[v] | out_masks[v]) >> i & 1) for i in colors
-        ),
-        c_by_color=tuple(tuple(v for v in c_set if in_masks[v] >> i & 1) for i in colors),
+        a_by_color=_by_color(c, a_set, [out_masks[v] for v in a_set]),
+        b_by_color=_by_color(c, b_set, [in_masks[v] | out_masks[v] for v in b_set]),
+        c_by_color=_by_color(c, c_set, [in_masks[v] for v in c_set]),
     )
+
+
+def _by_color(c: int, vertices: list[int], masks: list[int]) -> tuple[tuple[int, ...], ...]:
+    """For each color i, the vertices (ascending) whose mask has bit i-1.
+
+    Each vertex is listed under the colors of its own mask, so the work is
+    c plus the bits set; a color no vertex has gets the one empty tuple,
+    not an object of its own."""
+    listed: dict[int, list[int]] = {}
+    for v, mask in zip(vertices, masks):
+        for i in _mask_to_vertices(mask):
+            listed.setdefault(i, []).append(v)
+    return tuple(tuple(listed[i]) if i in listed else () for i in range(1, c + 1))
