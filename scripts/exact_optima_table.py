@@ -4,8 +4,8 @@
 Runs the branch-and-bound engine over small (n, c) and prints the maximum
 total and per-color minimum over rainbow-free collections, with node counts.
 The sum column follows n^2-n for c <= 3 and c*floor(n^2/4) for c >= 4; the
-minimum column follows floor(n^2/4) except the n = 3 row, where opposite
-triangle orientations reach 3.
+minimum column follows floor(n^2/4) except at (n, c) = (3, 2), where
+opposite triangle orientations reach 3.
 """
 
 import argparse
