@@ -34,8 +34,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, product
-from operator import mul
+from itertools import accumulate
 from typing import Optional
 
 from .bounds import check_objective
@@ -474,15 +473,16 @@ def _cover_min(n: int, c: int, q: int) -> tuple[int, CoverStructure, int]:
 
         # every per-color token vector within the caps, ascending by
         # (load, alloc); `drop` is the load left after removing one token of
-        # the lightest type present (types ascend by weight), so a vector is
-        # minimal for target t (no token can go and still reach t) exactly
-        # when drop < t
-        options: list[tuple[int, tuple[int, ...], int]] = []
-        for alloc in product(*(range(cap + 1) for cap in caps)):
-            load = sum(map(mul, ws, alloc))
-            lightest = next((w for w, x in zip(ws, alloc) if x), 0)
-            options.append((load, alloc, load - lightest if lightest else -1))
-        options.sort()
+        # the lightest type present, so a vector is minimal for target t
+        # (no token can go and still reach t) exactly when drop < t.  The
+        # vectors grow a type at a time, lightest first, each with its load
+        # and the weight of its first (lightest) type present
+        vectors = [(0, (), 0)]
+        for w, cap in zip(ws, caps):
+            vectors = [(load + w * x, alloc + (x,), lightest or (w if x else 0))
+                       for load, alloc, lightest in vectors for x in range(cap + 1)]
+        options = sorted((load, alloc, load - lightest if lightest else -1)
+                         for load, alloc, lightest in vectors)
         # per target: (colors left, supply left) -> the first (vector, rest)
         # whose rest stays feasible, or None when there is none
         Choice = Optional[tuple[tuple[int, ...], tuple[int, ...]]]
