@@ -18,7 +18,7 @@ All functions are pure reads of an immutable collection.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -384,12 +384,15 @@ def classify_vertices(collection: DigraphCollection, pat: StarPattern) -> Classi
 
 def _by_color(c: int, vertices: list[int], masks: list[int]) -> tuple[tuple[int, ...], ...]:
     """For each color i, the vertices (ascending) whose mask has bit i-1.
-
-    Each vertex is listed under the colors of its own mask, so the work is
-    c plus the bits set; a color no vertex has gets the one empty tuple,
-    not an object of its own."""
-    listed: dict[int, list[int]] = {}
+    Each is listed under its own mask's bits, in c plus bits-set steps; a
+    color none has gets the shared empty tuple, no object of its own."""
+    listed: defaultdict[int, list[int]] = defaultdict(list)  # by the color's bit
     for v, mask in zip(vertices, masks):
-        for i in _mask_to_vertices(mask):
-            listed.setdefault(i, []).append(v)
-    return tuple(tuple(listed[i]) if i in listed else () for i in range(1, c + 1))
+        while mask:
+            low = mask & -mask
+            listed[low].append(v)
+            mask ^= low
+    by_color: list[tuple[int, ...]] = [()] * c
+    for bit, members in listed.items():
+        by_color[bit.bit_length() - 1] = tuple(members)
+    return tuple(by_color)

@@ -403,10 +403,9 @@ class DigraphCollection:
         ValueError names the first bad one (out-of-range index, loop or
         duplicate).  n alone picks the layout: dense bit rows for
         n <= DEFAULT_DENSE_THRESHOLD, else the sparse CSR layout, built
-        from the sorted edge keys.  An edge that
-        is no sequence, or a value that is no int (a str, a float), raises
-        TypeError from the walk or the store; a sequence of another length
-        raises ValueError.
+        from the sorted edge keys.  An edge that is no sequence, or a value
+        that is no int (a str, a float), raises TypeError from the walk or
+        the store; a sequence of another length raises ValueError.
         """
         _check_dims(n, c)
         edges, dense = list(edges), n <= DEFAULT_DENSE_THRESHOLD
@@ -620,8 +619,9 @@ def parse_edge_list(text: str) -> DigraphCollection:
     The header and the dimension line are found with `find`; n alone
     picks the layout, as in `from_edges`.  The body is read in chunks of
     whole lines, each converted at once into the row ids and targets the
-    store takes, and checked (see `_body_chunks` and `_bulk_store`).  Only where a bulk check declines is the line-by-line
-    walk made, to read the body again and name the first bad line.
+    store takes, and checked (see `_body_chunks` and `_bulk_store`).  Only
+    where a bulk check declines is the line-by-line walk made, to read the
+    body again and name the first bad line.
     """
     if "\r" in text:
         at = text.index("\r")
