@@ -9,10 +9,10 @@ Each regime of the n² coefficient has one function here, taking (p, q, c)
 and returning a Fraction: `sum_low` and `sum_high` for the total, and
 `min_base`, `min_mid`, `min_linear` and `min_top` for the minimum.  Each
 computes in integer arithmetic (c may also be a Fraction) and leaves the
-domain check to its callers.  `coefficient_sum` and `coefficient_min` choose
-among them, and `coefficient` is the one entry for any normalized pattern,
-the out-star included; the constructions that reach each regime, the
-verification suites and the CLI read the same functions.
+domain check to its callers.  `coefficient` chooses among them and is the
+one entry for any normalized pattern, the out-star included; the
+constructions that reach each regime, the verification suites and the CLI
+read the same functions.
 
 Every regime comparison against an irrational threshold is decided in exact
 integer arithmetic by squaring (each helper documents its reduction); floats
@@ -164,15 +164,6 @@ def _continuity(label: str, left, right, p: int, q: int, c: int) -> Fraction:
     return a
 
 
-def _check_coefficient_domain(p: int, q: int, c: int) -> None:
-    if p < 1:
-        raise ValueError(f"coefficients need p >= 1, got p={p} (use the p=0 exact path)")
-    if p > q:
-        raise ValueError(f"coefficients need p <= q, got ({p}, {q}); normalize by reversal")
-    if c < p + q:
-        raise ValueError(f"coefficients need c >= p+q, got c={c} < {p + q}")
-
-
 def sum_low(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """p+q-1: the first p+q-1 colors complete."""
     return Fraction(p + q - 1)
@@ -204,32 +195,38 @@ def min_top(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
 
 
-def coefficient_sum(p: int, q: int, c: int) -> Fraction:
-    """Coefficient of n^2 in the largest total edge count.
+def coefficient(p: int, q: int, c: int, objective: str) -> Fraction:
+    """Coefficient of n^2 in the largest total edge count ("sum") or the
+    largest minimum per-color edge count ("min"), for a normalized pattern
+    p <= q, the out-star p = 0 included.
 
-    `sum_low` for c below the threshold p+2q-1+2*sqrt(pq), else `sum_high`.
-    Membership is exact: with d = c-(p+2q-1), c is below iff d < 0 or
-    d^2 < 4pq, at the threshold iff d >= 0 and d^2 = 4pq, above otherwise.
+    The out-star's is q-1 for the total and (q-1)/c for the minimum.  For
+    p >= 1 the total is `sum_low` for c below the threshold
+    p+2q-1+2*sqrt(pq), else `sum_high`; membership is exact: with
+    d = c-(p+2q-1), c is below iff d < 0 or d^2 < 4pq, at the threshold iff
+    d >= 0 and d^2 = 4pq, above otherwise.  The minimum is piecewise along
+    the threshold chain: `min_base` below t1, then `min_mid`, then `min_top`
+    past t3 on the SECOND chain, or `min_linear` from t2 and `min_top` past
+    t4 on the FIRST.  At a boundary both adjacent formulas are evaluated
+    and their common value returned.  The checks 1 <= p <= q come from
+    `thresholds`.
     """
-    _check_coefficient_domain(p, q, c)
-    d = c - (p + 2 * q - 1)
-    if d < 0 or d * d < 4 * p * q:
-        return sum_low(p, q, c)
-    if d * d == 4 * p * q:
-        return _continuity("sum threshold", sum_low, sum_high, p, q, c)
-    return sum_high(p, q, c)
-
-
-def coefficient_min(p: int, q: int, c: int) -> Fraction:
-    """Coefficient of n^2 in the largest minimum per-color edge count.
-
-    Piecewise along the threshold chain: `min_base` below t1, then
-    `min_mid`, then `min_top` past t3 on the SECOND chain, or `min_linear`
-    from t2 and `min_top` past t4 on the FIRST.  Boundary integers evaluate
-    both adjacent formulas and return their common value.
-    """
-    _check_coefficient_domain(p, q, c)
+    check_objective(objective)
+    if p == 0:
+        if c < q:
+            raise ValueError(f"the out-star coefficient needs c >= q, got c={c} < q={q}")
+        return sum_low(0, q, c) if objective == "sum" else min_linear(0, q, c)
     ts = thresholds(p, q)
+    if c < p + q:
+        raise ValueError(f"coefficients need c >= p+q, got c={c} < {p + q}")
+    if objective == "sum":
+        d = c - (p + 2 * q - 1)
+        if d < 0 or d * d < 4 * p * q:
+            return sum_low(p, q, c)
+        if d * d == 4 * p * q:
+            return _continuity("sum threshold", sum_low, sum_high, p, q, c)
+        return sum_high(p, q, c)
+
     if c < ts.t1:
         return min_base(p, q, c)
     if c == ts.t1:
@@ -254,16 +251,6 @@ def coefficient_min(p: int, q: int, c: int) -> Fraction:
     if pos == 0:
         return _continuity("t4", min_linear, min_top, p, q, c)
     return min_top(p, q, c)
-
-
-def coefficient(p: int, q: int, c: int, objective: str) -> Fraction:
-    """Coefficient of n^2 for a normalized pattern (p <= q), p = 0 included:
-    the out-star's q-1 for the total and (q-1)/c for the minimum."""
-    if p == 0:
-        if c < q:
-            raise ValueError(f"the out-star coefficient needs c >= q, got c={c} < q={q}")
-        return sum_low(0, q, c) if objective == "sum" else min_linear(0, q, c)
-    return coefficient_sum(p, q, c) if objective == "sum" else coefficient_min(p, q, c)
 
 
 @dataclass(frozen=True)

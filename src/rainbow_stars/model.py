@@ -8,14 +8,16 @@ at most once, but the same pair may appear in many colors.
 Collections are immutable values: every operation returns a fresh object and
 equality is semantic (same n, same c, same edge sets), independent of how the
 adjacency happens to be stored.  Two storage layouts exist behind the same
-interface, and n alone picks between them: dense bit rows (one Python int
-per source vertex per color) for n <= DEFAULT_DENSE_THRESHOLD, and
-compressed sparse rows (CSR) above it: per side (out and in), flat int
-arrays of the sorted targets, of the ids of the nonempty rows and of where
-each row starts; in-neighbour queries scan the out side until they have
-read a few times its edges, and then the in side is built from it.  Both
-layouts are built straight from the edges; the sparse one never passes
-through a dense copy, so its memory grows with the edge count alone.
+interface, and n alone picks between them: dense bit rows for
+n <= DEFAULT_DENSE_THRESHOLD, and compressed sparse rows (CSR) above it.
+Both address the row of source u in color i by its id i*(n+1) + u, as the
+parser and `from_edges` compute it.  The dense layout is one flat list of
+ints, row id r at index r; the sparse one is, per side (out and in), flat
+int arrays of the sorted targets, of the ids of the nonempty rows and of
+where each row starts; in-neighbour queries scan the out side until they
+have read a few times its edges, and then the in side is built from it.
+Both layouts are built straight from the edges; the sparse one never
+passes through a dense copy, so its memory grows with the edge count alone.
 Bulk builders that assemble whole bit rows use `from_out_rows`, which is
 dense at any n; everything else, relabelled copies included, takes the
 layout of its n.  Edges are read back a color at a time through one
@@ -163,46 +165,53 @@ class EdgeCountSummary:
 
 
 class _DenseStore:
-    """Bit-row adjacency: bit (v-1) of rows[i-1][u] set iff u -> v in color i."""
+    """Bit rows in one flat list addressed by row id, as the parser names
+    rows: bit (v-1) of rows[i*m + u] (m = n + 1) is set iff u -> v in color
+    i.  The rows below m and each color's row i*m stay 0."""
 
     kind = "dense"
 
     __slots__ = ("n", "c", "rows", "_counts")
 
-    def __init__(self, n: int, c: int, rows: list[list[int]]):
+    def __init__(self, n: int, c: int, rows: list[int]):
         self.n = n
         self.c = c
-        self.rows = rows  # rows[i-1][u] for u in 1..n; index 0 stays 0
-        self._counts = tuple(sum(map(int.bit_count, row)) for row in rows)
+        self.rows = rows
+        # the edges up to the end of each color's rows, color 0's first
+        ends = list(islice(accumulate(map(int.bit_count, rows)), n, None, n + 1))
+        self._counts = tuple(map(sub, ends[1:], ends))
+
+    def _block(self, i: int) -> list[int]:
+        """Color i's rows u = 1..n, copied; row u at index u-1."""
+        base = i * (self.n + 1)
+        return self.rows[base + 1:base + self.n + 1]
 
     def has_edge(self, i: int, u: int, v: int) -> bool:
-        return bool(self.rows[i - 1][u] >> (v - 1) & 1)
+        return bool(self.rows[i * (self.n + 1) + u] >> (v - 1) & 1)
 
     def out_list(self, i: int, u: int) -> tuple[int, ...]:
-        return _mask_to_vertices(self.rows[i - 1][u])
+        return _mask_to_vertices(self.rows[i * (self.n + 1) + u])
 
     def in_list(self, i: int, v: int) -> tuple[int, ...]:
-        bit = 1 << (v - 1)
-        row = self.rows[i - 1]
-        return tuple(u for u in range(1, self.n + 1) if row[u] & bit)
+        return tuple(compress(count(1), map(and_, self._block(i), repeat(1 << (v - 1)))))
 
     def edge_count(self, i: int) -> int:
         return self._counts[i - 1]
 
     def color_rows(self, i: int) -> tuple[list[int], list[int], list[int]]:
-        row = self.rows[i - 1]
-        sources = list(compress(range(1, self.n + 1), islice(row, 1, None)))
-        masks = list(map(row.__getitem__, sources))
+        row = self._block(i)
+        sources, masks = list(compress(count(1), row)), list(filter(None, row))
         starts = list(accumulate(map(int.bit_count, masks), initial=0))
         return sources, starts, list(chain.from_iterable(map(_mask_to_vertices, masks)))
 
     def color_masks(self) -> tuple[list[int], list[int]]:
         in_masks, out_masks = [0] * (self.n + 1), [0] * (self.n + 1)
-        for k, row in enumerate(self.rows):
+        for k in range(self.c):
             bit, presence = 1 << k, 0  # presence: the OR of the color's rows
-            for u in compress(range(self.n + 1), row):
+            row = self._block(k + 1)
+            for u, mask in compress(enumerate(row, 1), row):
                 out_masks[u] |= bit
-                presence |= row[u]
+                presence |= mask
             for v in _mask_to_vertices(presence):
                 in_masks[v] |= bit
         return in_masks, out_masks
@@ -417,28 +426,27 @@ class DigraphCollection:
         """Build dense storage directly from per-color bit rows.
 
         rows[i][u-1] is the target mask of vertex u in color i+1 (bit v-1 set
-        iff u -> v).  Loop bits are rejected.  Intended for bulk builders that
-        assemble whole rows at once; always yields the dense layout, whatever
-        n is.  Large sparse inputs go through `from_edges`, which builds the
-        sparse layout from the edges with no dense copy.
+        iff u -> v); it is copied to row id (i+1)*(n+1) + u of the dense
+        store's flat list.  Loop bits are rejected.  Intended for bulk
+        builders that assemble whole rows at once; always yields the dense
+        layout, whatever n is.  Large sparse inputs go through `from_edges`,
+        which builds the sparse layout from the edges with no dense copy.
         """
         _check_dims(n, c)
         if len(rows) != c:
             raise ValueError(f"expected {c} row blocks, got {len(rows)}")
-        full = (1 << n) - 1
-        padded: list[list[int]] = []
+        full, m = (1 << n) - 1, n + 1
+        flat = [0] * ((c + 1) * m)  # row i*m + u; rows below m stay empty
         for i, block in enumerate(rows, start=1):
             if len(block) != n:
                 raise ValueError(f"color {i}: expected {n} rows, got {len(block)}")
-            rowlist = [0] * (n + 1)
             for u, mask in enumerate(block, start=1):
                 if mask < 0 or mask & ~full:
                     raise ValueError(f"color {i}: row of vertex {u} has out-of-range bits")
                 if mask >> (u - 1) & 1:
                     raise ValueError(f"color {i}: loop at vertex {u}")
-                rowlist[u] = mask
-            padded.append(rowlist)
-        return DigraphCollection(_DenseStore(n, c, padded))
+            flat[i * m + 1:(i + 1) * m] = block
+        return DigraphCollection(_DenseStore(n, c, flat))
 
     # -- basic queries -------------------------------------------------------
 
@@ -724,15 +732,11 @@ def _spelled(top: int, step: int) -> dict[str, int]:
     return dict(zip(map(str, range(1, top + 1)), values))
 
 
+@lru_cache(maxsize=_TABLES)
 def _bits(n: int) -> list[int]:
     """bits[v] = 1 << (v-1), the bit of v in a dense row, for v in 1..n,
-    and bits[0] = 0; only read.  Kept per size up to _SPELLED_MAX, as the
-    tables are; a larger list (of about n*n/16 bytes) is built per call."""
-    return _kept_bits(n) if n <= _SPELLED_MAX else _kept_bits.__wrapped__(n)
-
-
-@lru_cache(maxsize=_TABLES)
-def _kept_bits(n: int) -> list[int]:
+    and bits[0] = 0; built once per size, as the tables are, and only read.
+    Its callers are dense, so n <= DEFAULT_DENSE_THRESHOLD."""
     return [0, *_scaled(range(1, n + 1), 0)]
 
 
@@ -798,10 +802,10 @@ def _build_store(n: int, c: int, chunks: Iterable[_Chunk | None],
 
 def _bulk_store(n: int, c: int, chunks: Iterable[_Chunk | None], dense: bool):
     """Dense or sparse store of the chunks, or None if a chunk is None, an
-    edge repeats or a dense row has a loop.  Repeats are counted, not
-    looked up: dense rows OR each edge's bit in, so a repeat leaves the
-    popcount sum short of the number of edges, and a loop u -> u sets the
-    row's own bit u-1, found by one AND per row.  Sparse keys
+    edge repeats or a dense row has a loop.  Each edge's bit is ORed into
+    the flat list the dense store keeps, at its row id, so a repeat leaves
+    the popcount sum short of the number of edges, and a loop u -> u sets
+    the row's own bit u-1, found by one AND per row.  Sparse keys
     row*m + target that strictly increase, checked a chunk at a time, have
     no repeat and are in CSR order, so the row and target columns are the
     out side's as they are; other keys are sorted, where a repeat sits
@@ -820,7 +824,7 @@ def _bulk_store(n: int, c: int, chunks: Iterable[_Chunk | None], dense: bool):
         # row i*m + u ANDed with u's own bit: nonzero where u -> u
         if any(map(and_, flat, cycle(_bits(n)))):
             return None
-        store = _DenseStore(n, c, [flat[i * m:(i + 1) * m] for i in range(1, c + 1)])
+        store = _DenseStore(n, c, flat)
         return store if sum(store._counts) == total else None
     rows: list[int] = []
     targets: list[int] = []

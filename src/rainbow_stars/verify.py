@@ -259,7 +259,7 @@ def _regime_cs(p: int, q: int) -> dict[tuple[str, Callable], list[int]]:
     c = p + q
     while len(lows) < 3 or len(highs) < 3:
         # low up to and at the split, where the two sum formulas agree
-        side = lows if bounds.coefficient_sum(p, q, c) == bounds.sum_low(p, q, c) else highs
+        side = lows if bounds.coefficient(p, q, c, "sum") == bounds.sum_low(p, q, c) else highs
         if len(side) < 3:
             side.append(c)
         c += 1
@@ -316,33 +316,29 @@ def suite_constructions_free(seed: int = DEFAULT_SEED) -> list[VerificationCase]
 
 # -- exact-small ---------------------------------------------------------
 
-_EXACT_SMALL_TABLE = (
-    # (n, c, p, q, objective, expected)
-    (3, 2, 1, 1, "sum", 6),
-    (3, 3, 1, 1, "sum", 6),
-    (4, 2, 1, 1, "sum", 12),
-    (4, 3, 1, 1, "sum", 12),
-    (3, 4, 1, 1, "sum", 8),
-    (4, 4, 1, 1, "sum", 16),
-    (4, 2, 1, 1, "min", 4),
-    (4, 3, 1, 1, "min", 4),
-    (5, 2, 1, 1, "min", 6),
-    (3, 2, 1, 1, "min", 3),
+_EXACT_SMALL_POINTS = (
+    # (n, c, p, q, objective): `bounds.exact_bound` gives each an EXACT value
+    (3, 2, 1, 1, "sum"), (3, 3, 1, 1, "sum"), (4, 2, 1, 1, "sum"), (4, 3, 1, 1, "sum"),
+    (3, 4, 1, 1, "sum"), (4, 4, 1, 1, "sum"), (4, 2, 1, 1, "min"), (4, 3, 1, 1, "min"),
+    (5, 2, 1, 1, "min"), (3, 2, 1, 1, "min"),
 )
 
 
 def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
-    """Branch-and-bound versus the exact path-pattern table, the oracle
-    cross-check, and reversal symmetry of optima."""
+    """Branch-and-bound versus the exact values of `bounds.exact_bound`,
+    the oracle cross-check, and reversal symmetry of optima."""
     cases = []
-    for (n, c, p, q, objective, expected) in _EXACT_SMALL_TABLE:
+    for (n, c, p, q, objective) in _EXACT_SMALL_POINTS:
+        bound = bounds.exact_bound(StarPattern(p, q), n, c, objective)
         outcome = max_exact(n, c, StarPattern(p, q), objective)
+        exact = bound.kind == bounds.EXACT
         cases.append(_case("theorem", {"check": "exact-table", "n": n, "c": c, "p": p, "q": q,
                                        "objective": objective},
-                           f"{expected}, proved optimal",
+                           f"{bound.value}, proved optimal",
                            f"{outcome.optimum}, proved={outcome.proved_optimal}, "
                            f"nodes={outcome.nodes_explored}",
-                           outcome.optimum == expected and outcome.proved_optimal))
+                           exact and outcome.optimum == bound.value and outcome.proved_optimal,
+                           "" if exact else f"exact_bound gives {bound.kind}"))
     for (n, c, q) in ((3, 2, 2), (4, 2, 2), (4, 3, 2)):
         for objective in bounds.OBJECTIVES:
             bb = max_exact(n, c, StarPattern(0, q), objective).optimum

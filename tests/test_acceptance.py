@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from rainbow_stars import verify
-from rainbow_stars.bounds import coefficient_min
 from rainbow_stars.constructions import ConstructionFamily, build
 from rainbow_stars.detector import find_rainbow_star
 from rainbow_stars.model import DigraphCollection, StarPattern, edge_counts, permute, reverse

@@ -16,12 +16,12 @@ from rainbow_stars.bounds import (
     UPPER_BOUND,
     SurdValue,
     coefficient,
-    coefficient_min,
-    coefficient_sum,
     compare_int_surd,
     compare_surds,
     exact_bound,
     fraction_str,
+    min_base,
+    sum_high,
     threshold_json,
     thresholds,
 )
@@ -38,6 +38,11 @@ def test_surd_comparisons_are_exact():
     assert compare_surds(SurdValue(1, 2), SurdValue(0, 6)) < 0  # 2.414 vs 2.449
     assert compare_surds(SurdValue(2, 2), SurdValue(1, 6)) < 0  # 3.414 vs 3.449
     assert compare_surds(SurdValue(0, 8), SurdValue(0, 8)) == 0
+    assert compare_int_surd(0, SurdValue(1, 4)) < 0  # c below the base
+    assert [SurdValue(0, 2).descriptor(), SurdValue(1, 2).descriptor(),
+            SurdValue(1, 4).descriptor()] == ["sqrt(2)", "1+sqrt(2)", "3"]
+    with pytest.raises(ValueError, match="radicand must be >= 0, got -1"):
+        SurdValue(0, -1)
 
 
 def test_threshold_values_for_small_patterns():
@@ -91,43 +96,46 @@ def test_threshold_orderings(p, q):
 
 
 def test_sum_coefficient_examples():
-    assert coefficient_sum(1, 2, 8) == Fraction(16, 7)
+    assert coefficient(1, 2, 8, "sum") == Fraction(16, 7)
     # below the split the coefficient is flat at p+q-1
-    assert coefficient_sum(1, 2, 3) == 2
-    assert coefficient_sum(1, 2, 5) == 2
+    assert coefficient(1, 2, 3, "sum") == 2
+    assert coefficient(1, 2, 5, "sum") == 2
     # (1,1): flat 1 through c = 4, then c/4
-    assert coefficient_sum(1, 1, 2) == 1
-    assert coefficient_sum(1, 1, 4) == 1
-    assert coefficient_sum(1, 1, 8) == 2
+    assert coefficient(1, 1, 2, "sum") == 1
+    assert coefficient(1, 1, 4, "sum") == 1
+    assert coefficient(1, 1, 8, "sum") == 2
 
 
 def test_min_coefficient_examples():
-    assert coefficient_min(1, 2, 3) == Fraction(4, 9)
-    assert coefficient_min(1, 2, 4) == Fraction(1, 3)
+    assert coefficient(1, 2, 3, "min") == Fraction(4, 9)
+    assert coefficient(1, 2, 4, "min") == Fraction(1, 3)
     # (1,1) collapses to 1/4 in every regime
     for c in range(2, 12):
-        assert coefficient_min(1, 1, c) == Fraction(1, 4)
+        assert coefficient(1, 1, c, "min") == Fraction(1, 4)
     # FIRST-chain linear regime: (q-1)/c between t2 and t4
     ts = thresholds(1, 5)
     assert ts.chain == CHAIN_FIRST
     c = 8  # t2 = 20/3 <= 8 <= t4 = 4 + sqrt(16) = 8
-    assert coefficient_min(1, 5, c) == Fraction(4, c)
+    assert coefficient(1, 5, c, "min") == Fraction(4, c)
 
 
 def test_coefficient_domain():
-    with pytest.raises(ValueError):
-        coefficient_sum(1, 2, 2)
-    with pytest.raises(ValueError):
-        coefficient_min(0, 2, 5)
-    with pytest.raises(ValueError):
-        coefficient_min(3, 2, 9)  # needs p <= q
+    with pytest.raises(ValueError, match=r"coefficients need c >= p\+q, got c=2 < 3"):
+        coefficient(1, 2, 2, "sum")
+    # p = 0 is the out-star; a negative p and p > q fail the threshold checks
+    with pytest.raises(ValueError, match="thresholds need p >= 1"):
+        coefficient(-1, 2, 5, "min")
+    with pytest.raises(ValueError, match="thresholds need p <= q"):
+        coefficient(3, 2, 9, "min")
+    with pytest.raises(ValueError, match="objective must be one of"):
+        coefficient(1, 2, 8, "max")
 
 
 def test_coefficient_entry_covers_the_out_star():
     # p = 0 gives q-1 and (q-1)/c; p >= 1 is the regime chooser's answer
     assert [coefficient(0, 3, 6, objective) for objective in OBJECTIVES] == [2, Fraction(1, 3)]
-    assert coefficient(1, 2, 8, "sum") == coefficient_sum(1, 2, 8)
-    assert coefficient(1, 2, 3, "min") == coefficient_min(1, 2, 3)
+    assert coefficient(1, 2, 8, "sum") == sum_high(1, 2, 8)
+    assert coefficient(1, 2, 3, "min") == min_base(1, 2, 3)
     with pytest.raises(ValueError, match="the out-star coefficient needs c >= q, got c=2 < q=3"):
         coefficient(0, 3, 2, "sum")
 
@@ -137,8 +145,8 @@ def test_coefficient_entry_covers_the_out_star():
 def test_coefficient_monotonicity_in_c(p, q):
     if p > q:
         p, q = q, p
-    values_min = [coefficient_min(p, q, c) for c in range(p + q, 50)]
-    values_sum = [coefficient_sum(p, q, c) for c in range(p + q, 50)]
+    values_min = [coefficient(p, q, c, "min") for c in range(p + q, 50)]
+    values_sum = [coefficient(p, q, c, "sum") for c in range(p + q, 50)]
     assert all(a >= b for a, b in zip(values_min, values_min[1:]))
     assert all(a <= b for a, b in zip(values_sum, values_sum[1:]))
     # per-color average never beats the sum
@@ -267,7 +275,7 @@ def test_bound_outputs_pinned():
             digest.update(repr(ts).encode())
             digest.update(json.dumps(threshold_json(ts), sort_keys=True).encode())
             for c in range(p + q, 40):
-                digest.update(repr((coefficient_min(p, q, c), coefficient_sum(p, q, c))).encode())
+                digest.update(repr((coefficient(p, q, c, "min"), coefficient(p, q, c, "sum"))).encode())
     assert digest.hexdigest() == (
         "a84ef26587d111f31b4dd0a5bd521fba11ebfe696f1e0b0782dfbcd20a51028f"
     )

@@ -465,6 +465,16 @@ def test_verify_exact_small_fail_branches(monkeypatch):
     case = got[("cross-check", 4, 3, 2, "min")]
     assert (case.actual, case.note) == (
         "branch_bound=4, cover=5", "correctness failure: exact engines disagree")
+    # a point whose closed form is not EXACT fails, though the engine proves it
+    monkeypatch.setattr(verify, "cover_oracle_s0q", cover)
+    monkeypatch.setattr(bounds, "exact_bound", lambda *args: replace(
+        exact_bound(*args), kind=bounds.UPPER_BOUND))
+    got = cases()
+    table = [case for key, case in got.items() if key[0] == "exact-table"]
+    assert len(table) == 10 and all(case.status == "fail" for case in table)
+    case = got[("exact-table", 3, 2, 1, 1, "sum")]
+    assert (case.expected, case.note) == ("6, proved optimal", "exact_bound gives UPPER_BOUND")
+    assert all(case.status == "pass" for key, case in got.items() if key[0] != "exact-table")
 
 
 def test_verify_attainment_overrun_fails(monkeypatch):
@@ -531,6 +541,15 @@ def test_verify_thresholds_fail_branches(monkeypatch):
     assert len(got) == 78
     assert got[(1, 1)][0] == "sum discontinuity; min discontinuity at t1; min discontinuity at t3"
     assert got[(1, 5)][0] == "sum discontinuity; min discontinuity at t1; min discontinuity at t2"
+    # min_top shifted up breaks the SECOND chain at t3 and the FIRST at t4
+    monkeypatch.setattr(bounds, "min_mid", min_mid)
+    monkeypatch.setattr(bounds, "sum_high", sum_high)
+    min_top = bounds.min_top
+    monkeypatch.setattr(bounds, "min_top", lambda p, q, c: min_top(p, q, c) + 1)
+    got = fails()
+    assert len(got) == 78
+    assert got[(1, 1)][0] == "min discontinuity at t3"
+    assert got[(1, 5)][0] == "min discontinuity at t4"
 
 
 def test_verify_thresholds_reports_first_chain_with_infinite_t2(monkeypatch, capsys):

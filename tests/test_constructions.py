@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbow_stars import constructions
-from rainbow_stars.bounds import coefficient_min, coefficient_sum
+from rainbow_stars.bounds import coefficient
 from rainbow_stars.constructions import (
     BUILD_EDGE_CAP,
     BUILD_ROW_CAP,
@@ -46,6 +46,10 @@ def test_proportional_sizes_largest_remainder():
     sizes = proportional_sizes(11, [Fraction(5, 8), Fraction(3, 8)])
     assert sizes == [7, 4]  # 6.875 rounds up before 4.125
     assert sum(proportional_sizes(100, [Fraction(1, 7)] * 7)) == 100
+    with pytest.raises(ValueError, match="negative weight"):
+        proportional_sizes(4, [Fraction(3, 2), Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="weights must sum to 1, got 3/4"):
+        proportional_sizes(4, [Fraction(1, 2), Fraction(1, 4)])
 
 
 def test_bipartite_s11_counts():
@@ -78,13 +82,15 @@ def test_predicted_value_examples():
     assert predicted_value(F.AC_SPLIT_SUM, 200, 8, 1, 2, "sum") == Fraction(16, 7)
     with pytest.raises(ValueError):
         predicted_value(F.AC_SPLIT_SUM, 200, 8, 1, 2, "min")  # no min claim
+    with pytest.raises(ApplicabilityError):
+        predicted_value(F.ASSIGNED_OUT, 30, 5, 1, 2, "min")  # needs p = 0
 
 
 def test_predicted_coefficients_match_closed_forms():
     # the families built for a regime must predict that regime's coefficient
-    assert predicted_value(F.AC_SPLIT_SUM, 200, 8, 1, 2, "sum") == coefficient_sum(1, 2, 8)
-    assert predicted_value(F.AC_MIN, 400, 4, 1, 2, "min") == coefficient_min(1, 2, 4)
-    assert predicted_value(F.AB_MIX, 600, 3, 1, 2, "min") == coefficient_min(1, 2, 3)
+    assert predicted_value(F.AC_SPLIT_SUM, 200, 8, 1, 2, "sum") == coefficient(1, 2, 8, "sum")
+    assert predicted_value(F.AC_MIN, 400, 4, 1, 2, "min") == coefficient(1, 2, 4, "min")
+    assert predicted_value(F.AB_MIX, 600, 3, 1, 2, "min") == coefficient(1, 2, 3, "min")
 
 
 def test_applicability_error_messages_name_thresholds():
@@ -222,9 +228,9 @@ def test_linear_regime_attainment():
     parts = math.comb(c, q - 1)
     n = 60 * parts
     out = build(F.A_ONLY, n, c, p, q)
-    coefficient = coefficient_min(p, q, c)
-    assert coefficient == Fraction(q - 1, c)
-    deviation = abs(Fraction(out.predicted_counts.minimum, n * n) - coefficient)
+    value = coefficient(p, q, c, "min")
+    assert value == Fraction(q - 1, c)
+    deviation = abs(Fraction(out.predicted_counts.minimum, n * n) - value)
     assert deviation <= Fraction(5 * parts, n)
 
 

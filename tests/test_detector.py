@@ -115,6 +115,8 @@ def test_fastpath_matches_general_search():
         assert (full is None) == (fp is None)
         if fp is not None:
             assert fp.is_valid_in(col)
+    with pytest.raises(ValueError, match="pattern \\(0, q\\) needs q >= 1, got q=0"):
+        matching_fastpath_p0(col, 0)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2),
@@ -386,6 +388,9 @@ def a_k(k: int, extra=()) -> DigraphCollection:
 @pytest.mark.parametrize("k", [8, 12])
 def test_a_k_probes_are_free(k):
     assert timed_find(a_k(k), StarPattern(k, k)) is None
+    # far past the naive enumerator's work guard
+    with pytest.raises(ValueError, match="naive enumeration guard"):
+        find_rainbow_star_naive(a_k(k), StarPattern(k, k))
 
 
 def test_a_k_with_one_edge_added_against_naive():

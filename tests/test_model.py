@@ -251,12 +251,11 @@ def test_spelling_tables_are_reused_and_the_limit_is_read_per_parse(monkeypatch)
     after = model._spelled.cache_info()
     assert after.hits - before.hits == 3 and after.misses == before.misses
     # a limit below every size sends each column to int, cache or no cache,
-    # and keeps no dense bit list
+    # and builds no spelling table
     monkeypatch.setattr(model, "_SPELLED_MAX", 0)
-    bits = model._kept_bits.cache_info()
     assert tuple(parse_edge_list(text).all_edges()) == expected
-    assert model._spelled.cache_info() == after and model._kept_bits.cache_info() == bits
-    assert model._spelled.cache_info().maxsize == model._kept_bits.cache_info().maxsize == model._TABLES
+    assert model._spelled.cache_info() == after
+    assert model._spelled.cache_info().maxsize == model._bits.cache_info().maxsize == model._TABLES
 
 
 def test_serialize_dense_rows_of_every_weight():
@@ -304,6 +303,20 @@ def test_sparse_store_memory_grows_with_edges_alone():
         tracemalloc.stop()
     assert col.storage_kind == "sparse" and col._store._in is not None
     assert kept < 64 * len(edges)
+
+
+def test_dense_parse_keeps_its_rows_once():
+    # the dense store keeps the flat row list that the parse fills, one int
+    # per (color, source) at its row id: a header-only parse peaks at about
+    # what it keeps, where a copy of the rows per color would double it
+    tracemalloc.start()
+    try:
+        col = parse_edge_list("rainbow-digraph v1\n500 2000\n")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * kept and kept > 8 * 2001 * 501
+    assert col.storage_kind == "dense" and len(col._store.rows) == 2001 * 501
 
 
 @pytest.mark.parametrize("relabel", [reverse, permute], ids=["reverse", "permute"])
@@ -403,6 +416,7 @@ def test_edge_counts():
     assert summary.per_color == (2, 0, 1)
     assert summary.total == 3
     assert summary.minimum == 0
+    assert repr(col) == "DigraphCollection(n=4, c=3, edges=3, dense)"
 
 
 def test_from_out_rows_matches_from_edges():
@@ -413,6 +427,8 @@ def test_from_out_rows_matches_from_edges():
         3, 2, [(1, 1, 2), (1, 1, 3), (1, 3, 1), (2, 2, 1), (2, 2, 3)]
     )
     assert built == expected
+    # one flat list of rows, row (i, u) at i*(n+1) + u, as from_edges builds it
+    assert built._store.rows == expected._store.rows == [0] * 5 + [0b110, 0, 0b001, 0, 0, 0b101, 0]
 
 
 @pytest.mark.parametrize(

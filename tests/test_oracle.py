@@ -356,6 +356,10 @@ def test_slot_guards():
     # 4 colors on 5 vertices is 80 slots, past the guard
     with pytest.raises(ValueError, match="beyond the slot guard 48"):
         max_exact(5, 4, StarPattern(1, 1), "sum")
+    # no vertex or no color is no instance at all
+    for n, c in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match=f"requires n >= 1 and c >= 1, got n={n}, c={c}"):
+            max_exact(n, c, StarPattern(1, 1), "sum")
     # 48 slots, at the guard, runs with no opt-in under the default budget
     assert 4 * 4 * 3 == SLOT_GUARD
     outcome = max_exact(4, 4, StarPattern(1, 1), "sum")
