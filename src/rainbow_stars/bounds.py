@@ -9,10 +9,11 @@ Each regime of the n² coefficient has one function here, taking (p, q, c)
 and returning a Fraction: `sum_low` and `sum_high` for the total, and
 `min_base`, `min_mid`, `min_linear` and `min_top` for the minimum.  Each
 computes in integer arithmetic (c may also be a Fraction) and leaves the
-domain check to its callers.  `coefficient` chooses among them and is the
-one entry for any normalized pattern, the out-star included; the
-constructions that reach each regime, the verification suites and the CLI
-read the same functions.
+domain check to its callers.  `regimes` is the one list of which function
+holds from which threshold; `coefficient` reads it and is the one entry
+for any normalized pattern, the out-star included.  The constructions
+that reach each regime, the verification suites and the CLI read the
+same functions, and the suites walk the same list.
 
 Every regime comparison against an irrational threshold is decided in exact
 integer arithmetic by squaring (each helper documents its reduction); floats
@@ -114,6 +115,13 @@ def compare_surds(s1: SurdValue, s2: SurdValue) -> int:
     return 0
 
 
+def compare_threshold(c: Union[int, Fraction], start) -> int:
+    """Sign of c - start, exactly, for an int, Fraction, SurdValue or INFINITY start."""
+    if isinstance(start, SurdValue):
+        return compare_int_surd(c, start)
+    return (c > start) - (c < start)
+
+
 @dataclass(frozen=True)
 class ThresholdSet:
     """Regime thresholds for a star with 1 <= p <= q.
@@ -153,17 +161,6 @@ def thresholds(p: int, q: int) -> ThresholdSet:
     return ThresholdSet(p, q, t1, t2, t3, t4, CHAIN_FIRST if first else CHAIN_SECOND)
 
 
-def _continuity(label: str, left, right, p: int, q: int, c: int) -> Fraction:
-    """The common value of two adjacent regime formulas at a boundary c."""
-    a, b = left(p, q, c), right(p, q, c)
-    if a != b:
-        raise RuntimeError(
-            f"internal error: adjacent formulas disagree at {label} "
-            f"(p={p}, q={q}, c={c}): {a} != {b}"
-        )
-    return a
-
-
 def sum_low(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     """p+q-1: the first p+q-1 colors complete."""
     return Fraction(p + q - 1)
@@ -195,62 +192,49 @@ def min_top(p: int, q: int, c: Union[int, Fraction]) -> Fraction:
     return Fraction((c * c - (p - 1) * (q - 1)) ** 2, 4 * c * c * (c - p + 1) * (c - q + 1))
 
 
+def regimes(p: int, q: int, objective: str) -> tuple:
+    """The n^2 coefficient's regimes for a normalized pattern p <= q, as
+    (formula, start, name) triples in ascending start c; name labels the
+    start, and the first starts at the smallest c of the domain, p+q.  The
+    formulas are looked up at each call; 1 <= p <= q is checked by
+    `thresholds`."""
+    check_objective(objective)
+    if p == 0:
+        return ((sum_low if objective == "sum" else min_linear, q, "q"),)
+    ts = thresholds(p, q)
+    if objective == "sum":
+        return ((sum_low, p + q, "p+q"),
+                (sum_high, SurdValue(p + 2 * q - 1, 4 * p * q), "sum threshold"))
+    if ts.chain == CHAIN_SECOND:
+        top = ((min_top, ts.t3, "t3"),)
+    else:
+        top = ((min_linear, ts.t2, "t2"), (min_top, ts.t4, "t4"))
+    return ((min_base, p + q, "p+q"), (min_mid, ts.t1, "t1"), *top)
+
+
 def coefficient(p: int, q: int, c: int, objective: str) -> Fraction:
     """Coefficient of n^2 in the largest total edge count ("sum") or the
     largest minimum per-color edge count ("min"), for a normalized pattern
-    p <= q, the out-star p = 0 included.
-
-    The out-star's is q-1 for the total and (q-1)/c for the minimum.  For
-    p >= 1 the total is `sum_low` for c below the threshold
-    p+2q-1+2*sqrt(pq), else `sum_high`; membership is exact: with
-    d = c-(p+2q-1), c is below iff d < 0 or d^2 < 4pq, at the threshold iff
-    d >= 0 and d^2 = 4pq, above otherwise.  The minimum is piecewise along
-    the threshold chain: `min_base` below t1, then `min_mid`, then `min_top`
-    past t3 on the SECOND chain, or `min_linear` from t2 and `min_top` past
-    t4 on the FIRST.  At a boundary both adjacent formulas are evaluated
-    and their common value returned.  The checks 1 <= p <= q come from
-    `thresholds`.
-    """
-    check_objective(objective)
-    if p == 0:
-        if c < q:
-            raise ValueError(f"the out-star coefficient needs c >= q, got c={c} < q={q}")
-        return sum_low(0, q, c) if objective == "sum" else min_linear(0, q, c)
-    ts = thresholds(p, q)
+    p <= q, the out-star p = 0 included: the formula of the last of
+    `regimes` whose start c has reached.  At a start the formulas that end
+    and begin there must agree, or a RuntimeError is raised."""
+    listed = regimes(p, q, objective)
+    if p == 0 and c < q:
+        raise ValueError(f"the out-star coefficient needs c >= q, got c={c} < q={q}")
     if c < p + q:
         raise ValueError(f"coefficients need c >= p+q, got c={c} < {p + q}")
-    if objective == "sum":
-        d = c - (p + 2 * q - 1)
-        if d < 0 or d * d < 4 * p * q:
-            return sum_low(p, q, c)
-        if d * d == 4 * p * q:
-            return _continuity("sum threshold", sum_low, sum_high, p, q, c)
-        return sum_high(p, q, c)
-
-    if c < ts.t1:
-        return min_base(p, q, c)
-    if c == ts.t1:
-        return _continuity("t1", min_base, min_mid, p, q, c)
-
-    if ts.chain == CHAIN_SECOND:
-        pos = compare_int_surd(c, ts.t3)
-        if pos < 0:
-            return min_mid(p, q, c)
-        if pos == 0:
-            return _continuity("t3", min_mid, min_top, p, q, c)
-        return min_top(p, q, c)
-
-    # FIRST chain: t2 is finite here (q >= p+2)
-    if c < ts.t2:
-        return min_mid(p, q, c)
-    if c == ts.t2:
-        return _continuity("t2", min_mid, min_linear, p, q, c)
-    pos = compare_int_surd(c, ts.t4)
-    if pos < 0:
-        return min_linear(p, q, c)
-    if pos == 0:
-        return _continuity("t4", min_linear, min_top, p, q, c)
-    return min_top(p, q, c)
+    formula = None
+    for regime, start, name in listed:
+        sign = compare_threshold(c, start)
+        if sign < 0:
+            break
+        if sign == 0 and formula is not None and formula(p, q, c) != regime(p, q, c):
+            raise RuntimeError(
+                f"internal error: adjacent formulas disagree at {name} "
+                f"(p={p}, q={q}, c={c}): {formula(p, q, c)} != {regime(p, q, c)}"
+            )
+        formula = regime
+    return formula(p, q, c)
 
 
 @dataclass(frozen=True)

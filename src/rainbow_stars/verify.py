@@ -9,7 +9,6 @@ not divide the remainder); every other mismatch is a fail.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -251,28 +250,22 @@ _ATTAINMENT_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
 
 
 def _regime_cs(p: int, q: int) -> dict[tuple[str, Callable], list[int]]:
-    """Up to three c values in each coefficient regime of a chain-SECOND
-    pair, keyed by (objective, regime function)."""
-    ts = bounds.thresholds(p, q)
-    assert ts.chain == bounds.CHAIN_SECOND
-    lows, highs = [], []
-    c = p + q
-    while len(lows) < 3 or len(highs) < 3:
-        # low up to and at the split, where the two sum formulas agree
-        side = lows if bounds.coefficient(p, q, c, "sum") == bounds.sum_low(p, q, c) else highs
-        if len(side) < 3:
-            side.append(c)
-        c += 1
-    base = [c for c in range(p + q, ts.t1 + 1)][:3]
-    mid = [c for c in range(ts.t1, ts.t1 + 10)
-           if bounds.compare_int_surd(c, ts.t3) <= 0][:3]
-    top_start = ts.t1
-    while bounds.compare_int_surd(top_start, ts.t3) < 0:
-        top_start += 1
-    top = list(range(max(top_start, p + q), max(top_start, p + q) + 3))
-    return {("sum", bounds.sum_low): lows, ("sum", bounds.sum_high): highs,
-            ("min", bounds.min_base): base, ("min", bounds.min_mid): mid,
-            ("min", bounds.min_top): top}
+    """The first three c >= p+q in each of the `bounds.regimes` of a
+    chain-SECOND pair, keyed by (objective, regime function); a start
+    belongs to both regimes it joins."""
+    assert bounds.thresholds(p, q).chain == bounds.CHAIN_SECOND
+    picked = {}
+    for objective in bounds.OBJECTIVES:
+        listed = bounds.regimes(p, q, objective)
+        ends = [start for _, start, _ in listed[1:]] + [bounds.INFINITY]
+        for (formula, start, _), end in zip(listed, ends):
+            cs = picked[objective, formula] = []
+            c = p + q
+            while len(cs) < 3 and bounds.compare_threshold(c, end) <= 0:
+                if bounds.compare_threshold(c, start) >= 0:
+                    cs.append(c)
+                c += 1
+    return picked
 
 
 def attainment_instances() -> list[tuple[ConstructionFamily, str, int, int, int, int]]:
@@ -360,9 +353,9 @@ def suite_exact_small(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
 
 # -- thresholds ---------------------------------------------------------
 
-def _gap(left, right, p: int, q: int, x: float) -> float:
-    """|left - right| of two regime formulas of `bounds` at a float breakpoint x."""
-    at = Fraction(x)
+def _gap(left, right, p: int, q: int, start) -> float:
+    """|left - right| of two regime formulas of `bounds` at a start, rounded to a float."""
+    at = Fraction(start.float_value() if isinstance(start, bounds.SurdValue) else float(start))
     return abs(float(left(p, q, at)) - float(right(p, q, at)))
 
 
@@ -399,20 +392,16 @@ def suite_thresholds(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
             if sign >= 0 and q < p + 2:
                 note = "sign >= 0 but q <= p+1 forces the SECOND chain (t2 infinite)"
 
-            # continuity at each interior breakpoint, 1e-9 float tolerance
-            boundary = p + 2 * q - 1 + 2 * math.sqrt(p * q)
-            if _gap(bounds.sum_low, bounds.sum_high, p, q, boundary) > 1e-9:
-                problems.append("sum discontinuity")
-            if _gap(bounds.min_base, bounds.min_mid, p, q, ts.t1) > 1e-9:
-                problems.append("min discontinuity at t1")
-            if ts.chain != bounds.CHAIN_FIRST:
-                if _gap(bounds.min_mid, bounds.min_top, p, q, ts.t3.float_value()) > 1e-9:
-                    problems.append("min discontinuity at t3")
-            elif ts.t2 is not bounds.INFINITY:  # an infinite t2 is reported above
-                if _gap(bounds.min_mid, bounds.min_linear, p, q, float(ts.t2)) > 1e-9:
-                    problems.append("min discontinuity at t2")
-                if _gap(bounds.min_linear, bounds.min_top, p, q, ts.t4.float_value()) > 1e-9:
-                    problems.append("min discontinuity at t4")
+            # continuity at each interior start, 1e-9 float tolerance; an
+            # infinite start (FIRST with infinite t2) is reported above
+            for objective in bounds.OBJECTIVES:
+                listed = bounds.regimes(p, q, objective)
+                for (left, _, _), (right, start, name) in zip(listed, listed[1:]):
+                    if start is bounds.INFINITY:
+                        break
+                    if _gap(left, right, p, q, start) > 1e-9:
+                        problems.append("sum discontinuity" if objective == "sum"
+                                        else f"min discontinuity at {name}")
             cases.append(_case("theorem", {"p": p, "q": q}, "orderings, chain rule, continuity",
                                "; ".join(problems) or "all identities hold", not problems, note))
     return cases

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbow_stars import bounds
 from rainbow_stars.bounds import (
     CHAIN_FIRST,
     CHAIN_SECOND,
@@ -18,6 +19,7 @@ from rainbow_stars.bounds import (
     coefficient,
     compare_int_surd,
     compare_surds,
+    compare_threshold,
     exact_bound,
     fraction_str,
     min_base,
@@ -39,6 +41,19 @@ def test_surd_comparisons_are_exact():
     assert compare_surds(SurdValue(2, 2), SurdValue(1, 6)) < 0  # 3.414 vs 3.449
     assert compare_surds(SurdValue(0, 8), SurdValue(0, 8)) == 0
     assert compare_int_surd(0, SurdValue(1, 4)) < 0  # c below the base
+    # a regime start of each kind: 5 = t1 of (1, 4), 20/3 = t2 of (1, 5),
+    # 3 + sqrt(4) = t3 of (2, 2); no finite c reaches INFINITY
+    t2 = thresholds(1, 5).t2
+    assert t2 == Fraction(20, 3)
+    for start, below, at, above in ((5, 4, 5, 6), (t2, 6, t2, 7),
+                                    (SurdValue(3, 4), 4, 5, 6),
+                                    (SurdValue(2, 2), 3, None, 4)):
+        assert compare_threshold(below, start) == -1
+        assert compare_threshold(above, start) == 1
+        if at is not None:
+            assert compare_threshold(at, start) == 0
+    assert compare_threshold(10**100, INFINITY) == -1
+    assert compare_threshold(Fraction(10**100, 3), INFINITY) == -1
     assert [SurdValue(0, 2).descriptor(), SurdValue(1, 2).descriptor(),
             SurdValue(1, 4).descriptor()] == ["sqrt(2)", "1+sqrt(2)", "3"]
     with pytest.raises(ValueError, match="radicand must be >= 0, got -1"):
@@ -138,6 +153,22 @@ def test_coefficient_entry_covers_the_out_star():
     assert coefficient(1, 2, 3, "min") == min_base(1, 2, 3)
     with pytest.raises(ValueError, match="the out-star coefficient needs c >= q, got c=2 < q=3"):
         coefficient(0, 3, 2, "sum")
+
+
+def test_coefficient_continuity_guard(monkeypatch):
+    # a regime formula shifted by 1 disagrees with its neighbour at the
+    # start they share: t1 = 3 for (1, 2), the sum threshold 4 for (1, 1)
+    min_mid, sum_high = bounds.min_mid, bounds.sum_high
+    monkeypatch.setattr(bounds, "min_mid", lambda p, q, c: min_mid(p, q, c) + 1)
+    with pytest.raises(RuntimeError, match=r"^internal error: adjacent formulas disagree at t1 "
+                                           r"\(p=1, q=2, c=3\): 4/9 != 13/9$"):
+        coefficient(1, 2, 3, "min")
+    assert coefficient(1, 2, 4, "min") == Fraction(1, 3)  # past t3 = 2+sqrt(2): min_top
+    monkeypatch.setattr(bounds, "sum_high", lambda p, q, c: sum_high(p, q, c) + 1)
+    with pytest.raises(RuntimeError, match=r"^internal error: adjacent formulas disagree at "
+                                           r"sum threshold \(p=1, q=1, c=4\): 1 != 2$"):
+        coefficient(1, 1, 4, "sum")
+    assert coefficient(1, 1, 3, "sum") == 1
 
 
 @given(st.integers(1, 6), st.integers(1, 6))

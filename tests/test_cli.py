@@ -498,6 +498,26 @@ def test_verify_attainment_overrun_fails(monkeypatch):
         "|sum/n^2 - 1| <= 1/20", "deviation 0.110000", "")
 
 
+def test_verify_regime_cs_pinned():
+    # the attainment c values of each pair, by regime; a start such as the
+    # sum threshold 4 of (1, 1) or t1 = t3 = 5 of (2, 2) is in both regimes
+    got = {pq: {(objective, formula.__name__): cs
+                for (objective, formula), cs in verify._regime_cs(*pq).items()}
+           for pq in verify._ATTAINMENT_PAIRS}
+    table = {
+        (1, 1): ([2, 3, 4], [4, 5, 6], [2], [2], [2, 3, 4]),
+        (1, 2): ([3, 4, 5], [7, 8, 9], [3], [3], [4, 5, 6]),
+        (1, 3): ([4, 5, 6], [10, 11, 12], [4], [4], [5, 6, 7]),
+        (2, 2): ([4, 5, 6], [9, 10, 11], [4, 5], [5], [5, 6, 7]),
+        (2, 3): ([5, 6, 7], [12, 13, 14], [5, 6], [6], [7, 8, 9]),
+    }
+    keys = (("sum", "sum_low"), ("sum", "sum_high"), ("min", "min_base"),
+            ("min", "min_mid"), ("min", "min_top"))
+    assert got == {pq: dict(zip(keys, row)) for pq, row in table.items()}
+    with pytest.raises(AssertionError):
+        verify._regime_cs(1, 5)  # a FIRST pair
+
+
 def test_verify_freeness_case_reports_a_build_that_raises(monkeypatch):
     def broken_build(family, n, c, p, q):
         raise RuntimeError("certificate refused")
