@@ -319,7 +319,8 @@ def _build_ac_split_sum(n, c, p, q):
         + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
         + [size_c * size_a] * (c - q + 1)
     )
-    return rows, per_color, (PartGroup("A", (), a_vertices), PartGroup("C", (), c_vertices))
+    return rows, per_color, (PartGroup("A", tuple(range(1, q)), a_vertices),
+                             PartGroup("C", tuple(range(1, p)), c_vertices))
 
 
 def _build_b_only(n, c, p, q):

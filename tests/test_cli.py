@@ -130,14 +130,15 @@ _CONSTRUCT_POINTS = (
 
 def test_construct_output_pinned(capsys):
     # one sha256 over the whole JSON stdout of `construct` at every point:
-    # edge list, predicted counts and coefficients, and parts
+    # edge list, predicted counts and coefficients, and parts (re-pinned
+    # when AC_SPLIT_SUM's parts gained their colors)
     digest = hashlib.sha256()
     for family, n, c, p, q in _CONSTRUCT_POINTS:
         assert main(["construct", "--family", family, "--n", str(n), "--c", str(c),
                      "--p", str(p), "--q", str(q)]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
-        "03e113940bfba99e88d4dd59d126025375b8593b81179fa52bff131864d6c6b2"
+        "9a84b27976272ae54198fd897add8771a9c9cc1a931d72f9f10efc2edd8068cf"
     )
 
 

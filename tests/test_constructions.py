@@ -292,7 +292,8 @@ def test_small_builds_pinned():
     # both predictions; the digest was computed before the families were
     # folded into one spec table, and re-pinned when the CYCLIC_REMAINDER
     # min claims became the build's own minimum (27 points where q-1 does
-    # not divide r had claimed the floor formula; nothing else changed)
+    # not divide r had claimed the floor formula; nothing else changed), and
+    # when AC_SPLIT_SUM's parts gained their colors (345 builds, parts alone)
     digest = hashlib.sha256()
     builds = 0
     for family in F:
@@ -312,7 +313,7 @@ def test_small_builds_pinned():
                         digest.update(_claim(family, n, c, p, q, "min").encode())
     assert builds == 3072
     assert digest.hexdigest() == (
-        "ced34680d9a07e37cf73270836284efffa9afb91568e0b0b83771f006c4b5fc0"
+        "f9b2ff70a04ca95b81af2144bc5f64f1c085a899128038cf60434f9b1e5929c9"
     )
 
 
