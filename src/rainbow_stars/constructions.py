@@ -14,10 +14,11 @@ then the family's own conditions; then at least as many vertices as parts.
 
 A build returns the collection, its part groups (none for a family without
 parts), the per-color edge counts of the materialized collection (asserted
-equal to the builder's partition arithmetic), and the row's coefficients.
-Every build is certified rainbow-star-free by the detector before it is
-returned.  One past BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is
-refused before any row is built.
+equal to the counts the builder works out apart from its rows: from the part
+sizes, in a partitioned family), and the row's coefficients.  Every build is
+certified rainbow-star-free by the detector before it is returned.  One past
+BUILD_ROW_CAP rows or BUILD_EDGE_CAP predicted edges is refused before any
+row is built.
 
 Out-star shapes built vertex by vertex are `CoverStructure`s: a collection
 has no rainbow (0, q) star exactly when each vertex's (target, color) pairs
@@ -27,7 +28,13 @@ the cover oracle's witnesses are built through its `rows` and `counts`.
 Conventions shared by the partitioned families: parts are sized with the
 largest-remainder method over exact rational targets (ties broken by lower
 part index), color subsets are assigned to parts in colexicographic order,
-and vertices 1..n fill the parts consecutively.
+and vertices 1..n fill the parts consecutively.  Each part is of side A, B
+or C and owns a color subset.  In color i the senders are the A and B parts
+that own i and every C part, the receivers are every A part and the B and
+C parts that own i, and each sender points to every receiver but itself.
+So an A vertex sends, a B vertex has edges, and a C vertex receives, only
+in its own colors: with at most q-1, p+q-1 and p-1 colors each, a part stays
+in its class of `detector.classify_vertices`.
 """
 
 from __future__ import annotations
@@ -122,50 +129,50 @@ def proportional_sizes(n: int, weights: list[Fraction]) -> list[int]:
     return sizes
 
 
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ApplicabilityError(message)
 
 
-def _subset_parts(n: int, c: int, k: int, label: str, start: int = 1):
-    """Split n vertices, numbered from `start`, into equal consecutive parts,
-    one per k-subset of colors in colex order, labelled label1, label2, ...
-
-    Returns the groups and, indexed by color 1..c, the mask and the number
-    of the vertices whose part owns that color.
-    """
+def _colex_parts(side: str, n: int, c: int, k: int) -> list[tuple]:
+    """One `side` part per k-subset of colors in colex order, labelled
+    side1, side2, ..., splitting n vertices equally."""
     subsets = list(colex_subsets(c, k))
     sizes = proportional_sizes(n, [Fraction(1, len(subsets))] * len(subsets))
+    return [(side, f"{side}{j}", subset, size)
+            for j, (subset, size) in enumerate(zip(subsets, sizes), start=1)]
+
+
+def _part_build(n: int, c: int, parts: list[tuple]):
+    """Rows, per-color counts and groups of the collection the parts span.
+
+    `parts` lists (side, label, colors, size) in vertex order, as in the
+    module docstring's rule.  A color's count is its senders times its
+    receivers, less the vertices that do both (those of the parts that own
+    it), from the part sizes alone.
+    """
+    every = range(1, c + 1)
+    senders, receivers = [0] * (c + 1), [0] * (c + 1)
+    sent, received, owned = [0] * (c + 1), [0] * (c + 1), [0] * (c + 1)
     groups = []
-    masks = [0] * (c + 1)
-    owners = [0] * (c + 1)
-    at = start
-    for j, (subset, size) in enumerate(zip(subsets, sizes), start=1):
-        vertices = tuple(range(at, at + size))
-        part_mask = ((1 << size) - 1) << (at - 1)
+    at = 1
+    for side, label, colors, size in parts:
+        groups.append(PartGroup(label, colors, tuple(range(at, at + size))))
+        mask = ((1 << size) - 1) << (at - 1)
         at += size
-        groups.append(PartGroup(f"{label}{j}", subset, vertices))
-        for i in subset:
-            masks[i] |= part_mask
-            owners[i] += size
-    return tuple(groups), masks, owners
-
-
-def _rows_between(n: int, c: int, sources: list[int], targets: list[int]) -> list[list[int]]:
-    """Rows in which each vertex of sources[i] points to targets[i] but
-    itself, in color i (both lists indexed by color 1..c)."""
+        for i in every if side == "C" else colors:
+            senders[i] |= mask
+            sent[i] += size
+        for i in every if side == "A" else colors:
+            receivers[i] |= mask
+            received[i] += size
+        for i in colors:
+            owned[i] += size
     rows = [[0] * n for _ in range(c)]
-    for i in range(1, c + 1):
-        for u in _mask_to_vertices(sources[i]):
-            rows[i - 1][u - 1] = targets[i] & ~(1 << (u - 1))
-    return rows
+    for i in every:
+        for u in _mask_to_vertices(senders[i]):
+            rows[i - 1][u - 1] = receivers[i] & ~(1 << (u - 1))
+    return rows, [sent[i] * received[i] - owned[i] for i in every], tuple(groups)
 
 
 # -- cover structures --------------------------------------------------------
@@ -204,7 +211,9 @@ class CoverStructure:
         rows = [[0] * self.n for _ in range(self.c)]
         full = (1 << self.n) - 1
         for v, (a_v, b_v) in enumerate(zip(self.a_sets, self.b_sets), start=1):
-            own, short = full & ~(1 << (v - 1)), _mask(b_v)
+            own, short = full & ~(1 << (v - 1)), 0
+            for u in b_v:
+                short |= 1 << (u - 1)
             for i in range(1, self.c + 1):
                 rows[i - 1][v - 1] = own if i in a_v else short
         return rows
@@ -250,30 +259,27 @@ def _cover_build(cover: CoverStructure):
     return cover.rows(), cover.counts(), ()
 
 
-def _complete_rows(n, c, k):
-    """The first k colors complete, the rest empty."""
-    full = (1 << n) - 1
-    sources = [0] + [full] * k + [0] * (c - k)
-    rows = _rows_between(n, c, sources, [full] * (c + 1))
-    return rows, [n * (n - 1)] * k + [0] * (c - k), ()
+def _complete_build(n, c, k):
+    """The first k colors complete, the rest empty: one B part, reported
+    without groups."""
+    rows, per_color, _ = _part_build(n, c, [("B", "B", tuple(range(1, k + 1)), n)])
+    return rows, per_color, ()
 
 
 def _build_complete_prefix(n, c, p, q):
-    return _complete_rows(n, c, p + q - 1)
+    return _complete_build(n, c, p + q - 1)
 
 
 def _build_assigned_out(n, c, p, q):
     """Parts own (q-1)-subsets and their vertices send edges to everyone in
     exactly those colors."""
-    groups, masks, assigned = _subset_parts(n, c, q - 1, "A")
-    rows = _rows_between(n, c, masks, [(1 << n) - 1] * (c + 1))
-    per_color = [assigned[i] * (n - 1) for i in range(1, c + 1)]
-    return rows, per_color, groups
+    return _part_build(n, c, _colex_parts("A", n, c, q - 1))
 
 
 def _assigned_out_min(n, c, p, q):
-    assigned = _subset_parts(n, c, q - 1, "A")[2]
-    return min(assigned[1:]) * (n - 1)
+    parts = _colex_parts("A", n, c, q - 1)
+    return min(sum(size for _, _, colors, size in parts if i in colors)
+               for i in range(1, c + 1)) * (n - 1)
 
 
 def _cyclic_remainder_cover(n, c, q):
@@ -305,30 +311,12 @@ def _build_ac_split_sum(n, c, p, q):
     weight_a = Fraction(c - p + 1, denominator)
     weight_c = Fraction(c + p - 2 * q + 1, denominator)
     size_a, size_c = proportional_sizes(n, [weight_a, weight_c])
-    a_vertices = tuple(range(1, size_a + 1))
-    c_vertices = tuple(range(size_a + 1, n + 1))
-    mask_a = _mask(a_vertices)
-    full = (1 << n) - 1
-    # colors below p are complete, colors p..q-1 point everyone into A, and
-    # the rest point C into A
-    sources = [0] + [full] * (q - 1) + [full & ~mask_a] * (c - q + 1)
-    targets = [0] + [full] * (p - 1) + [mask_a] * (c - p + 1)
-    rows = _rows_between(n, c, sources, targets)
-    per_color = (
-        [n * (n - 1)] * (p - 1)
-        + [size_a * (size_a - 1) + size_c * size_a] * (q - p)
-        + [size_c * size_a] * (c - q + 1)
-    )
-    return rows, per_color, (PartGroup("A", tuple(range(1, q)), a_vertices),
-                             PartGroup("C", tuple(range(1, p)), c_vertices))
+    return _part_build(n, c, [("A", "A", tuple(range(1, q)), size_a),
+                              ("C", "C", tuple(range(1, p)), size_c)])
 
 
 def _build_b_only(n, c, p, q):
-    k = p + q - 1
-    groups, masks, sizes = _subset_parts(n, c, k, "B")
-    rows = _rows_between(n, c, masks, masks)
-    per_color = [sizes[i] * (sizes[i] - 1) for i in range(1, c + 1)]
-    return rows, per_color, groups
+    return _part_build(n, c, _colex_parts("B", n, c, p + q - 1))
 
 
 def _b_only_claim(n, c, p, q, copies):
@@ -346,17 +334,7 @@ def _build_ab_mix(n, c, p, q):
     weight_b = Fraction((q - 1) * (p + q - 1) - c * (q - p - 1), denominator)
     weight_a = Fraction((p + q - 1) * (c - 2 * p - q + 1), denominator)
     n_a, n_b = proportional_sizes(n, [weight_a, weight_b])
-    a_groups, a_masks, a_sizes = _subset_parts(n_a, c, q - 1, "A")
-    b_groups, b_masks, b_sizes = _subset_parts(n_b, c, p + q - 1, "B", start=n_a + 1)
-    mask_a_all = _mask(range(1, n_a + 1))
-    sources = [a | b for a, b in zip(a_masks, b_masks)]
-    targets = [mask_a_all | b for b in b_masks]
-    rows = _rows_between(n, c, sources, targets)
-    per_color = []
-    for i in range(1, c + 1):
-        src = a_sizes[i] + b_sizes[i]
-        per_color.append(src * (n_a + b_sizes[i]) - src)
-    return rows, per_color, a_groups + b_groups
+    return _part_build(n, c, _colex_parts("A", n_a, c, q - 1) + _colex_parts("B", n_b, c, p + q - 1))
 
 
 def _build_ac_min(n, c, p, q):
@@ -364,26 +342,11 @@ def _build_ac_min(n, c, p, q):
     weight_a = Fraction((c - p + 1) ** 2 + (p - 1) * (q - p), denominator)
     weight_c = Fraction((c - q + 1) ** 2 - (q - 1) * (q - p), denominator)
     n_a, n_c = proportional_sizes(n, [weight_a, weight_c])
-    a_groups, a_masks, a_sizes = _subset_parts(n_a, c, q - 1, "A")
-    c_groups, c_masks, c_sizes = _subset_parts(n_c, c, p - 1, "C", start=n_a + 1)
-    mask_a_all = _mask(range(1, n_a + 1))
-    mask_c_all = _mask(range(n_a + 1, n + 1))
-    sources = [a | mask_c_all for a in a_masks]
-    targets = [mask_a_all | m for m in c_masks]
-    rows = _rows_between(n, c, sources, targets)
-    per_color = []
-    for i in range(1, c + 1):
-        alpha_i, gamma_i = a_sizes[i], c_sizes[i]
-        per_color.append((alpha_i + n_c) * (n_a + gamma_i) - alpha_i - gamma_i)
-    return rows, per_color, a_groups + c_groups
+    return _part_build(n, c, _colex_parts("A", n_a, c, q - 1) + _colex_parts("C", n_c, c, p - 1))
 
 
 def _build_bipartite_s11(n, c, p, q):
-    left = tuple(range(1, n // 2 + 1))
-    right = tuple(range(n // 2 + 1, n + 1))
-    rows = _rows_between(n, c, [_mask(left)] * (c + 1), [_mask(right)] * (c + 1))
-    per_color = [len(left) * len(right)] * c
-    return rows, per_color, (PartGroup("left", (), left), PartGroup("right", (), right))
+    return _part_build(n, c, [("C", "left", (), n // 2), ("A", "right", (), n - n // 2)])
 
 
 def _build_remark_cn(n, c, p, q):
@@ -393,7 +356,7 @@ def _build_remark_cn(n, c, p, q):
 
 
 def _build_remark_nq(n, c, p, q):
-    return _complete_rows(n, c, c)
+    return _complete_build(n, c, c)
 
 
 def _build_triangle_n3(n, c, p, q):
@@ -605,12 +568,13 @@ def build(family: ConstructionFamily, n: int, c: int, p: int, q: int) -> Constru
     """Materialize a family at (n, c, p, q), certify freeness, check counts.
 
     The predicted counts are those of the collection, once they equal the
-    builder's partition arithmetic; the size cap reads the row's sum claim.
+    counts the builder works out apart from its rows (from the part sizes,
+    in a partitioned family); the size cap reads the row's sum claim.
     Raises ApplicabilityError outside the family domain, ValueError past
     BUILD_ROW_CAP rows (c*n) or BUILD_EDGE_CAP edges (the predicted sum; a
     coefficient times n^2 where that is the claim, every slot where there
     is none), checked before any row is built, and RuntimeError if the
-    materialized collection contradicts the partition arithmetic or
+    materialized collection contradicts the builder's counts or
     contains a rainbow star (either would be a builder defect, not bad input).
     """
     reason = applicability_error(family, n, c, p, q)

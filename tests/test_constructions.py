@@ -23,7 +23,7 @@ from rainbow_stars.constructions import (
     predicted_value,
     proportional_sizes,
 )
-from rainbow_stars.detector import find_rainbow_star
+from rainbow_stars.detector import classify_vertices, find_rainbow_star
 from rainbow_stars.model import StarPattern, edge_counts, serialize_edge_list
 
 F = ConstructionFamily
@@ -192,26 +192,58 @@ def test_cyclic_remainder_sum_counts_its_build():
                     out.predicted_counts.minimum, (n, c, q)
 
 
-def test_exact_families_predict_their_builds():
-    for (family, n, c, p, q) in [
+@pytest.fixture(scope="module")
+def small_builds():
+    """((family, n, c, p, q), output) for every applicable build with
+    n <= 16, c <= 7 and 0 <= p <= q <= 4, in that loop order."""
+    return [((family, n, c, p, q), build(family, n, c, p, q))
+            for family in F for n in range(1, 17) for c in range(1, 8)
+            for q in range(0, 5) for p in range(0, q + 1)
+            if applicability_error(family, n, c, p, q) is None]
+
+
+def _exact_claims(point, out):
+    """How many integer claims the family makes at the point, each asserted
+    to be the build's total (sum) or minimum (min)."""
+    claims = 0
+    for objective, picker in (("sum", "total"), ("min", "minimum")):
+        try:
+            claim = predicted_value(*point, objective)
+        except ValueError:
+            continue
+        if isinstance(claim, int):
+            assert getattr(out.predicted_counts, picker) == claim, (point, objective)
+            claims += 1
+    return claims
+
+
+def test_exact_families_predict_their_builds(small_builds):
+    # every exact claim on the small grid; among them CYCLIC_REMAINDER at
+    # (5, 3, 0, 3), where q-1 = 2 does not divide r = 1 and it builds 12
+    assert sum(_exact_claims(point, out) for point, out in small_builds) == 4394
+    for point in [
         (F.COMPLETE_PREFIX, 17, 6, 1, 2),
         (F.ASSIGNED_OUT, 18, 4, 0, 3),
         (F.CYCLIC_REMAINDER, 19, 5, 0, 2),
-        (F.CYCLIC_REMAINDER, 5, 3, 0, 3),  # q-1 = 2 does not divide r = 1: builds 12
-        (F.S11_COMPLETE1, 9, 4, 1, 1),
-        (F.BIPARTITE_S11, 9, 3, 1, 1),
         (F.REMARK_CN, 7, 9, 0, 4),
-        (F.REMARK_NQ, 4, 6, 0, 4),
-        (F.TRIANGLE_N3, 3, 2, 1, 1),
-    ]:
-        out = build(family, n, c, p, q)
-        for objective, picker in (("sum", "total"), ("min", "minimum")):
-            try:
-                claim = predicted_value(family, n, c, p, q, objective)
-            except ValueError:
-                continue
-            if isinstance(claim, int):
-                assert getattr(out.predicted_counts, picker) == claim, (family, objective)
+    ]:  # beyond the grid
+        assert _exact_claims(point, build(*point)) == 2, point
+
+
+_PARTITIONED = (F.COMPLETE_PREFIX, F.S11_COMPLETE1, F.ASSIGNED_OUT, F.A_ONLY, F.B_ONLY,
+                F.AB_MIX, F.AC_MIN, F.AC_SPLIT_SUM, F.BIPARTITE_S11)
+
+
+def test_partitioned_builds_have_no_violator(small_builds):
+    # the A/B/C part rule keeps every vertex in a class of classify_vertices;
+    # REMARK_NQ's one B part owns all c colors, so it is free only by n <= q
+    checked = 0
+    for (family, n, c, p, q), out in small_builds:
+        if family in _PARTITIONED:
+            report = classify_vertices(out.collection, StarPattern(p, q))
+            assert report.violators == (), (family, n, c, p, q)
+            checked += 1
+    assert checked == 2677
 
 
 def test_divisible_b_only_prediction_is_exact():
@@ -286,7 +318,7 @@ def _claim(family, n, c, p, q, objective):
         return "-"
 
 
-def test_small_builds_pinned():
+def test_small_builds_pinned(small_builds):
     # one sha256 over every applicable build with n <= 16, c <= 7,
     # 0 <= p <= q <= 4: edges, predicted counts and coefficients, parts and
     # both predictions; the digest was computed before the families were
@@ -295,23 +327,14 @@ def test_small_builds_pinned():
     # not divide r had claimed the floor formula; nothing else changed), and
     # when AC_SPLIT_SUM's parts gained their colors (345 builds, parts alone)
     digest = hashlib.sha256()
-    builds = 0
-    for family in F:
-        for n in range(1, 17):
-            for c in range(1, 8):
-                for q in range(0, 5):
-                    for p in range(0, q + 1):
-                        if applicability_error(family, n, c, p, q) is not None:
-                            continue
-                        out = build(family, n, c, p, q)
-                        builds += 1
-                        digest.update(repr((family.value, n, c, p, q)).encode())
-                        digest.update(serialize_edge_list(out.collection).encode())
-                        digest.update(repr((out.predicted_counts, out.predicted_coefficients,
-                                            out.parts)).encode())
-                        digest.update(_claim(family, n, c, p, q, "sum").encode())
-                        digest.update(_claim(family, n, c, p, q, "min").encode())
-    assert builds == 3072
+    for (family, n, c, p, q), out in small_builds:
+        digest.update(repr((family.value, n, c, p, q)).encode())
+        digest.update(serialize_edge_list(out.collection).encode())
+        digest.update(repr((out.predicted_counts, out.predicted_coefficients,
+                            out.parts)).encode())
+        digest.update(_claim(family, n, c, p, q, "sum").encode())
+        digest.update(_claim(family, n, c, p, q, "min").encode())
+    assert len(small_builds) == 3072
     assert digest.hexdigest() == (
         "f9b2ff70a04ca95b81af2144bc5f64f1c085a899128038cf60434f9b1e5929c9"
     )
